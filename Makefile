@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: test doclint bench-smoke bench-scaling bench-rollout bench-entropy bench-reward bench-halo bench-backend bench-telemetry bench-out-of-core bench-serving bench-streaming bench-compare serve-smoke
+.PHONY: test doclint bench-e2e bench-smoke bench-scaling bench-rollout bench-entropy bench-reward bench-halo bench-backend bench-telemetry bench-out-of-core bench-serving bench-streaming bench-compare serve-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -24,6 +24,13 @@ bench-smoke:
 	$(PY) benchmarks/bench_telemetry_overhead.py --steps 32 --iterations 50000
 	$(PY) benchmarks/bench_out_of_core.py --n 3000
 	$(PY) benchmarks/bench_streaming.py --nodes 800 --events 4 --steps 40 --repeats 2
+
+# End-to-end benchmark, one traced run of the sparse-feature GCN fit on
+# chameleon (2325-wide, 2.2%-dense features): prints the end-to-end
+# metrics plus the per-layer breakdown.  bench_e2e/README.md covers the
+# other workloads and the options.
+bench-e2e:
+	python3 bench_e2e/run.py --workload fit-sparse-train --seed 1 --seconds 10 --trace 1
 
 # Full trajectory including the 20k-node fast-path-only point.
 bench-scaling:

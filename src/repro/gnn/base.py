@@ -4,18 +4,31 @@ Every backbone is a :class:`repro.nn.Module` whose ``forward`` takes the
 graph and a feature tensor and returns class logits.  Propagation matrices
 are memoised on the (immutable) graph via :func:`cached_matrix`, so
 re-running many epochs on one topology costs a single normalisation.
+
+The feature operand itself comes from :func:`features_tensor`: a dense
+:class:`~repro.tensor.Tensor`, or — for backbones declared
+``projection_first`` on wide, sparse bag-of-words features — one
+memoised CSR matrix that dropout masks on its nonzeros and the first
+``Linear`` multiplies through ``spmm``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import weakref
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..graph import Graph
 from ..nn import Module
-from ..tensor import Tensor
+from ..tensor import Tensor, no_grad
+
+#: Feature matrices at least this wide ...
+SPARSE_MIN_WIDTH = 256
+#: ... with at most this fraction of nonzero entries are fed to
+#: projection-first backbones as CSR.
+SPARSE_MAX_DENSITY = 0.10
 
 
 def cached_matrix(graph: Graph, key: str, builder: Callable[[Graph], sp.spmatrix]):
@@ -46,6 +59,12 @@ class GNNBackbone(Module):
     #: inherited — consulted only on the class it is declared on.
     halo_plan = "auto"
 
+    #: ``True`` declares that ``forward`` touches the raw features only
+    #: through ``Dropout`` and then a first ``Linear`` — the contract
+    #: under which :func:`features_tensor` may hand it a CSR operand.
+    #: Not inherited, like ``halo_plan``.
+    projection_first = False
+
     def __init__(self, in_features: int, num_classes: int) -> None:
         super().__init__()
         self.in_features = in_features
@@ -58,14 +77,72 @@ class GNNBackbone(Module):
         """Eval-mode logits as a plain array (no autograd bookkeeping)."""
         was_training = self.training
         self.eval()
-        out = self.forward(graph, Tensor(graph.features)).data
+        with no_grad():
+            out = self.forward(graph, features_tensor(graph, self)).data
         if was_training:
             self.train()
         return out
 
 
-def features_tensor(graph: Graph) -> Tensor:
-    """The graph's feature matrix as a constant tensor."""
+#: ``id(features) -> (weakref to the array, its CSR or None)``; entries
+#: are dropped when the array is collected.
+_CSR_MEMO: Dict[int, Tuple[weakref.ref, Optional[sp.csr_matrix]]] = {}
+
+
+def _to_csr(features: np.ndarray) -> sp.csr_matrix:
+    return sp.csr_matrix(features)
+
+
+def _sparse_features(features: np.ndarray) -> Optional[sp.csr_matrix]:
+    """The CSR form of ``features`` if they are wide and sparse, else ``None``.
+
+    The rule is fixed: at least :data:`SPARSE_MIN_WIDTH` columns and at
+    most :data:`SPARSE_MAX_DENSITY` nonzero entries.  The answer (and the
+    conversion) is memoised per feature *array*, so every graph sharing
+    one ``features`` object — all rewires of a base graph do — reuses a
+    single conversion.  Feature arrays are treated as immutable.
+    """
+    key = id(features)
+    hit = _CSR_MEMO.get(key)
+    if hit is not None and hit[0]() is features:
+        return hit[1]
+    sparse = (
+        features.shape[1] >= SPARSE_MIN_WIDTH
+        and np.count_nonzero(features) <= SPARSE_MAX_DENSITY * features.size
+    )
+    csr = _to_csr(features) if sparse else None
+    _CSR_MEMO[key] = (weakref.ref(features), csr)
+    weakref.finalize(features, _CSR_MEMO.pop, key, None)
+    return csr
+
+
+def features_tensor(
+    graph: Graph, model: Optional[GNNBackbone] = None
+) -> Union[Tensor, sp.csr_matrix]:
+    """The first-layer input operand for ``graph``'s features.
+
+    A constant dense :class:`~repro.tensor.Tensor` — unless ``model``'s
+    class declares ``projection_first = True`` and the features are at
+    least :data:`SPARSE_MIN_WIDTH` wide with at most
+    :data:`SPARSE_MAX_DENSITY` nonzeros, in which case one CSR matrix is
+    returned, memoised per feature array (every rewire of a graph shares
+    its ``features`` object, so a fit converts once).  Only
+    ``ops.dropout`` and ``nn.Linear`` accept that operand: dropout masks
+    its nonzeros, ``Linear`` projects it through ``ops.spmm``.  Every
+    forward that starts from ``graph.features`` (training, evaluation,
+    halo base states, stacked forwards) goes through here, so a backbone
+    sees one operand type.
+
+    Examples
+    --------
+    >>> model = build_backbone("gcn", graph.num_features, num_classes)
+    >>> x = features_tensor(graph, model)    # CSR on wide sparse features
+    >>> logits = model(graph, x)
+    """
     if graph.features is None:
         raise ValueError("graph has no node features")
+    if model is not None and vars(type(model)).get("projection_first", False):
+        csr = _sparse_features(graph.features)
+        if csr is not None:
+            return csr
     return Tensor(graph.features)

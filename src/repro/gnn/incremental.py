@@ -84,9 +84,9 @@ from ..graph.graph import _member_sorted
 from ..graph.normalize import gcn_norm, row_norm, two_hop_adjacency
 from ..graph.storage import MmapReleaser
 from ..telemetry import SIZE_BUCKETS, Counter, StatsView, get_telemetry
-from ..tensor import Tensor, ops
+from ..tensor import Tensor, no_grad, ops
 from ..tensor.backends import active_backend
-from .base import GNNBackbone, cached_matrix
+from .base import GNNBackbone, cached_matrix, features_tensor
 from .models import GAT, GCN, H2GCN, GraphSAGE, MixHop, _normalized_two_hop
 
 __all__ = [
@@ -1134,7 +1134,7 @@ class _GCNPlan(HaloPlan):
     @staticmethod
     def base_state(model: GCN, graph: Graph) -> Dict[str, np.ndarray]:
         a_hat = cached_matrix(graph, "gcn_norm", gcn_norm)
-        xw1 = model.lin1(Tensor(graph.features)).data
+        xw1 = model.lin1(features_tensor(graph, model)).data
         h1 = _spmm(a_hat, xw1)
         h1 = h1 * (h1 > 0)
         z = model.lin2(Tensor(h1)).data
@@ -1147,13 +1147,18 @@ class _GCNPlan(HaloPlan):
         row-block from the bundle CSR (and kept as a
         :class:`PropagationRowSource` for the halo slices), features are
         pushed through ``lin1`` in row chunks with their pages released
-        behind the cursor.  Bitwise equal to the in-RAM build — blocked
+        behind the cursor (row chunks of the CSR operand when the
+        features are wide and sparse — that operand is small by its
+        density rule).  Bitwise equal to the in-RAM build — blocked
         GEMMs and row-independent spmm stitch to the same bits."""
         src = PropagationRowSource(graph, "gcn_norm")
         release = MmapReleaser(gather=[graph.features, src._indices])
+        x = features_tensor(graph, model)
+        sparse = sp.issparse(x)
         xw1 = _chunked_rows(
-            lambda b: model.lin1(Tensor(b)).data,
-            graph.features, STREAM_CHUNK_ROWS, release=release,
+            lambda b: model.lin1(b if sparse else Tensor(b)).data,
+            x if sparse else graph.features, STREAM_CHUNK_ROWS,
+            release=release,
         )
         h1 = _streamed_spmm(src, xw1, STREAM_CHUNK_ROWS, release=release)
         h1 *= h1 > 0
@@ -1217,7 +1222,7 @@ class _SAGEPlan(HaloPlan):
     @staticmethod
     def base_state(model: GraphSAGE, graph: Graph) -> Dict[str, np.ndarray]:
         m = cached_matrix(graph, "row_norm", row_norm)
-        x = Tensor(graph.features)
+        x = features_tensor(graph, model)
         s1x = model.self1(x).data
         h1 = s1x + model.neigh1(Tensor(_spmm(m, graph.features))).data
         h1 = h1 * (h1 > 0)
@@ -1281,7 +1286,7 @@ class _SAGEPlan(HaloPlan):
         pr, pc = ctx["pairs"]
         m_dirty = _row_slice_matrix(dirty, pr, pc, inv[pr], graph.num_nodes)
         m_halo = _halo_matrix(state["m"], halo, dirty, m_dirty)
-        mx = ops.spmm(m_dirty, Tensor(graph.features)).data
+        mx = ops.spmm(m_dirty, features_tensor(graph, model)).data
         h1_rows = state["s1x"][dirty] + model.neigh1(Tensor(mx)).data
         h1_rows = h1_rows * (h1_rows > 0)
         h1 = ops.scatter_patch_rows(
@@ -1927,6 +1932,10 @@ class IncrementalEvaluator:
     # ------------------------------------------------------------------
     def predict_logits(self, graph: Graph) -> np.ndarray:
         """Full-graph eval-mode logits of ``graph`` under the bound model."""
+        with no_grad():
+            return self._predict_logits(graph)
+
+    def _predict_logits(self, graph: Graph) -> np.ndarray:
         if self._plan is not None and graph is self.base_graph:
             self._bump("base_hits")
             return self._ensure_state()["out"].copy()

@@ -14,6 +14,12 @@ The hook runs the exact same tensor ops as ``forward`` — its captured
 arrays are bitwise identical to a plain forward, which is what the
 engine's off-halo exactness contract builds on (see
 ``docs/equivalence-policy.md``).
+
+MLP, GCN, GAT and H2GCN are declared ``projection_first``: their forward
+applies only dropout and a first ``Linear`` to the raw features, so on
+wide, sparse features they receive the CSR operand of
+:func:`~repro.gnn.base.features_tensor`.  GraphSAGE and MixHop propagate
+the raw features themselves and always take them dense.
 """
 
 from __future__ import annotations
@@ -22,12 +28,14 @@ import numpy as np
 
 from ..graph import Graph, gcn_norm, row_norm, two_hop_adjacency
 from ..nn import MLP, Dropout, Linear
-from ..tensor import Tensor, ops
-from .base import GNNBackbone, cached_matrix
+from ..tensor import Tensor, no_grad, ops
+from .base import GNNBackbone, cached_matrix, features_tensor
 
 
 class MLPClassifier(GNNBackbone):
     """Attribute-only baseline: ignores the topology entirely."""
+
+    projection_first = True
 
     def __init__(
         self,
@@ -48,6 +56,8 @@ class MLPClassifier(GNNBackbone):
 class GCN(GNNBackbone):
     """Kipf-Welling graph convolution: ``H' = relu(Â H W)`` with
     ``Â = D^{-1/2}(A + I)D^{-1/2}``."""
+
+    projection_first = True
 
     def __init__(
         self,
@@ -174,6 +184,8 @@ def _edge_index_with_self_loops(graph: Graph) -> np.ndarray:
 class GAT(GNNBackbone):
     """Two-layer GAT: multi-head concat, then single-head output layer."""
 
+    projection_first = True
+
     def __init__(
         self,
         in_features: int,
@@ -209,9 +221,10 @@ class GAT(GNNBackbone):
         self.eval()
         layer1: dict = {}
         layer2: dict = {}
-        h = self.dropout(Tensor(graph.features))
-        act1 = ops.elu(self.layer1(graph, h, record=layer1))
-        out = self.layer2(graph, self.dropout(act1), record=layer2)
+        with no_grad():
+            h = self.dropout(features_tensor(graph, self))
+            act1 = ops.elu(self.layer1(graph, h, record=layer1))
+            out = self.layer2(graph, self.dropout(act1), record=layer2)
         if was_training:
             self.train()
         return {
@@ -229,6 +242,8 @@ class H2GCN(GNNBackbone):
     2. aggregation over both 1-hop and strict 2-hop neighbourhoods,
     3. final concatenation of all intermediate representations.
     """
+
+    projection_first = True
 
     def __init__(
         self,
@@ -286,7 +301,8 @@ class H2GCN(GNNBackbone):
         was_training = self.training
         self.eval()
         record: dict = {}
-        self._run(graph, Tensor(graph.features), record)
+        with no_grad():
+            self._run(graph, features_tensor(graph, self), record)
         if was_training:
             self.train()
         return record
@@ -377,7 +393,8 @@ class MixHop(GNNBackbone):
         was_training = self.training
         self.eval()
         record: dict = {}
-        self._run(graph, Tensor(graph.features), record)
+        with no_grad():
+            self._run(graph, features_tensor(graph, self), record)
         if was_training:
             self.train()
         return record

@@ -8,7 +8,7 @@ validation accuracy peaks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from ..nn import (
     cross_entropy,
     cross_entropy_label_smoothing,
 )
-from ..tensor import Tensor
-from .base import GNNBackbone
+from ..tensor import Tensor, no_grad
+from .base import GNNBackbone, features_tensor
 
 
 @dataclass
@@ -37,22 +37,29 @@ class TrainResult:
     history: List[dict] = field(default_factory=list)
 
 
-def evaluate(
-    model: GNNBackbone, graph: Graph, mask: np.ndarray
-) -> Tuple[float, float]:
+def evaluate(model: GNNBackbone, graph: Graph, mask: np.ndarray, *more_masks):
     """Eval-mode ``(accuracy, loss)`` of ``model`` on the nodes in ``mask``.
 
     This is the no-backward evaluation step of Algorithm 1 (line 9) that
-    feeds the DRL reward.
+    feeds the DRL reward.  Passing further masks scores all of them from
+    the same single forward and returns a list of ``(accuracy, loss)``
+    pairs, one per mask in order — each bitwise what a separate call
+    would return.
     """
     was_training = model.training
     model.eval()
-    logits = model(graph, Tensor(graph.features))
-    loss = cross_entropy(logits, graph.labels, mask).item()
-    acc = accuracy(logits.data, graph.labels, mask)
+    with no_grad():
+        logits = model(graph, features_tensor(graph, model))
+        scores = [
+            (
+                accuracy(logits.data, graph.labels, m),
+                float(cross_entropy(logits, graph.labels, m).item()),
+            )
+            for m in (mask, *more_masks)
+        ]
     if was_training:
         model.train()
-    return acc, float(loss)
+    return scores if more_masks else scores[0]
 
 
 class Trainer:
@@ -87,7 +94,7 @@ class Trainer:
         """One full-batch gradient step; returns the training loss."""
         self.model.train()
         self.optimizer.zero_grad()
-        logits = self.model(graph, Tensor(graph.features))
+        logits = self.model(graph, features_tensor(graph, self.model))
         loss = self._loss(logits, graph.labels, train_mask)
         loss.backward()
         self.optimizer.step()
@@ -115,9 +122,10 @@ class Trainer:
         for epoch in range(epochs):
             epochs_run = epoch + 1
             train_loss = self.train_epoch(graph, split.train)
-            val_acc, val_loss = evaluate(self.model, graph, split.val)
             if record_history:
-                train_acc, _ = evaluate(self.model, graph, split.train)
+                (val_acc, val_loss), (train_acc, _) = evaluate(
+                    self.model, graph, split.val, split.train
+                )
                 history.append(
                     {
                         "epoch": epoch,
@@ -127,12 +135,14 @@ class Trainer:
                         "val_loss": val_loss,
                     }
                 )
+            else:
+                val_acc, val_loss = evaluate(self.model, graph, split.val)
             if stopper.step(val_acc, self.model):
                 break
         stopper.restore(self.model)
-        val_acc, _ = evaluate(self.model, graph, split.val)
-        test_acc, _ = evaluate(self.model, graph, split.test)
-        train_acc, _ = evaluate(self.model, graph, split.train)
+        (val_acc, _), (test_acc, _), (train_acc, _) = evaluate(
+            self.model, graph, split.val, split.test, split.train
+        )
         return TrainResult(
             test_acc=test_acc,
             val_acc=val_acc,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..tensor import Tensor, ops
 from . import init
@@ -31,7 +32,13 @@ def get_activation(name: str) -> Callable[[Tensor], Tensor]:
 
 
 class Linear(Module):
-    """Affine map ``y = x W + b`` with Glorot-initialised weights."""
+    """Affine map ``y = x W + b`` with Glorot-initialised weights.
+
+    ``x`` may also be a constant scipy sparse matrix (the CSR feature
+    operand of :func:`repro.gnn.features_tensor`): ``x W`` then runs
+    through :func:`repro.tensor.ops.spmm`, whose backward is ``xᵀ G``
+    for the weight alone.
+    """
 
     def __init__(
         self,
@@ -47,7 +54,10 @@ class Linear(Module):
         self.bias = Parameter(init.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = ops.matmul(x, self.weight)
+        if sp.issparse(x):
+            out = ops.spmm(x, self.weight)
+        else:
+            out = ops.matmul(x, self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out

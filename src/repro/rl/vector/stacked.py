@@ -35,11 +35,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ...gnn.base import cached_matrix
+from ...gnn.base import cached_matrix, features_tensor
 from ...gnn.incremental import IncrementalEvaluator
 from ...graph import Graph, GraphDelta
 from ...graph.normalize import gcn_norm, row_norm
-from ...tensor import Tensor
+from ...tensor import no_grad
 
 __all__ = ["STACKED_CACHE_LIMIT", "StackedGraphBuilder"]
 
@@ -370,10 +370,12 @@ class StackedGraphBuilder:
         if self.incremental:
             logits = self.incremental_for(width).predict_logits(stacked)
         else:
-            features, _ = self.tiled_arrays(width)
             was_training = self.model.training
             self.model.eval()
-            logits = self.model(stacked, Tensor(features)).data
+            with no_grad():
+                logits = self.model(
+                    stacked, features_tensor(stacked, self.model)
+                ).data
             if was_training:
                 self.model.train()
             if self._seed_keys is None:

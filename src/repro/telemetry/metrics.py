@@ -94,9 +94,9 @@ class Histogram:
     ``buckets`` holds the inclusive upper bounds of each bucket; one
     overflow bucket is appended implicitly, so ``counts`` has
     ``len(buckets) + 1`` entries.  Quantiles are estimated by linear
-    interpolation inside the bucket the rank falls into — exact enough
-    for p50/p90/p99 reporting, and (unlike sampling) exactly mergeable
-    across worker snapshots.
+    interpolation inside the bucket the rank falls into, clamped to the
+    observed ``[min, max]`` — exact enough for p50/p90/p99 reporting,
+    and (unlike sampling) exactly mergeable across worker snapshots.
 
     Examples
     --------
@@ -136,9 +136,16 @@ class Histogram:
             self.max = value
 
     def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (``0 <= q <= 1``) from the buckets."""
+        """Estimated ``q``-quantile (``0 <= q <= 1``) from the buckets.
+
+        Clamped to the observed ``[min, max]``: interpolating inside a
+        wide bucket must never report a value no sample reached.
+        """
         if self.count == 0:
             return 0.0
+        return min(max(self._interpolate(q), self.min), self.max)
+
+    def _interpolate(self, q: float) -> float:
         rank = q * self.count
         seen = 0
         for i, c in enumerate(self.counts):

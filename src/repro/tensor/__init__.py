@@ -14,7 +14,7 @@ from . import backends, ops
 from .backends import active_backend, resolve_backend, use_backend
 from .function import Function
 from .grad_check import gradcheck, numerical_gradient
-from .tensor import Tensor, unbroadcast
+from .tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
 
 __all__ = [
     "Function",
@@ -22,6 +22,8 @@ __all__ = [
     "active_backend",
     "backends",
     "gradcheck",
+    "is_grad_enabled",
+    "no_grad",
     "numerical_gradient",
     "ops",
     "resolve_backend",

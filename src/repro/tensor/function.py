@@ -21,9 +21,12 @@ Lifecycle of ``out = MyOp(constants)(x, y)``:
    the output array, stashing whatever backward needs via
    :meth:`Function.save_for_backward` or plain attributes (safe because
    the instance is never shared between calls);
-4. if any input requires grad, the instance is wired into the graph;
-   during backprop ``backward(grad)`` returns one gradient per input
-   (``None`` for inputs that get nothing), which the engine accumulates.
+4. if any input requires grad (and no :func:`~repro.tensor.no_grad`
+   scope is active), the instance is wired into the graph; during
+   backprop ``backward(grad)`` returns one gradient per input (``None``
+   for inputs that get nothing), which the engine accumulates.
+   ``self.needs_input_grad`` tells ``backward`` which inputs want one,
+   so it can skip computing gradients nobody consumes.
 
 See ``docs/custom-ops.md`` for a worked example and the backend
 contract.
@@ -74,6 +77,11 @@ class Function:
     #: The backend this call computes with; set by ``__call__`` before
     #: ``forward`` runs and still valid when ``backward`` runs.
     backend: Optional[TensorBackend] = None
+
+    #: Per ``__call__`` input, whether it requires grad; set by
+    #: ``__call__``.  ``backward`` may return ``None`` where it is
+    #: ``False`` (the engine would discard that gradient anyway).
+    needs_input_grad: Tuple[bool, ...] = ()
 
     _called: bool = False
     _saved: Tuple = ()
@@ -149,6 +157,7 @@ class Function:
                 )
         self.backend = pinned if pinned is not None else active_backend()
         self._inputs = tensors
+        self.needs_input_grad = tuple(t.requires_grad for t in tensors)
         out_data = self.forward(*(t.data for t in tensors))
         return Tensor._make(
             out_data, tensors, self._apply_backward, backend=pinned

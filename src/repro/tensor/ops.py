@@ -451,9 +451,10 @@ class _Matmul(Function):
 
     def backward(self, grad):
         a, b = self.saved_for_backward
+        need_a, need_b = self.needs_input_grad
         return (
-            self.backend.matmul(grad, b.T),
-            self.backend.matmul(a.T, grad),
+            self.backend.matmul(grad, b.T) if need_a else None,
+            self.backend.matmul(a.T, grad) if need_b else None,
         )
 
 
@@ -755,12 +756,21 @@ class _Dropout(Function):
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero entries with probability ``p`` and rescale."""
-    a = _t(a)
+    """Inverted dropout: zero entries with probability ``p`` and rescale.
+
+    A scipy sparse ``a`` (the constant CSR feature operand of
+    :func:`repro.gnn.features_tensor`) is masked on its stored nonzeros
+    only — one draw per nonzero instead of per entry — and returned as a
+    new CSR matrix sharing ``a``'s index arrays; it carries no gradient.
+    """
+    a = a.tocsr() if sp.issparse(a) else _t(a)
     if not training or p <= 0.0:
         return a
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if sp.issparse(a):
+        mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+        return sp.csr_matrix((a.data * mask, a.indices, a.indptr), shape=a.shape)
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
     return _Dropout(mask)(a)
 

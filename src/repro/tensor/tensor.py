@@ -13,11 +13,46 @@ numerical differentiation in ``tests/tensor``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+#: Whether ops record the autograd graph in the current context (each
+#: thread starts with recording on; :func:`no_grad` turns it off).
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("repro_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Scope in which ops compute values but record no autograd graph.
+
+    Results created inside never require grad, so eval-mode forwards
+    (``evaluate``, ``predict_logits``, reward scoring) neither keep their
+    intermediates alive nor pay for the bookkeeping.  The values are
+    bitwise those of the same ops outside the scope.
+
+    Examples
+    --------
+    >>> w = Tensor([2.0], requires_grad=True)
+    >>> with no_grad():
+    ...     y = w * 3.0
+    >>> y.requires_grad
+    False
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
+def is_grad_enabled() -> bool:
+    """``False`` inside a :func:`no_grad` scope, else ``True``."""
+    return _GRAD_ENABLED.get()
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -142,12 +177,14 @@ class Tensor:
         ``backward`` receives the upstream gradient and is responsible for
         calling :meth:`_accumulate` on each parent that requires grad.
         ``backend`` propagates an input pin to the result (``None`` keeps
-        the result following the active backend).
+        the result following the active backend).  Inside :func:`no_grad`
+        the result is a constant.
         """
         parents = tuple(parents)
         out = Tensor(
             data,
-            requires_grad=any(p.requires_grad for p in parents),
+            requires_grad=_GRAD_ENABLED.get()
+            and any(p.requires_grad for p in parents),
             backend=backend,
         )
         if out.requires_grad:

@@ -105,3 +105,68 @@ def test_result_accs_in_range(setup):
     result = train_backbone(model, graph, split, epochs=30)
     for value in (result.test_acc, result.val_acc, result.train_acc):
         assert 0.0 <= value <= 1.0
+
+
+def _reference_fit(trainer, graph, split, epochs, patience):
+    """The loop as it was before eval forwards were shared: one separate
+    full forward per scored mask, graph recording on."""
+    from repro.gnn.trainer import TrainResult
+    from repro.nn import EarlyStopping, accuracy, cross_entropy
+    from repro.tensor import Tensor
+
+    def separate_eval(mask):
+        trainer.model.eval()
+        logits = trainer.model(graph, Tensor(graph.features))
+        loss = cross_entropy(logits, graph.labels, mask).item()
+        acc = accuracy(logits.data, graph.labels, mask)
+        trainer.model.train()
+        return acc, float(loss)
+
+    stopper = EarlyStopping(patience=patience)
+    history = []
+    epochs_run = 0
+    for epoch in range(epochs):
+        epochs_run = epoch + 1
+        train_loss = trainer.train_epoch(graph, split.train)
+        val_acc, val_loss = separate_eval(split.val)
+        train_acc, _ = separate_eval(split.train)
+        history.append({"epoch": epoch, "train_loss": train_loss,
+                        "train_acc": train_acc, "val_acc": val_acc,
+                        "val_loss": val_loss})
+        if stopper.step(val_acc, trainer.model):
+            break
+    stopper.restore(trainer.model)
+    return TrainResult(
+        test_acc=separate_eval(split.test)[0],
+        val_acc=separate_eval(split.val)[0],
+        train_acc=separate_eval(split.train)[0],
+        epochs_run=epochs_run,
+        history=history,
+    )
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "graphsage", "gat"])
+def test_shared_eval_forward_train_result_bitwise(setup, backbone):
+    """Scoring val/test/train from one no-grad forward leaves a dense-
+    feature fit's TrainResult (history included) bitwise unchanged."""
+    graph, split = setup
+
+    def trainer():
+        return Trainer(build_backbone(
+            backbone, graph.num_features, graph.num_classes,
+            hidden=16, rng=np.random.default_rng(2),
+        ))
+
+    got = trainer().fit(graph, split, epochs=25, patience=5,
+                        record_history=True)
+    ref = _reference_fit(trainer(), graph, split, epochs=25, patience=5)
+    assert got == ref
+
+
+def test_evaluate_many_masks_matches_single_calls(setup):
+    graph, split = setup
+    model = build_backbone("gcn", graph.num_features, graph.num_classes,
+                           rng=np.random.default_rng(1))
+    many = evaluate(model, graph, split.val, split.test, split.train)
+    assert many == [evaluate(model, graph, m)
+                    for m in (split.val, split.test, split.train)]

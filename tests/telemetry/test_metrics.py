@@ -1,6 +1,8 @@
 """Unit tests for the counter/gauge/histogram registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
@@ -86,3 +88,35 @@ def test_stats_view_is_live_readonly_mapping():
     assert len(view) == 2
     with pytest.raises(TypeError):
         view["hits"] = 5
+
+
+def test_quantile_clamped_to_observed_extremes():
+    """The reported regression: one 0.149 s sample in the (0.1, 0.316]
+    bucket printed p50 = 0.208 s, above the max."""
+    h = Histogram("shard_s")
+    h.observe(0.149)
+    assert h.quantile(0.5) == h.quantile(0.99) == 0.149
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        min_size=1, max_size=60,
+    ),
+    split=st.integers(min_value=0, max_value=60),
+)
+def test_quantiles_ordered_within_extremes_under_any_merge(samples, split):
+    split = min(split, len(samples))
+    parts = [Histogram("h"), Histogram("h")]
+    for i, v in enumerate(samples):
+        parts[i >= split].observe(v)
+    merged = Histogram("h")
+    for part in parts:
+        merged.merge_state(part.state())
+    q = [merged.quantile(p) for p in (0.5, 0.9, 0.99)]
+    assert min(samples) <= q[0] <= q[1] <= q[2] <= max(samples)
+    whole = Histogram("h")
+    for v in samples:
+        whole.observe(v)
+    assert q == [whole.quantile(p) for p in (0.5, 0.9, 0.99)]

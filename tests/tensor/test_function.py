@@ -234,3 +234,66 @@ def test_custom_function_composes_with_builtin_ops():
         return ops.sum(ops.relu(_Square()(x)))
 
     assert gradcheck(fn, [_OFF_ZERO])
+
+
+# ---------------------------------------------------------------------------
+# needs_input_grad: gradients nobody consumes are never computed
+# ---------------------------------------------------------------------------
+def test_needs_input_grad_recorded_per_input():
+    fn = ops._Matmul()
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    fn(np.ones((4, 3)), w)
+    assert fn.needs_input_grad == (False, True)
+
+
+class _CountingBackend(TensorBackend):
+    name = "counting"
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def matmul(self, a, b):
+        self.matmuls += 1
+        return super().matmul(a, b)
+
+
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_matmul_backward_skips_constant_inputs(x_grad):
+    backend = _CountingBackend()
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=x_grad)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    with use_backend(backend):
+        out = ops.matmul(x, w)
+        forward_calls = backend.matmuls
+        out.sum().backward()
+    assert forward_calls == 1
+    assert backend.matmuls - forward_calls == (2 if x_grad else 1)
+    np.testing.assert_array_equal(w.grad, x.data.T @ np.ones((5, 3)))
+    assert (x.grad is not None) == x_grad
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+def test_no_grad_builds_no_graph_and_keeps_values():
+    from repro.tensor import is_grad_enabled, no_grad
+
+    x = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    recorded = ops.relu(ops.matmul(x, w))
+    with no_grad():
+        assert not is_grad_enabled()
+        plain = ops.relu(ops.matmul(x, w))
+    assert is_grad_enabled()
+    assert recorded.requires_grad and not plain.requires_grad
+    assert plain._parents == () and plain._backward is None
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def test_no_grad_restores_on_error():
+    from repro.tensor import is_grad_enabled, no_grad
+
+    with pytest.raises(ValueError):
+        with no_grad():
+            raise ValueError("boom")
+    assert is_grad_enabled()
