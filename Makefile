@@ -6,10 +6,10 @@ test:
 	$(PY) -m pytest -x -q
 
 # Docstring lint (pydocstyle-equivalent, dependency-free): every public
-# symbol of repro.gnn must carry a docstring.  Mirrored in the tier-1
-# suite (tests/gnn/test_docstrings.py) and run as a CI step.
+# symbol of the gated packages must carry a docstring.  Mirrored in the
+# tier-1 suite (tests/gnn/test_docstrings.py) and run as a CI step.
 doclint:
-	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream
+	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl
 
 # Fast sanity run (< 90 s): the CSR scaling benchmark at small N (asserts
 # the >= 5x speedup contract) plus small-N passes of both incremental
@@ -25,12 +25,14 @@ bench-smoke:
 	$(PY) benchmarks/bench_out_of_core.py --n 3000
 	$(PY) benchmarks/bench_streaming.py --nodes 800 --events 4 --steps 40 --repeats 2
 
-# End-to-end benchmark, one traced run of the sparse-feature GCN fit on
-# chameleon (2325-wide, 2.2%-dense features): prints the end-to-end
-# metrics plus the per-layer breakdown.  bench_e2e/README.md covers the
-# other workloads and the options.
+# End-to-end benchmark, one traced run of each fit workload: the
+# sparse-feature GCN fit on chameleon (2325-wide, 2.2%-dense features) and
+# the RL-dominated GraphSAGE fit with 4 vectorized envs.  Each prints its
+# per-layer breakdown.  bench_e2e/README.md covers the serving workload
+# and the options.
 bench-e2e:
 	python3 bench_e2e/run.py --workload fit-sparse-train --seed 1 --seconds 10 --trace 1
+	python3 bench_e2e/run.py --workload fit-rl-vec --seed 1 --seconds 10 --trace 1
 
 # Full trajectory including the 20k-node fast-path-only point.
 bench-scaling:

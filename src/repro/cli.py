@@ -222,16 +222,9 @@ def _resolve_graph(args):
     return graph, args.dataset
 
 
-def cmd_run(args) -> int:
-    graph, graph_name = _resolve_graph(args)
-    if graph is None:
-        return 2
-    splits = geom_gcn_splits(graph, num_splits=args.splits, seed=args.seed)
-    tel = telemetry_from_spec(
-        args.telemetry,
-        run={"command": "run", "dataset": graph_name,
-             "backbone": args.backbone},
-    )
+def _run_config(args) -> RareConfig:
+    """The :class:`RareConfig` of a ``run`` invocation (raises
+    ``ValueError`` on an invalid flag combination)."""
     stream_cfg = None
     if getattr(args, "churn", None):
         from .stream import StreamConfig
@@ -241,7 +234,7 @@ def cmd_run(args) -> int:
             events_per_step=args.churn_events,
             seed=args.churn_seed,
         )
-    config = RareConfig(
+    return RareConfig(
         storage="stream" if args.graph_bundle else "ram",
         lam=args.lam,
         k_max=args.k_max,
@@ -258,6 +251,29 @@ def cmd_run(args) -> int:
         tensor_backend=args.tensor_backend,
         stream=stream_cfg,
         seed=args.seed,
+    )
+
+
+def cmd_run(args) -> int:
+    # Flags are validated before any data is loaded; a bad value is one
+    # ``error:`` line on stderr and exit status 2, never a traceback.
+    if args.splits < 1:
+        print(f"error: --splits must be >= 1, got {args.splits}",
+              file=sys.stderr)
+        return 2
+    try:
+        config = _run_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    graph, graph_name = _resolve_graph(args)
+    if graph is None:
+        return 2
+    splits = geom_gcn_splits(graph, num_splits=args.splits, seed=args.seed)
+    tel = telemetry_from_spec(
+        args.telemetry,
+        run={"command": "run", "dataset": graph_name,
+             "backbone": args.backbone},
     )
     base_accs, rare_accs, gains = [], [], []
     with use_telemetry(tel):

@@ -257,80 +257,97 @@ class GraphRARE:
                 ).test_acc
 
         # --- co-training (Algorithm 1, lines 7-18) ------------------------
-        model = (
-            initial_model if initial_model is not None
-            else self._build_model(graph, rng)
-        )
-        trainer = Trainer(model, lr=cfg.gnn_lr, weight_decay=cfg.gnn_weight_decay)
+        # Two rare.setup spans around the warm start: the model must exist
+        # before it, and the policy draws its init from the same generator
+        # after it.
+        with tel.span("rare.setup"):
+            model = (
+                initial_model if initial_model is not None
+                else self._build_model(graph, rng)
+            )
+            trainer = Trainer(
+                model, lr=cfg.gnn_lr, weight_decay=cfg.gnn_weight_decay
+            )
         # Warm start so early rewards are informative.
-        trainer.fit(graph, split, epochs=cfg.co_train_epochs,
-                    patience=cfg.co_train_patience)
-
-        policy = NodePolicy(
-            obs_dim=OBS_DIM, hidden=cfg.policy_hidden, rng=rng
-        )
-        agent = build_agent(cfg.rl_algorithm, policy, cfg.ppo, rng=rng)
+        with tel.span("rare.warm_start"):
+            trainer.fit(graph, split, epochs=cfg.co_train_epochs,
+                        patience=cfg.co_train_patience)
 
         accuracy_curve: List[float] = []
         homophily_curve: List[float] = []
         episode_rewards: List[float] = []
-        # The original topology is the starting candidate: a rewired graph
-        # must beat it on validation accuracy to be selected (the paper
-        # launches testing at the validation-accuracy maximum, Sec. V-C).
-        best_val, _ = evaluate(model, graph, split.val)
-        best_graph = graph
+        with tel.span("rare.setup"):
+            policy = NodePolicy(
+                obs_dim=OBS_DIM, hidden=cfg.policy_hidden, rng=rng
+            )
+            agent = build_agent(cfg.rl_algorithm, policy, cfg.ppo, rng=rng)
+            # The original topology is the starting candidate: a rewired
+            # graph must beat it on validation accuracy to be selected (the
+            # paper launches testing at the validation-accuracy maximum,
+            # Sec. V-C).
+            best_val, _ = evaluate(model, graph, split.val)
+            best_graph = graph
+            if cfg.num_envs > 1:
+                # Vectorized path: each iteration collects num_envs
+                # complete episodes as one batched rollout (the
+                # horizon-length vector rollout ends every episode exactly
+                # at the boundary), so the episode budget rounds up to a
+                # multiple of num_envs and the per-iteration curves have
+                # ceil(episodes / num_envs) entries (documented on
+                # RareConfig.num_envs).
+                from ..rl.vector.topology import VecTopologyEnv
+
+                env = VecTopologyEnv(
+                    graph, sequences, model, trainer, split, cfg,
+                    num_envs=cfg.num_envs, seed=cfg.seed,
+                )
+            else:
+                env = TopologyEnv(graph, sequences, model, trainer, split,
+                                  cfg, seed=cfg.seed)
 
         if cfg.num_envs > 1:
-            # Vectorized path: each iteration collects num_envs complete
-            # episodes as one batched rollout (the horizon-length vector
-            # rollout ends every episode exactly at the boundary), so the
-            # episode budget rounds up to a multiple of num_envs and the
-            # per-iteration curves have ceil(episodes / num_envs) entries
-            # (documented on RareConfig.num_envs).
-            from ..rl.vector.topology import VecTopologyEnv
-
-            env = VecTopologyEnv(
-                graph, sequences, model, trainer, split, cfg,
-                num_envs=cfg.num_envs, seed=cfg.seed,
-            )
-            iterations = -(-cfg.episodes // cfg.num_envs)
-            for _ in range(iterations):
-                buffer = agent.collect_vectorized_rollout(env, cfg.horizon)
-                stats = agent.update(buffer)
+            for _ in range(-(-cfg.episodes // cfg.num_envs)):
+                with tel.span("rare.rollout"):
+                    buffer = agent.collect_vectorized_rollout(env, cfg.horizon)
+                with tel.span("rare.update", hist="rl.update_s"):
+                    stats = agent.update(buffer)
                 episode_rewards.append(stats.mean_reward)
 
-                # Dedupe by identity (Graph is unhashable): after autoreset
-                # every slot holds the base graph again, so the distinct
-                # candidates are usually just {best_graph, base_graph}.
-                seen_ids = set()
-                for candidate in (env.best_graph, *env.current_graphs):
-                    if id(candidate) in seen_ids:
-                        continue
-                    seen_ids.add(id(candidate))
-                    val_acc, _ = evaluate(model, candidate, split.val)
-                    if val_acc > best_val:
-                        best_val = val_acc
-                        best_graph = candidate
-                lead = env.current_graphs[0]
-                val_acc, _ = evaluate(model, lead, split.val)
-                accuracy_curve.append(val_acc)
-                homophily_curve.append(homophily_ratio(lead))
+                with tel.span("rare.select"):
+                    # Dedupe by identity (Graph is unhashable): after
+                    # autoreset every slot holds the base graph again, so
+                    # the distinct candidates are usually just
+                    # {best_graph, base_graph}.
+                    seen_ids = set()
+                    for candidate in (env.best_graph, *env.current_graphs):
+                        if id(candidate) in seen_ids:
+                            continue
+                        seen_ids.add(id(candidate))
+                        val_acc, _ = evaluate(model, candidate, split.val)
+                        if val_acc > best_val:
+                            best_val = val_acc
+                            best_graph = candidate
+                    lead = env.current_graphs[0]
+                    val_acc, _ = evaluate(model, lead, split.val)
+                    accuracy_curve.append(val_acc)
+                    homophily_curve.append(homophily_ratio(lead))
         else:
-            env = TopologyEnv(graph, sequences, model, trainer, split, cfg,
-                              seed=cfg.seed)
             for _ in range(cfg.episodes):
-                buffer = agent.collect_rollout(env, cfg.horizon)
-                stats = agent.update(buffer)
+                with tel.span("rare.rollout"):
+                    buffer = agent.collect_rollout(env, cfg.horizon)
+                with tel.span("rare.update", hist="rl.update_s"):
+                    stats = agent.update(buffer)
                 episode_rewards.append(stats.mean_reward)
 
-                for candidate in (env.current_graph, env.best_graph):
-                    val_acc, _ = evaluate(model, candidate, split.val)
-                    if val_acc > best_val:
-                        best_val = val_acc
-                        best_graph = candidate
-                val_acc, _ = evaluate(model, env.current_graph, split.val)
-                accuracy_curve.append(val_acc)
-                homophily_curve.append(homophily_ratio(env.current_graph))
+                with tel.span("rare.select"):
+                    for candidate in (env.current_graph, env.best_graph):
+                        val_acc, _ = evaluate(model, candidate, split.val)
+                        if val_acc > best_val:
+                            best_val = val_acc
+                            best_graph = candidate
+                    val_acc, _ = evaluate(model, env.current_graph, split.val)
+                    accuracy_curve.append(val_acc)
+                    homophily_curve.append(homophily_ratio(env.current_graph))
 
         # --- final training on the optimised topology ---------------------
         # A fresh model isolates the quality of the *topology*: the

@@ -11,7 +11,7 @@ from .loss import (
 )
 from .module import Module, Parameter
 from .metrics import ClassificationReport, classification_report, confusion_matrix
-from .optim import SGD, Adam, Optimizer, RMSprop
+from .optim import SGD, Adam, Optimizer, RMSprop, clip_grad_norm
 from .scheduler import CosineAnnealingLR, LinearWarmupLR, LRScheduler, StepLR
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "confusion_matrix",
     "cross_entropy_label_smoothing",
     "accuracy",
+    "clip_grad_norm",
     "cross_entropy",
     "get_activation",
     "macro_auc",

@@ -1,12 +1,34 @@
-"""Optimizers (SGD with momentum, Adam with decoupled weight decay)."""
+"""Optimizers (SGD with momentum, Adam with decoupled weight decay) and
+global-norm gradient clipping."""
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from .module import Parameter
+
+
+def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> None:
+    """Scale gradients in place so their global L2 norm is ``<= max_norm``.
+
+    The SB3 clip the RL agents apply after every backward: the squared
+    norms of the parameters that have a gradient are summed in order, and
+    if the norm exceeds ``max_norm`` every gradient is multiplied by
+    ``max_norm / (norm + 1e-12)``.  ``max_norm <= 0`` disables clipping.
+    """
+    if max_norm <= 0:
+        return
+    grads = [p.grad for p in params if p.grad is not None]
+    total = 0.0
+    for grad in grads:
+        total += float((grad**2).sum())
+    norm = np.sqrt(total)
+    if norm > max_norm:
+        scale = max_norm / (norm + 1e-12)
+        for grad in grads:
+            grad *= scale
 
 
 class Optimizer:

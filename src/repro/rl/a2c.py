@@ -16,7 +16,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..nn import Adam
+from ..nn import Adam, clip_grad_norm
 from .buffer import RolloutBuffer
 from .env import Env
 from .policy import NodePolicy
@@ -64,6 +64,8 @@ class A2C:
 
     # ------------------------------------------------------------------
     def collect_rollout(self, env: Env, num_steps: int) -> RolloutBuffer:
+        """Run the policy in ``env`` for ``num_steps`` transitions, with
+        the truncation bootstrap attached (see :meth:`PPO.collect_rollout`)."""
         buffer = RolloutBuffer(
             gamma=self.config.gamma, gae_lambda=self.config.gae_lambda
         )
@@ -115,7 +117,7 @@ class A2C:
             )
             self.optimizer.zero_grad()
             loss.backward()
-            self._clip_gradients(cfg.max_grad_norm)
+            clip_grad_norm(self.policy.parameters(), cfg.max_grad_norm)
             self.optimizer.step()
             policy_losses.append(policy_loss.item())
             value_losses.append(value_loss.item())
@@ -130,17 +132,6 @@ class A2C:
         )
         self.history.append(stats)
         return stats
-
-    def _clip_gradients(self, max_norm: float) -> None:
-        if max_norm <= 0:
-            return
-        params = [p for p in self.policy.parameters() if p.grad is not None]
-        total = sum(float((p.grad**2).sum()) for p in params)
-        norm = np.sqrt(total)
-        if norm > max_norm:
-            scale = max_norm / (norm + 1e-12)
-            for p in params:
-                p.grad *= scale
 
     def learn(
         self,

@@ -52,6 +52,7 @@ class RolloutBuffer:
         log_prob: float,
         done: bool,
     ) -> None:
+        """Append one transition."""
         self.observations.append(np.asarray(obs))
         self.actions.append(np.asarray(action))
         self.rewards.append(float(reward))
@@ -63,6 +64,7 @@ class RolloutBuffer:
         return len(self.rewards)
 
     def clear(self) -> None:
+        """Drop every stored transition (the bootstrap is kept)."""
         for lst in (
             self.observations,
             self.actions,

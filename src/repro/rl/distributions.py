@@ -3,10 +3,14 @@
 The GraphRARE action space is multi-discrete: one ternary choice
 (decrement / keep / increment) per node for ``k`` and for ``d``.  The joint
 distribution factorises over components, so log-probabilities and entropies
-are sums of per-component categorical terms.
+are sums of per-component categorical terms, each one fused op
+(:func:`repro.tensor.ops.categorical_log_prob` /
+:func:`~repro.tensor.ops.categorical_entropy`).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -24,10 +28,19 @@ class Categorical:
         if logits.ndim != 2:
             raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
         self.logits = logits
-        self.log_probs = ops.log_softmax(logits, axis=-1)
+        self._log_probs: Optional[Tensor] = None
+
+    @property
+    def log_probs(self) -> Tensor:
+        """Per-row log-softmax of the logits (differentiable), built on
+        first use."""
+        if self._log_probs is None:
+            self._log_probs = ops.log_softmax(self.logits, axis=-1)
+        return self._log_probs
 
     @property
     def probs(self) -> np.ndarray:
+        """Per-row choice probabilities (a plain array)."""
         return np.exp(self.log_probs.data)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -39,15 +52,11 @@ class Categorical:
 
     def log_prob(self, actions: np.ndarray) -> Tensor:
         """Per-row log-probability of ``actions`` (differentiable)."""
-        actions = np.asarray(actions, dtype=np.int64)
-        one_hot = np.zeros(self.log_probs.shape)
-        one_hot[np.arange(len(actions)), actions] = 1.0
-        return ops.sum(self.log_probs * Tensor(one_hot), axis=-1)
+        return ops.categorical_log_prob(self.logits, actions)
 
     def entropy(self) -> Tensor:
         """Per-row entropy (differentiable)."""
-        p = ops.softmax(self.logits, axis=-1)
-        return -ops.sum(p * self.log_probs, axis=-1)
+        return ops.categorical_entropy(self.logits)
 
 
 class MultiDiscreteDistribution:
@@ -62,6 +71,7 @@ class MultiDiscreteDistribution:
         self._cat = Categorical(logits)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw one choice per component (outside the autograd graph)."""
         return self._cat.sample(rng)
 
     def log_prob(self, actions: np.ndarray) -> Tensor:
@@ -74,4 +84,5 @@ class MultiDiscreteDistribution:
 
     @property
     def probs(self) -> np.ndarray:
+        """Per-component choice probabilities (a plain array)."""
         return self._cat.probs

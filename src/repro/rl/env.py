@@ -27,6 +27,7 @@ class MultiDiscreteSpace:
 
     @property
     def num_components(self) -> int:
+        """Number of independent discrete components."""
         return len(self.nvec)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -34,6 +35,7 @@ class MultiDiscreteSpace:
         return rng.integers(0, self.nvec)
 
     def contains(self, action) -> bool:
+        """Whether ``action`` is an integer vector inside the space."""
         action = np.asarray(action)
         return (
             action.shape == self.nvec.shape
@@ -63,7 +65,9 @@ class Env:
     action_space: MultiDiscreteSpace
 
     def reset(self) -> np.ndarray:
+        """Start a new episode; returns its first observation."""
         raise NotImplementedError
 
     def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
+        """Apply ``action``; returns ``(obs, reward, done, info)``."""
         raise NotImplementedError

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..nn import Adam
+from ..nn import Adam, clip_grad_norm
 from ..tensor import ops
 from .buffer import RolloutBuffer
 from .env import Env
@@ -215,7 +215,7 @@ class PPO:
 
                 self.optimizer.zero_grad()
                 loss.backward()
-                self._clip_gradients(cfg.max_grad_norm)
+                clip_grad_norm(self.policy.parameters(), cfg.max_grad_norm)
                 self.optimizer.step()
 
                 policy_losses.append(policy_loss.item())
@@ -231,20 +231,6 @@ class PPO:
         )
         self.history.append(stats)
         return stats
-
-    def _clip_gradients(self, max_norm: float) -> None:
-        """Global-norm gradient clipping, as in SB3."""
-        if max_norm <= 0:
-            return
-        total = 0.0
-        params = [p for p in self.policy.parameters() if p.grad is not None]
-        for p in params:
-            total += float((p.grad**2).sum())
-        norm = np.sqrt(total)
-        if norm > max_norm:
-            scale = max_norm / (norm + 1e-12)
-            for p in params:
-                p.grad *= scale
 
     # ------------------------------------------------------------------
     def learn(

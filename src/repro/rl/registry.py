@@ -21,6 +21,7 @@ AGENTS = {
 
 
 def agent_names() -> list:
+    """The registered algorithm names, sorted."""
     return sorted(AGENTS)
 
 

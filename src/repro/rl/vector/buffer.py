@@ -97,6 +97,7 @@ class BatchedRolloutBuffer:
 
     @property
     def full(self) -> bool:
+        """Whether all ``num_steps`` vector steps are stored."""
         return self.pos == self.num_steps
 
     # ------------------------------------------------------------------
@@ -149,19 +150,23 @@ class BatchedRolloutBuffer:
     # byte-identical to the sequential reference path.
     # ------------------------------------------------------------------
     def flat_observations(self) -> np.ndarray:
+        """Observations as ``(T * B, N, obs_dim)``, time-major."""
         T = self.pos
         return self.observations[:T].reshape(
             (T * self.num_envs,) + self.observations.shape[2:]
         )
 
     def flat_actions(self) -> np.ndarray:
+        """Actions as ``(T * B, action_dim)``, time-major."""
         T = self.pos
         return self.actions[:T].reshape(T * self.num_envs, -1)
 
     def flat_log_probs(self) -> np.ndarray:
+        """Rollout log-probabilities as ``(T * B,)``, time-major."""
         return self.log_probs[: self.pos].reshape(-1)
 
     def flat_rewards(self) -> np.ndarray:
+        """Rewards as ``(T * B,)``, time-major."""
         return self.rewards[: self.pos].reshape(-1)
 
     def compute_flat_advantages(self) -> Tuple[np.ndarray, np.ndarray]:

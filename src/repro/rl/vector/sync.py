@@ -59,6 +59,11 @@ class SyncVecEnv(VecEnv):
 
     # ------------------------------------------------------------------
     def reset(self, seed: int | None = None) -> np.ndarray:
+        """Reset every env; ``(B, ...)`` stacked first observations.
+
+        A ``seed`` respawns the per-env generators and hands each env one
+        derived seed on this reset only.
+        """
         if seed is not None:
             self._spawn_rngs(seed)
         self.episode_returns[:] = 0.0
@@ -76,6 +81,8 @@ class SyncVecEnv(VecEnv):
     def step(
         self, actions: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
+        """Step every env with its action row, autoresetting finished
+        episodes; ``(obs, rewards, dones, infos)``."""
         actions = np.asarray(actions)
         if actions.shape[0] != self.num_envs:
             raise ValueError(
@@ -108,6 +115,8 @@ class SyncVecEnv(VecEnv):
         )
 
     def sample_actions(self) -> np.ndarray:
+        """One uniformly random action per env, ``(B, num_components)``,
+        from each env's own generator."""
         return np.stack(
             [self.action_space.sample(rng) for rng in self.rngs]
         )

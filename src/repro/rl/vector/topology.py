@@ -444,6 +444,8 @@ class VecTopologyEnv(VecEnv):
     def step(
         self, actions: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
+        """One batched transition for all ``B`` episodes, timed as an
+        ``env.vec_step`` span; ``(obs, rewards, dones, infos)``."""
         with self._tel.span(
             "env.vec_step", hist="rl.vec_step_s", num_envs=self.num_envs
         ):

@@ -308,8 +308,13 @@ class _Tanh(Function):
         return out
 
     def backward(self, grad):
+        # grad * (1 - out**2) in one buffer: the same floats without two
+        # full-size temporaries.
         (out,) = self.saved_for_backward
-        return grad * (1.0 - out**2)
+        local = out * out
+        np.subtract(1.0, local, out=local)
+        local *= grad
+        return local
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -671,6 +676,74 @@ class _Softmax(Function):
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``."""
     return _Softmax(axis)(a)
+
+
+def _shifted_exp(logits: np.ndarray):
+    """``(shifted, e, e_sum)`` of the stable softmax over the last axis —
+    the float sequence :class:`_LogSoftmax` and :class:`_Softmax` run."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
+class _CategoricalLogProb(Function):
+    def __init__(self, actions: np.ndarray) -> None:
+        self._actions = np.asarray(actions, dtype=np.int64)
+
+    def forward(self, logits):
+        if logits.ndim != 2 or self._actions.shape != logits.shape[:1]:
+            raise ValueError(
+                f"need (R, C) logits and R actions, got logits "
+                f"{logits.shape} and actions {self._actions.shape}"
+            )
+        shifted, e, e_sum = _shifted_exp(logits)
+        self._rows = np.arange(logits.shape[0])
+        self.save_for_backward(e, e_sum)
+        return (shifted - np.log(e_sum))[self._rows, self._actions]
+
+    def backward(self, grad):
+        e, e_sum = self.saved_for_backward
+        out = e / e_sum * -grad[:, None]
+        out[self._rows, self._actions] += grad
+        return out
+
+
+def categorical_log_prob(logits: Tensor, actions: np.ndarray) -> Tensor:
+    """Per-row log-probability ``log_softmax(logits)[i, actions[i]]``.
+
+    One fused op for the categorical log-likelihood of ``(R, C)``
+    ``logits`` at integer ``actions`` of length ``R``.  Its values are
+    bitwise those of the composite ``sum(log_softmax(logits) *
+    one_hot(actions), axis=-1)``; the backward is ``g · (one_hot - p)``
+    per row, with ``p`` the row softmax.
+    """
+    return _CategoricalLogProb(actions)(logits)
+
+
+class _CategoricalEntropy(Function):
+    def forward(self, logits):
+        if logits.ndim != 2:
+            raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
+        shifted, e, e_sum = _shifted_exp(logits)
+        p = e / e_sum
+        log_p = shifted - np.log(e_sum)
+        entropy = -(p * log_p).sum(axis=-1)
+        self.save_for_backward(p, log_p, entropy)
+        return entropy
+
+    def backward(self, grad):
+        p, log_p, entropy = self.saved_for_backward
+        return -grad[:, None] * p * (log_p + entropy[:, None])
+
+
+def categorical_entropy(logits: Tensor) -> Tensor:
+    """Per-row entropy ``-sum(p * log p)`` of ``(R, C)`` ``logits``.
+
+    One fused op whose values are bitwise those of the composite
+    ``-sum(softmax(logits) * log_softmax(logits), axis=-1)``; the backward
+    is ``-g · p · (log p + H)`` per row.
+    """
+    return _CategoricalEntropy()(logits)
 
 
 def segment_softmax_array(

@@ -193,12 +193,20 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        The first contribution is stored as a copy — never ``grad``
+        itself, since backward functions hand one array to several
+        inputs (``_Add`` passes its upstream gradient to both) — without
+        zero-filling the buffer first.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to ``None``."""

@@ -162,3 +162,31 @@ def test_fit_with_telemetry_emits_valid_jsonl(heterophilic, tmp_path):
     assert any(c.startswith("env.rewire_memo.") for c in counters)
     assert any(c.startswith("tensor.") and c.endswith(".calls")
                for c in counters)
+
+
+#: The phases ``GraphRARE._fit`` opens directly under ``rare.fit``.
+TOP_LEVEL_PHASES = {
+    "rare.entropy", "rare.baseline", "rare.setup", "rare.warm_start",
+    "rare.rollout", "rare.update", "rare.select", "rare.final",
+}
+
+
+@pytest.mark.parametrize("num_envs", [1, 2])
+def test_phase_spans_cover_fit(heterophilic, num_envs):
+    """The top-level phases account for >= 98% of ``rare.fit`` on both
+    driver loops, and every agent update lands in ``rl.update_s``."""
+    from repro.telemetry import Telemetry, use_telemetry
+
+    graph, split = heterophilic
+    tel = Telemetry(enabled=True)
+    cfg = tiny_config(num_envs=num_envs, episodes=4, horizon=4)
+    with use_telemetry(tel):
+        GraphRARE("gcn", cfg).fit(graph, split)
+    (fit,) = [s for s in tel.spans if s["name"] == "rare.fit"]
+    phases = [s for s in tel.spans if s["parent"] == fit["id"]]
+    assert {s["name"] for s in phases} == TOP_LEVEL_PHASES
+    covered = sum(s["dur"] for s in phases)
+    assert covered >= 0.98 * fit["dur"], (covered, fit["dur"])
+    updates = [s for s in phases if s["name"] == "rare.update"]
+    assert len(updates) == -(-cfg.episodes // num_envs)
+    assert tel.registry.histograms["rl.update_s"].count == len(updates)

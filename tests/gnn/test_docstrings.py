@@ -1,4 +1,4 @@
-"""Docstring audit of the ``repro.gnn`` public API.
+"""Docstring audit of the documentation-gated public APIs.
 
 Mirrors the CI lint step (``make doclint`` -> ``tools/doclint.py``) so
 the gate also runs in the tier-1 suite, and pins the stronger
@@ -18,14 +18,11 @@ REPO = Path(__file__).resolve().parents[2]
 
 def test_doclint_passes_on_gated_packages():
     """The dependency-free pydocstyle equivalent reports zero problems
-    on every documentation-gated package (gnn + tensor + telemetry +
-    serve)."""
+    on every documentation-gated package (the ``make doclint`` set)."""
+    packages = ("gnn", "tensor", "telemetry", "serve", "stream", "rl")
     proc = subprocess.run(
         [sys.executable, str(REPO / "tools" / "doclint.py"),
-         str(REPO / "src" / "repro" / "gnn"),
-         str(REPO / "src" / "repro" / "tensor"),
-         str(REPO / "src" / "repro" / "telemetry"),
-         str(REPO / "src" / "repro" / "serve")],
+         *(str(REPO / "src" / "repro" / name) for name in packages)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import clip_grad_norm
 from repro.rl import (
     A2C,
     A2CConfig,
@@ -117,13 +118,28 @@ def test_a2c_update_stats():
     assert np.isfinite(stats.policy_loss)
 
 
-def test_a2c_gradient_clipping():
-    agent = A2C(make_policy(), A2CConfig(max_grad_norm=0.01))
-    for p in agent.policy.parameters():
-        p.grad = np.ones_like(p.data) * 10.0
-    agent._clip_gradients(0.01)
-    total = sum(float((p.grad**2).sum()) for p in agent.policy.parameters())
-    assert np.sqrt(total) <= 0.01 + 1e-9
+def test_a2c_gradient_clipping(monkeypatch):
+    """Every A2C step clips through the shared ``clip_grad_norm`` with the
+    configured bound, before the optimizer sees the gradients."""
+    import repro.rl.a2c as a2c_module
+
+    norms = []
+
+    def recording_clip(params, max_norm):
+        params = list(params)
+        clip_grad_norm(params, max_norm)
+        assert max_norm == 0.01
+        norms.append(np.sqrt(sum(
+            float((p.grad**2).sum()) for p in params if p.grad is not None
+        )))
+
+    monkeypatch.setattr(a2c_module, "clip_grad_norm", recording_clip)
+    agent = A2C(make_policy(), A2CConfig(max_grad_norm=0.01),
+                rng=np.random.default_rng(0))
+    buf = agent.collect_rollout(CounterEnv(n=2, horizon=4), 4)
+    agent.update(buf)
+    assert len(norms) == 4
+    assert max(norms) <= 0.01 + 1e-9
 
 
 def test_a2c_learns_counter_env():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import clip_grad_norm
 from repro.rl import Env, MultiDiscreteSpace, NodePolicy, PPO, PPOConfig
 
 
@@ -104,12 +105,41 @@ def test_update_returns_stats(policy):
 
 
 def test_gradient_clipping_bounds_norm(policy):
-    ppo = PPO(policy, PPOConfig(max_grad_norm=0.001), rng=np.random.default_rng(0))
     for p in policy.parameters():
         p.grad = np.ones_like(p.data) * 100.0
-    ppo._clip_gradients(0.001)
+    clip_grad_norm(policy.parameters(), 0.001)
     total = sum(float((p.grad**2).sum()) for p in policy.parameters())
     assert np.sqrt(total) <= 0.001 + 1e-9
+
+
+def test_gradient_clipping_matches_sequential_norm_sum(policy):
+    """The shared clip sums squared norms parameter by parameter, in
+    order, so its scale is bitwise that of a plain left-to-right loop."""
+    rng = np.random.default_rng(5)
+    params = policy.parameters()
+    for p in params:
+        p.grad = rng.standard_normal(p.data.shape)
+    params[1].grad = None  # parameters without a gradient are skipped
+    expected = [None if p.grad is None else p.grad.copy() for p in params]
+    total = 0.0
+    for g in expected:
+        if g is not None:
+            total += float((g**2).sum())
+    scale = 0.5 / (np.sqrt(total) + 1e-12)
+    clip_grad_norm(params, 0.5)
+    for p, g in zip(params, expected):
+        if g is None:
+            assert p.grad is None
+        else:
+            np.testing.assert_array_equal(p.grad, g * scale)
+
+
+def test_gradient_clipping_leaves_small_or_disabled_norms(policy):
+    for p in policy.parameters():
+        p.grad = np.full_like(p.data, 1e-6)
+    clip_grad_norm(policy.parameters(), 10.0)
+    clip_grad_norm(policy.parameters(), 0.0)
+    assert all((p.grad == 1e-6).all() for p in policy.parameters())
 
 
 def test_ppo_learns_counter_env():

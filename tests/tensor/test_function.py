@@ -181,6 +181,11 @@ GRADCHECK_CASES = {
     ),
     "_LogSoftmax": (lambda a: ops.log_softmax(a, axis=-1), [_A]),
     "_Softmax": (lambda a: ops.softmax(a, axis=-1), [_A]),
+    "_CategoricalLogProb": (
+        lambda a: ops.categorical_log_prob(a, np.array([0, 3, 1])),
+        [_A],
+    ),
+    "_CategoricalEntropy": (lambda a: ops.categorical_entropy(a), [_A]),
     "_SegmentSoftmax": (
         lambda a: ops.segment_softmax(a, _SEG, 3),
         [rng.normal(size=(6, 2))],

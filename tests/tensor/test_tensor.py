@@ -48,6 +48,31 @@ def test_backward_accumulates_over_reuse():
     np.testing.assert_allclose(a.grad, [3.0])
 
 
+def test_first_gradient_is_copied_for_self_addition():
+    """``_Add`` hands one upstream array to both inputs; storing the first
+    contribution without a copy would let the second one double the
+    upstream buffer (and every alias of it) in place."""
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    y = x + x
+    upstream = np.array([1.0, 10.0])
+    y.backward(upstream)
+    np.testing.assert_array_equal(x.grad, [2.0, 20.0])
+    np.testing.assert_array_equal(y.grad, [1.0, 10.0])
+    np.testing.assert_array_equal(upstream, [1.0, 10.0])
+
+
+def test_first_gradient_is_copied_when_one_tensor_feeds_two_ops():
+    """``x`` feeds an add (sharing its upstream array with ``w``) and a
+    mul; the mul's later contribution to ``x`` must not leak into ``w``."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, 4.0], requires_grad=True)
+    out = (x + w) + x * 3.0
+    out.backward(np.ones(2))
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+    np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(out.grad, [1.0, 1.0])
+
+
 def test_backward_default_grad_is_ones():
     a = Tensor([1.0, 2.0], requires_grad=True)
     (a * 2.0).sum().backward()

@@ -189,3 +189,28 @@ def test_dataset_and_bundle_flags_are_exclusive(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
     assert main(["rewire"]) == 2
     assert "one of --dataset or --graph-bundle" in capsys.readouterr().err
+
+
+def test_run_rejects_zero_splits(capsys):
+    """``--splits 0`` used to run no fit, print ``nan%`` and exit 0."""
+    assert main(["run", "--dataset", "texas", "--splits", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --splits must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--num-envs", "0"], "num_envs must be >= 1, got 0"),
+    (["--horizon", "0"], "horizon and episodes must be >= 1"),
+    (["--num-envs", "2", "--rl", "reinforce"], "num_envs > 1 requires"),
+    (["--churn", "--churn-events", "0"], "events_per_step"),
+])
+def test_run_config_errors_are_one_line(flags, message, capsys):
+    """``RareConfig`` validation errors reach the user as one ``error:``
+    line with exit status 2, not a traceback."""
+    assert main(["run", "--dataset", "texas", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
