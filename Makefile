@@ -9,7 +9,7 @@ test:
 # symbol of the gated packages must carry a docstring.  Mirrored in the
 # tier-1 suite (tests/gnn/test_docstrings.py) and run as a CI step.
 doclint:
-	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl
+	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl src/repro/core
 
 # Fast sanity run (< 90 s): the CSR scaling benchmark at small N (asserts
 # the >= 5x speedup contract) plus small-N passes of both incremental
@@ -27,7 +27,7 @@ bench-smoke:
 
 # End-to-end benchmark, one traced run of each fit workload: the
 # sparse-feature GCN fit on chameleon (2325-wide, 2.2%-dense features) and
-# the RL-dominated GraphSAGE fit with 4 vectorized envs.  Each prints its
+# the RL-dominated GraphSAGE fit with 4 batched envs.  Each prints its
 # per-layer breakdown.  bench_e2e/README.md covers the serving workload
 # and the options.
 bench-e2e:
@@ -38,7 +38,7 @@ bench-e2e:
 bench-scaling:
 	$(PY) benchmarks/bench_scaling_rewire.py
 
-# Vectorized rollout collection (VecTopologyEnv) vs the sequential loop at
+# Rollout collection through the topology env at width B vs width 1, for
 # B in {4, 16, 64}; asserts the >= 3x steps/sec contract at B = 16 and
 # writes JSON into bench_results/.
 bench-rollout:

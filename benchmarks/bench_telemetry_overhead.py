@@ -114,13 +114,11 @@ def time_steps(world, telemetry: Telemetry, steps: int = 64) -> float:
         env = TopologyEnv(graph, sequences, model, trainer, split, config,
                           co_train=False, seed=0)
         rng = np.random.default_rng(0)
-        actions = [env.action_space.sample(rng) for _ in range(steps)]
+        actions = [env.action_space.sample(rng)[None] for _ in range(steps)]
         env.reset()
         start = time.perf_counter()
-        for i, action in enumerate(actions):
-            _, _, done, _ = env.step(action)
-            if done:
-                env.reset()
+        for action in actions:  # finished episodes autoreset
+            env.step(action)
         elapsed = time.perf_counter() - start
     return elapsed / steps
 

@@ -6,12 +6,10 @@ GraphRARE configuration with PPO, A2C and REINFORCE on a heterophilic
 graph and reports accuracy, homophily gain, and a rewiring breakdown from
 the analysis module.
 
-With ``--num-envs B`` (B > 1) the PPO/A2C runs collect trajectories
-through the vectorized rollout subsystem instead of the sequential episode
-loop: a ``VecTopologyEnv`` steps B episodes at once against the shared base
-CSR — one batched policy forward and one stacked GNN reward evaluation per
-vector step (REINFORCE has no vectorized path and always runs
-sequentially).
+With ``--num-envs B`` (B > 1) every agent's rollouts step B episodes at
+once: the one ``TopologyEnv`` runs them against the shared base CSR — one
+batched policy forward and one stacked GNN reward evaluation per vector
+step.  ``B = 1`` (the default) is the same code at width one.
 
 Usage:  python examples/rl_algorithms.py [--num-envs 4]
 """
@@ -27,7 +25,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--num-envs", type=int, default=1,
-        help="parallel episodes per rollout (> 1 uses VecTopologyEnv)",
+        help="episodes stepped together per rollout (> 1 batches them)",
     )
     args = parser.parse_args()
 
@@ -38,19 +36,16 @@ def main() -> None:
     print(f"{'agent':<11} {'rollout':<12} {'GCN':>7} {'GCN-RARE':>9} "
           f"{'dH':>7} {'added':>6} {'removed':>8} {'secs':>6}")
     for algorithm in ("ppo", "a2c", "reinforce"):
-        # REINFORCE collects whole episodes sequentially; it has no
-        # vectorized path, so it always runs with one env.
-        num_envs = 1 if algorithm == "reinforce" else args.num_envs
         config = RareConfig(
             rl_algorithm=algorithm,
             k_max=5, d_max=5, max_candidates=10,
-            episodes=4, horizon=6, num_envs=num_envs, seed=0,
+            episodes=4, horizon=6, num_envs=args.num_envs, seed=0,
         )
         start = time.perf_counter()
         result = GraphRARE("gcn", config).fit(graph, split)
         elapsed = time.perf_counter() - start
         analysis = analyze_rewiring(graph, result.optimized_graph)
-        mode = f"B={num_envs} vec" if num_envs > 1 else "sequential"
+        mode = f"B={args.num_envs}"
         print(
             f"{algorithm:<11} {mode:<12} "
             f"{100 * result.baseline_test_acc:>6.1f}% "
@@ -64,9 +59,9 @@ def main() -> None:
         "\nAll three agents drive the same MDP (state [k;d], ternary"
         "\nactions, Eq. 11 reward); PPO's clipped updates are the paper's"
         "\nchoice, but the framework is agent-agnostic.  With --num-envs B"
-        "\nthe PPO/A2C rollouts run B episodes as one batched pass through"
-        "\nrepro.rl.vector (stacked observations, shared rewire memo, one"
-        "\nblock-diagonal GNN forward per step)."
+        "\nevery agent's rollouts run B episodes as one batched pass"
+        "\n(stacked observations, shared rewire memo, one block-diagonal"
+        "\nGNN forward per step)."
     )
 
 

@@ -51,8 +51,9 @@ def time_rare_epoch(
 
     entropy = RelativeEntropy.from_graph(graph, lam=1.0)
     sequences = build_entropy_sequences(graph, entropy, max_candidates=max_candidates)
+    # One episode longer than the timed steps: no autoreset inside the loop.
     config = RareConfig(
-        k_max=6, d_max=6, max_candidates=max_candidates, horizon=max(epochs, 2)
+        k_max=6, d_max=6, max_candidates=max_candidates, horizon=epochs + 1
     )
     model = build_baseline(
         backbone, graph, split, hidden=hidden, rng=np.random.default_rng(seed)
@@ -64,8 +65,8 @@ def time_rare_epoch(
     env.reset()
     start = time.perf_counter()
     for _ in range(epochs):
-        env.step(rng.integers(0, 3, 2 * graph.num_nodes))
-        trainer.train_epoch(env.current_graph, split.train)
+        env.step(rng.integers(0, 3, (1, 2 * graph.num_nodes)))
+        trainer.train_epoch(env.current_graphs[0], split.train)
     return (time.perf_counter() - start) / epochs
 
 

@@ -30,8 +30,13 @@ from typing import List, Optional
 import numpy as np
 
 from .core import GraphRARE, RareConfig, analyze_rewiring, rewire_graph
+from .core.framework import (
+    bundle_state_loader,
+    check_entropy_sidecar,
+    relative_entropy,
+)
 from .datasets import dataset_names, load_dataset
-from .entropy import RelativeEntropy, build_entropy_sequences
+from .entropy import build_entropy_sequences
 from .graph import degree_statistics, geom_gcn_splits, homophily_ratio, save_graph
 from .telemetry import (
     report_from_events,
@@ -105,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lam", type=float, default=1.0)
     run.add_argument("--rl", default="ppo", choices=["ppo", "a2c", "reinforce"])
     run.add_argument("--num-envs", type=int, default=1,
-                     help="parallel episodes per rollout; > 1 collects "
-                          "through the vectorized VecTopologyEnv (ppo/a2c)")
+                     help="episodes stepped together per rollout, for "
+                          "every agent; > 1 scores them with one stacked "
+                          "GNN forward (the episode budget rounds up to a "
+                          "multiple)")
     run.add_argument("--incremental-reward", action="store_true",
                      help="score per-step rewards through the incremental "
                           "engine: delta-patched propagation matrices and "
@@ -213,7 +220,12 @@ def _resolve_graph(args):
     if bundle is not None:
         from .graph import load_graph_bundle
 
-        return load_graph_bundle(bundle), f"bundle:{bundle}"
+        try:
+            return load_graph_bundle(bundle), f"bundle:{bundle}"
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot load graph bundle {bundle!r}: {exc}",
+                  file=sys.stderr)
+            return None, None
     if args.dataset is None:
         print("error: one of --dataset or --graph-bundle is required",
               file=sys.stderr)
@@ -267,7 +279,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     graph, graph_name = _resolve_graph(args)
-    if graph is None:
+    if graph is None or not _sidecar_matches(args, config):
         return 2
     splits = geom_gcn_splits(graph, num_splits=args.splits, seed=args.seed)
     tel = telemetry_from_spec(
@@ -300,30 +312,46 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _sidecar_matches(args, config: RareConfig) -> bool:
+    """Whether a ``--graph-bundle``'s entropy sidecar (if any) was built
+    with ``config``'s recipe; prints one ``error:`` line when not."""
+    if not getattr(args, "graph_bundle", None):
+        return True
+    try:
+        check_entropy_sidecar(args.graph_bundle, config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_rewire(args) -> int:
+    try:
+        # The entropy recipe of ``repro run`` (RareConfig defaults), so a
+        # bundle sidecar written by either command serves the other.
+        config = RareConfig(lam=args.lam, max_candidates=max(8, args.k))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     graph, graph_name = _resolve_graph(args)
-    if graph is None:
+    if graph is None or not _sidecar_matches(args, config):
         return 2
     tel = telemetry_from_spec(
         args.telemetry, run={"command": "rewire", "dataset": graph_name}
     )
-    max_candidates = max(8, args.k)
     with use_telemetry(tel):
         with use_backend(args.tensor_backend):
             with tel.span("rewire.entropy"):
                 if args.graph_bundle:
                     sequences = build_entropy_sequences(
-                        graph, None, max_candidates=max_candidates,
+                        graph, None, max_candidates=config.max_candidates,
                         screening="on", num_workers=args.num_workers,
-                        state_loader=_bundle_state_loader(
-                            graph, args.graph_bundle, args.lam,
-                            max_candidates,
-                        ),
+                        state_loader=bundle_state_loader(graph, config, None),
                     )
                 else:
-                    entropy = RelativeEntropy.from_graph(graph, lam=args.lam)
                     sequences = build_entropy_sequences(
-                        graph, entropy, max_candidates=max_candidates,
+                        graph, relative_entropy(graph, config, None),
+                        max_candidates=config.max_candidates,
                         screening=args.screening,
                         num_workers=args.num_workers,
                     )
@@ -337,27 +365,6 @@ def cmd_rewire(args) -> int:
         print(f"saved optimised graph to {path}")
     _finish_telemetry(tel)
     return 0
-
-
-def _bundle_state_loader(graph, path: str, lam: float, max_candidates: int):
-    """Streamed-screening recipe for ``rewire --graph-bundle``: write the
-    entropy sidecar on first use, then let each shard stream from it."""
-    from .graph.storage import (
-        ScreenStateLoader,
-        entropy_sidecar_meta,
-        has_entropy_sidecar,
-        save_entropy_sidecar,
-    )
-
-    if not has_entropy_sidecar(path):
-        save_entropy_sidecar(path, RelativeEntropy.from_graph(graph, lam=lam))
-    elif entropy_sidecar_meta(path)["lam"] != lam:
-        raise ValueError(
-            f"entropy sidecar at {path!r} was built with lam="
-            f"{entropy_sidecar_meta(path)['lam']} but --lam={lam} was "
-            "requested; delete the sidecar or align the flag"
-        )
-    return ScreenStateLoader(path, max_candidates=max_candidates)
 
 
 def cmd_serve(args) -> int:

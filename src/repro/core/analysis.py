@@ -35,13 +35,16 @@ class RewiringAnalysis:
 
     @property
     def homophily_gain(self) -> float:
+        """Edge homophily of the rewired graph minus the original's."""
         return self.optimized_homophily - self.original_homophily
 
     @property
     def edit_distance(self) -> int:
+        """Edges added plus edges removed."""
         return self.num_added + self.num_removed
 
     def summary(self) -> str:
+        """The four-line edit report ``repro rewire`` prints."""
         lines = [
             f"edges added      : {self.num_added} "
             f"({100 * self.added_same_class_frac:.0f}% same-class)",

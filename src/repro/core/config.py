@@ -75,7 +75,7 @@ class RareConfig:
     rewire_memo_entries: int = 64
     """Bound of the per-env ``(k, d)`` -> Graph rewire memo
     (:class:`repro.core.lru.LRUCache`).  Each entry pins a Graph plus its
-    cached propagation matrices; the vectorized env scales the bound by
+    cached propagation matrices; the env scales the bound by
     ``num_envs``, and the serving layer reuses the same knob for its
     per-session caches."""
 
@@ -107,11 +107,10 @@ class RareConfig:
     non-PPO algorithm is selected (see ``repro.rl.build_agent``)."""
     policy_hidden: int = 64
     num_envs: int = 1
-    """Parallel episodes per rollout.  ``1`` keeps the sequential
-    :class:`~repro.core.env.TopologyEnv` reference path; ``> 1`` collects
-    trajectories through the vectorized
-    :class:`~repro.rl.vector.VecTopologyEnv` (PPO/A2C only).  Each
-    vectorized iteration completes ``num_envs`` whole episodes, so the
+    """Episodes stepped together by :class:`~repro.core.env.TopologyEnv`,
+    for every agent.  ``1`` is the sequential case (rewards scored per
+    episode); ``> 1`` scores all episodes of a step with one stacked GNN
+    forward.  Each iteration completes ``num_envs`` whole episodes, so the
     effective episode budget rounds :attr:`episodes` *up* to the next
     multiple of ``num_envs`` (and the per-iteration reward/accuracy curves
     have ``ceil(episodes / num_envs)`` entries)."""
@@ -229,8 +228,3 @@ class RareConfig:
             raise ValueError("horizon and episodes must be >= 1")
         if self.num_envs < 1:
             raise ValueError(f"num_envs must be >= 1, got {self.num_envs}")
-        if self.num_envs > 1 and self.rl_algorithm.lower() == "reinforce":
-            raise ValueError(
-                "num_envs > 1 requires an agent with a vectorized rollout "
-                "path (ppo or a2c); reinforce collects sequentially"
-            )

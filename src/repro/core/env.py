@@ -13,11 +13,46 @@ State, action, transition and reward follow the paper exactly:
 The environment also hosts the co-training hook of Algorithm 1 (lines
 10-13): when the training accuracy sets a new record, the GNN is trained
 for a few more epochs on the current topology with early stopping.
+
+:class:`TopologyEnv` is the one implementation of the MDP.  It steps
+``B = config.num_envs`` episodes at once against one shared, immutable
+base graph, the way Stable-Baselines3 runs a single env as a width-1
+``DummyVecEnv``; ``B = 1`` is the sequential case, not a separate code
+path.  Per batched step:
+
+* **Observations** — the static columns (degree, candidate availability,
+  entropy summaries) come from :func:`observation_template`, computed
+  once; each step rewrites only the two ``k``/``d`` state columns of the
+  ``(B, N, OBS_DIM)`` array.
+* **State clamping** — one broadcasted
+  :func:`~repro.core.rewire.clamp_state_batch` over ``(B, N)`` arrays.
+* **Rewiring** — per-episode delta rewires against the base edge keys,
+  memoised in one cross-episode ``(k, d)`` LRU, so any episode revisiting
+  a state gets the exact same :class:`Graph` object (and its cached
+  propagation matrices) free.
+* **Reward evaluation** — at ``B = 1`` through :func:`reward_metrics`; at
+  ``B > 1`` one GNN forward over a block-diagonal stacked graph
+  (:class:`~repro.rl.vector.stacked.StackedGraphBuilder`) scores every
+  episode, and per-episode accuracy and cross-entropy fall out of segment
+  reductions on the stacked logits.  With ``config.incremental_reward``
+  both paths re-evaluate only the rewires' halos against cached base
+  logits (:mod:`repro.gnn.incremental`).
+* **Autoreset** — gym-style: finished episodes restart immediately, the
+  terminal observation and an episode summary ride along in the
+  per-episode ``info`` dicts (the :class:`~repro.rl.vector.VecEnv`
+  contract).
+
+Batch semantics where episodes interact: all episodes are scored under the
+model state at the start of the step; record topologies (Algorithm 1 lines
+10-13) are then processed in episode order, each co-training burst bumping
+an internal model version.  The stacked forward may differ from
+per-episode forwards in the last ulp (BLAS blocking over the larger
+matrices; see ``docs/equivalence-policy.md``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,11 +60,12 @@ from ..entropy import EntropySequences
 from ..gnn import GNNBackbone, IncrementalEvaluator, Trainer, evaluate
 from ..graph import Graph, Split, homophily_ratio
 from ..nn import macro_auc
-from ..rl import Env, MultiDiscreteSpace
+from ..rl import MultiDiscreteSpace, VecEnv
+from ..rl.vector.stacked import StackedGraphBuilder
 from ..telemetry import get_telemetry
 from .config import RareConfig
 from .lru import LRUCache
-from .rewire import clamp_state, rewire_graph
+from .rewire import clamp_state_batch, rewire_graph, state_bounds
 
 #: Features per node row in the observation.
 OBS_DIM = 6
@@ -44,10 +80,11 @@ def reward_metrics(
 ) -> Tuple[float, float]:
     """Eval-mode ``(score, loss)`` for the reward (Alg. 1 line 9).
 
-    The one dispatch shared by the sequential and vectorized envs: routed
-    through the incremental ``evaluator`` when one is bound (a single
-    halo/cached evaluation also yields the logits the AUC reward needs),
-    through the dense :func:`~repro.gnn.evaluate` otherwise.
+    The per-episode scorer of :class:`TopologyEnv` (every reward at
+    ``num_envs = 1``; base-graph and co-training re-scores at any width):
+    routed through the incremental ``evaluator`` when one is bound (a
+    single halo/cached evaluation also yields the logits the AUC reward
+    needs), through the dense :func:`~repro.gnn.evaluate` otherwise.
     """
     if evaluator is not None:
         if reward == "auc":
@@ -72,8 +109,8 @@ def observation_template(
 
     Columns 2-5 (degree, candidate availability, entropy summaries) depend
     only on the *base* graph and the entropy sequences, never on the MDP
-    state — the batched rollout engine computes them once per environment
-    and rewrites only the ``k``/``d`` columns each step.  Columns 0 and 1
+    state — :class:`TopologyEnv` computes them once and rewrites only the
+    ``k``/``d`` columns each step.  Columns 0 and 1
     are left zeroed (the ``S_0 = 0`` observation).
     """
     deg = graph.degrees().astype(np.float64)
@@ -143,16 +180,30 @@ def build_observation(
     its degree, how many remote candidates it has, and summary statistics of
     its entropy sequence — everything the agent needs to reason about the
     node's "personality".  Composed from :func:`observation_template` (the
-    static columns) and :func:`fill_observation` (the state columns) so the
-    vectorized rollout engine can cache the former.
+    static columns) and :func:`fill_observation` (the state columns) so
+    :class:`TopologyEnv` can cache the former.
     """
     return fill_observation(
         observation_template(graph, sequences, config), k, d, config
     )
 
 
-class TopologyEnv(Env):
-    """Gym-style wrapper around the graph-rewiring MDP."""
+class TopologyEnv(VecEnv):
+    """The GraphRARE MDP, ``config.num_envs`` episodes per step.
+
+    Parameters
+    ----------
+    graph, sequences, model, trainer, split, config:
+        The base topology, its entropy sequences, the co-trained GNN and
+        its trainer, the node split and the run configuration; the batch
+        width ``B`` is ``config.num_envs``.
+    co_train:
+        Run Algorithm 1's co-training burst on record topologies.
+    seed:
+        Base seed; per-episode generators are spawned from one
+        :class:`numpy.random.SeedSequence`, so episode ``b``'s stream is
+        identical for any batch width ``> b``.
+    """
 
     def __init__(
         self,
@@ -163,7 +214,7 @@ class TopologyEnv(Env):
         split: Split,
         config: RareConfig,
         co_train: bool = True,
-        seed: int | None = None,
+        seed: Optional[int] = None,
     ) -> None:
         self.base_graph = graph
         self.sequences = sequences
@@ -172,56 +223,54 @@ class TopologyEnv(Env):
         self.split = split
         self.config = config
         self.co_train = co_train
-        self.seed(seed)
-        # The static observation columns depend only on the immutable base
-        # graph + sequences; compute them once, fill k/d per step.
-        self._obs_template = observation_template(graph, sequences, config)
+        self.num_envs = B = int(config.num_envs)
 
-        n = graph.num_nodes
-        self.action_space = MultiDiscreteSpace([3] * (2 * n))
-        self.best_acc = 0.0
-        self.best_graph: Graph = graph
-        self.current_graph: Graph = graph
-        self.history: list[Dict[str, float]] = []
-        self._steps_total = 0
-        # The (k, d) -> Graph memo is a shared LRUCache: per-env exact
-        # hit/miss/eviction accounting behind ``rewire_memo_stats``,
-        # mirrored into the active session's ``env.rewire_memo.*``
-        # aggregates.  ``_rewire_hits`` and ``_rewire_misses`` stay
-        # available as read-only properties.
+        self.action_space = MultiDiscreteSpace([3] * (2 * graph.num_nodes))
+        self.seed(seed)
+
+        # --- shared static structures ---------------------------------
+        self._template = observation_template(graph, sequences, config)
+        self._state_bounds = state_bounds(
+            graph, sequences, config.k_max, config.d_max
+        )
+        train = np.asarray(split.train)
+        if train.dtype == bool:
+            train = np.flatnonzero(train)
+        self._train_idx = train.astype(np.int64)
+        self._train_labels = (
+            graph.labels[self._train_idx] if graph.labels is not None else None
+        )
+
+        # --- cross-episode (k, d) -> Graph rewire memo ----------------
+        # Per-instance hit/miss/eviction counters behind
+        # ``rewire_memo_stats``, mirrored into the active session's
+        # ``env.rewire_memo.*`` aggregates.  Each entry pins a Graph plus
+        # its cached propagation matrices, so the bound scales with the
+        # batch width and nothing else.
         self._tel = get_telemetry()
-        self.REWIRE_CACHE_LIMIT = config.rewire_memo_entries
         self._rewire_cache = LRUCache(
-            self.REWIRE_CACHE_LIMIT,
+            config.rewire_memo_entries * B,
             counter_prefix="env.rewire_memo",
             tel=self._tel,
         )
         self.rewire_memo_stats = self._rewire_cache.stats
-        # Optional incremental reward engine: delta-patched propagation
-        # matrices + halo-restricted forwards against cached base logits,
-        # for every backbone with a registered halo plan (GCN, GraphSAGE,
-        # GAT, H2GCN, MixHop and user plans — plan-less backbones fall
-        # back to the dense evaluation inside the evaluator, so there is
-        # no backbone gate here).  Bound to the delta *root*: if the env's
-        # base graph is itself a derived graph (e.g. a preprocessed
-        # dataset), rewire deltas collapse to that root and the halo path
-        # still applies.
-        self._inc: Optional[IncrementalEvaluator] = (
-            IncrementalEvaluator(
-                model,
-                graph.delta.base if graph.delta is not None else graph,
-                max_halo_frac=config.max_halo_frac,
-            )
-            if config.incremental_reward
-            else None
-        )
-        # Optional live churn (docs/streaming.md): with ``config.stream``
-        # set, every step first folds one batch of external add/remove
-        # edge events into the base topology.  The churn engine keeps
-        # ``base_graph = root + one collapsed delta`` so the incremental
-        # evaluator above stays bound to the same root as the agent's own
-        # rewires; the online evaluator maintains sliding-window metrics
-        # of the drifting base, byte-identical to full recomputation.
+
+        # --- incremental reward engine --------------------------------
+        # One evaluator over the delta root (the base graph, or the graph
+        # it was derived from: rewire deltas collapse to the root) for
+        # per-episode scoring; the stacked builder keeps per-width
+        # evaluators for the batched forward.  Plan-less backbones fall
+        # back inside the evaluator, so there is no backbone gate here.
+        self._inc: Optional[IncrementalEvaluator] = None
+        self._bind_root(graph.delta.base if graph.delta is not None else graph)
+
+        # --- live churn (docs/streaming.md) ---------------------------
+        # With ``config.stream`` set, every step first folds one batch of
+        # external add/remove edge events into the shared base topology.
+        # The churn engine keeps ``base_graph = root + one collapsed
+        # delta`` so the incremental evaluators stay bound to the same
+        # root as the agent's own rewires; the online evaluator keeps
+        # sliding-window metrics of the drifting base.
         self._stream = None
         self._churn = None
         self._online = None
@@ -235,99 +284,126 @@ class TopologyEnv(Env):
                 tel=self._tel,
             )
             self._online = OnlineEvaluator(graph, window=config.stream.window)
+
+        # --- global co-training record (one shared model) -------------
+        self.best_acc = 0.0
+        self.best_graph: Graph = graph
+        self._model_version = 0
+        self._base_metrics_cache: Optional[Tuple[int, float, float]] = None
+
+        # --- per-episode logs: accumulate across episodes -------------
+        self.histories: List[List[Dict[str, float]]] = [[] for _ in range(B)]
+        self._steps_total = np.zeros(B, dtype=np.int64)
+
         self.reset()
 
+    def _bind_root(self, root: Graph) -> None:
+        """(Re)build the root-addressed reward engines: the per-episode
+        incremental evaluator and the stacked-graph builder."""
+        if self.config.incremental_reward:
+            self._inc = IncrementalEvaluator(
+                self.model, root, max_halo_frac=self.config.max_halo_frac
+            )
+        self._stack = StackedGraphBuilder(
+            root, self.model, max_width=self.num_envs,
+            incremental=self._inc is not None,
+            max_halo_frac=self.config.max_halo_frac,
+        )
+
     # ------------------------------------------------------------------
-    @property
-    def _rewire_hits(self) -> int:
-        """Back-compat integer view of the memo hit counter."""
-        return self._rewire_cache.hits
+    # Seeding
+    # ------------------------------------------------------------------
+    def seed(self, seed: Optional[int] = None) -> List[np.random.Generator]:
+        """Spawn one independent generator per episode from a base seed.
 
-    @property
-    def _rewire_misses(self) -> int:
-        """Back-compat integer view of the memo miss counter."""
-        return self._rewire_cache.misses
+        The MDP itself is deterministic; the generators serve its
+        stochastic companions (:meth:`sample_actions`, exploration
+        baselines), so a run is reproducible from one base seed.
+        """
+        self._seed_seq = np.random.SeedSequence(seed)
+        children = self._seed_seq.spawn(self.num_envs)
+        self.rngs = [np.random.default_rng(c) for c in children]
+        return self.rngs
 
+    def sample_actions(self) -> np.ndarray:
+        """One uniformly random action per episode from its own stream,
+        ``(B, 2N)``."""
+        return np.stack(
+            [self.action_space.sample(rng) for rng in self.rngs]
+        )
+
+    # ------------------------------------------------------------------
+    # Reward metrics
+    # ------------------------------------------------------------------
     def _metrics(self, graph: Graph) -> Tuple[float, float]:
-        """Eval-mode (score, loss) on the training nodes (Alg. 1 line 9)."""
+        """Eval-mode (score, loss) of one episode graph on the training
+        nodes (Alg. 1 line 9)."""
         with self._tel.span("env.reward", hist="rl.reward_s"):
             return reward_metrics(
                 self.model, graph, self.split.train, self.config.reward,
                 self._inc,
             )
 
-    def _observation(self) -> np.ndarray:
-        return fill_observation(
-            self._obs_template, self.k, self.d, self.config
-        )
+    def _base_metrics(self) -> Tuple[float, float]:
+        """Metrics of the base graph under the current model, memoised per
+        model version (resets re-score it after every co-training burst,
+        never otherwise)."""
+        cache = self._base_metrics_cache
+        if cache is None or cache[0] != self._model_version:
+            score, loss = self._metrics(self.base_graph)
+            self._base_metrics_cache = (self._model_version, score, loss)
+            return score, loss
+        return cache[1], cache[2]
+
+    def _stacked_metrics(
+        self, graphs: List[Graph]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(scores, losses) of every episode from one stacked forward."""
+        per_env = self._stack.stacked_logits(graphs)
+        B = self.num_envs
+        sub = per_env[:, self._train_idx, :]  # (B, M, C)
+        y = self._train_labels
+        m = self._train_idx.shape[0]
+        if m == 0:
+            return np.zeros(B), np.zeros(B)
+        shifted = sub - sub.max(axis=-1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        log_probs = shifted - log_z
+        losses = -log_probs[:, np.arange(m), y].mean(axis=1)
+        if self.config.reward == "auc":
+            scores = np.array(
+                [
+                    macro_auc(per_env[b], self.base_graph.labels, self._train_idx)
+                    for b in range(B)
+                ]
+            )
+        else:
+            scores = (sub.argmax(axis=-1) == y[None, :]).mean(axis=1)
+        return scores.astype(np.float64), losses.astype(np.float64)
+
+    def _batch_metrics(
+        self, graphs: List[Graph]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(scores, losses) of every episode: :func:`reward_metrics` at
+        ``B = 1``, one stacked forward above."""
+        if self.num_envs == 1:
+            score, loss = self._metrics(graphs[0])
+            return np.array([score]), np.array([loss])
+        with self._tel.span("env.reward", hist="rl.reward_s"):
+            return self._stacked_metrics(graphs)
 
     # ------------------------------------------------------------------
-    def seed(self, seed: int | None = None) -> np.random.Generator:
-        """(Re)seed the environment's own random stream.
-
-        The MDP itself is deterministic, but the env owns a generator for
-        its stochastic companions — :meth:`sample_action`, the shuffled
-        "without relative entropy" ablation, future noisy rewiring — so a
-        run is reproducible from one base seed.  The generator descends
-        from a :class:`numpy.random.SeedSequence`, the same scheme
-        ``VecTopologyEnv`` uses to spawn independent per-episode streams.
-        """
-        self._seed_seq = np.random.SeedSequence(seed)
-        self.rng = np.random.default_rng(self._seed_seq)
-        return self.rng
-
-    def sample_action(self) -> np.ndarray:
-        """A uniformly random action drawn from the env's own stream."""
-        return self.action_space.sample(self.rng)
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        """Start a new episode: ``S_0 = 0`` on the original topology.
-
-        ``seed`` (optional) reseeds the env's random stream before the
-        episode starts; omitted, the existing stream continues.
-
-        Cross-episode semantics (deliberate, relied on by the convergence
-        benches): :attr:`history` and the global step counter
-        ``_steps_total`` accumulate across episodes so one environment
-        yields one continuous training log — call :meth:`clear_history` for
-        a fresh log.  The rewire memo also survives resets because it is
-        keyed purely on ``(k, d)`` over the immutable base graph.
-        """
-        if seed is not None:
-            self.seed(seed)
-        n = self.base_graph.num_nodes
-        self.k = np.zeros(n, dtype=np.int64)
-        self.d = np.zeros(n, dtype=np.int64)
-        self.t = 0
-        self.current_graph = self.base_graph
-        self.prev_score, self.prev_loss = self._metrics(self.base_graph)
-        return self._observation()
-
-    def clear_history(self) -> None:
-        """Drop the accumulated cross-episode log and step counter."""
-        self.history = []
-        self._steps_total = 0
-
-    #: Class-level default for the (k, d) -> Graph memo bound (the
-    #: instance attribute is initialised from
-    #: ``RareConfig.rewire_memo_entries``).  Each entry pins a Graph plus
-    #: whatever propagation matrices the GNN caches on it, so the bound
-    #: is deliberately small: large enough to cover the states of a
-    #: typical run (episodes * horizon), small enough that exploratory
-    #: policies (which rarely revisit a 2N-dimensional state) cannot grow
-    #: memory without bound.
-    REWIRE_CACHE_LIMIT = 64
-
+    # Rewiring (shared memo)
+    # ------------------------------------------------------------------
     def _rewired(self, k: np.ndarray, d: np.ndarray) -> Graph:
         """Memoised rewiring: repeated ``(k, d)`` states are free.
 
         The MDP rebuilds ``G_{t+1}`` from the *original* topology, so the
-        result depends only on the clamped state — an episode that revisits
-        a state (all-keep actions, oscillating policies) reuses the exact
-        Graph object, and with it every propagation matrix cached on it.
-        The memo is a :class:`~repro.core.lru.LRUCache`: a hit refreshes
-        the entry's recency, so hot ``(k, d)`` states survive even when
-        they were inserted early, and the memo never resets wholesale.
+        result depends only on the clamped state — an episode that
+        revisits a state (all-keep actions, oscillating policies, another
+        episode's state) reuses the exact Graph object, and with it every
+        propagation matrix cached on it.  A hit refreshes the entry's
+        recency (true LRU), so hot states survive early insertion.
         """
         key = k.tobytes() + d.tobytes()
         if self._stream is not None:
@@ -346,22 +422,25 @@ class TopologyEnv(Env):
                     add_edges=self.config.add_edges,
                     remove_edges=self.config.remove_edges,
                 )
-            self._rewire_cache.put(
-                key, graph, capacity=self.REWIRE_CACHE_LIMIT
-            )
+            self._rewire_cache.put(key, graph)
         return graph
 
     # ------------------------------------------------------------------
+    # Live churn
+    # ------------------------------------------------------------------
     def _advance_stream(self) -> None:
-        """Fold one step's worth of external churn into the base graph.
+        """Fold one step's worth of external churn into the shared base.
 
-        Streaming-mode step prologue: draw ``events_per_step`` events
-        from the seeded generator, apply them as one collapsed delta and
+        Streaming-mode step prologue: draw ``events_per_step`` events from
+        the seeded generator (one batch per batched step: all episodes
+        share the drifting base), apply them as one collapsed delta and
         feed the net inserted/deleted keys to the online evaluator.  A
-        rebase (dirty fraction over the threshold) promotes a fresh
-        bitwise-verified root, so the incremental reward evaluator is
-        re-bound to it; the rewire memo needs no flush because its keys
-        carry the stream version.
+        rebase promotes a fresh bitwise-verified root, so the
+        root-addressed reward engines are re-bound to it; the rewire memo
+        needs no flush because its keys carry the stream version.  The
+        clamp bounds are refreshed every churn step (degrees moved) and the
+        memoised base metrics are dropped so autoresets re-score the
+        current topology.
         """
         report = self._stream.apply(
             self._churn.take(self.config.stream.events_per_step)
@@ -369,13 +448,14 @@ class TopologyEnv(Env):
         self._online.observe(
             self._stream.current, report.added_keys, report.removed_keys
         )
-        if report.rebased and self._inc is not None:
-            self._inc = IncrementalEvaluator(
-                self.model,
-                self._stream.root,
-                max_halo_frac=self.config.max_halo_frac,
-            )
+        if report.rebased:
+            self._bind_root(self._stream.root)
         self.base_graph = self._stream.current
+        self._state_bounds = state_bounds(
+            self.base_graph, self.sequences,
+            self.config.k_max, self.config.d_max,
+        )
+        self._base_metrics_cache = None
 
     def stream_metrics(self) -> Dict[str, float]:
         """Sliding-window aggregates of the churned base topology
@@ -384,72 +464,173 @@ class TopologyEnv(Env):
             return {}
         return self._online.window_metrics()
 
-    def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
-        with self._tel.span("env.step", hist="rl.step_s"):
-            return self._step(action)
+    # ------------------------------------------------------------------
+    # Reset / step
+    # ------------------------------------------------------------------
+    def _obs_batch(self) -> np.ndarray:
+        out = np.empty((self.num_envs,) + self._template.shape)
+        return fill_observation(
+            self._template, self.k, self.d, self.config, out=out
+        )
 
-    def _step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
-        """One MDP transition; the body of :meth:`step` under its span."""
-        action = np.asarray(action, dtype=np.int64)
-        n = self.base_graph.num_nodes
-        if action.shape != (2 * n,):
-            raise ValueError(f"action must have shape ({2 * n},), got {action.shape}")
+    def reset(self, seed: Optional[int] = None) -> np.ndarray:
+        """Restart every episode: ``S_0 = 0`` on the shared base topology;
+        returns the ``(B, N, OBS_DIM)`` observations.
 
-        # Streaming mode: external events land before the agent's move —
-        # the step's rewire and reward see the churned topology.
+        ``seed`` (optional) respawns the per-episode generators first.
+        Cross-episode semantics (deliberate): :attr:`histories` and the
+        per-episode step counters accumulate across episodes so one env
+        yields one continuous training log (:meth:`clear_history` drops
+        them), and the rewire memo survives because it is keyed purely on
+        ``(k, d)`` over the base graph.
+        """
+        if seed is not None:
+            self.seed(seed)
+        B, n = self.num_envs, self.base_graph.num_nodes
+        self.k = np.zeros((B, n), dtype=np.int64)
+        self.d = np.zeros((B, n), dtype=np.int64)
+        self.t = np.zeros(B, dtype=np.int64)
+        self.current_graphs: List[Graph] = [self.base_graph] * B
+        score, loss = self._base_metrics()
+        self.prev_score = np.full(B, score)
+        self.prev_loss = np.full(B, loss)
+        self.episode_returns = np.zeros(B)
+        self.episode_lengths = np.zeros(B, dtype=np.int64)
+        return self._obs_batch()
+
+    def clear_history(self) -> None:
+        """Drop the accumulated per-episode logs and step counters."""
+        self.histories = [[] for _ in range(self.num_envs)]
+        self._steps_total[:] = 0
+
+    def step(
+        self, actions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
+        """One transition of all ``B`` episodes; ``actions`` is ``(B, 2N)``.
+
+        Returns ``(obs, rewards, dones, infos)`` with shapes
+        ``(B, N, OBS_DIM)``, ``(B,)``, ``(B,)`` and a length-``B`` list;
+        finished episodes are reset automatically.  Timed as one
+        ``env.step`` span carrying ``num_envs``.
+        """
+        with self._tel.span(
+            "env.step", hist="rl.step_s", num_envs=self.num_envs
+        ):
+            return self._step(actions)
+
+    def _step(
+        self, actions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
+        """One batched transition; the body of :meth:`step` under its span."""
+        actions = np.asarray(actions, dtype=np.int64)
+        B, n = self.num_envs, self.base_graph.num_nodes
+        if actions.shape != (B, 2 * n):
+            raise ValueError(
+                f"actions must have shape ({B}, {2 * n}), got {actions.shape}"
+            )
+
+        # Streaming mode: external events land before the agents' moves —
+        # the step's rewires and rewards see the churned topology.
         if self._stream is not None:
             self._advance_stream()
 
-        # Eq. 10: S_{t+1} = S_t + A_t, with A in {-1, 0, +1} per component.
-        self.k = self.k + (action[:n] - 1)
-        self.d = self.d + (action[n:] - 1)
-        self.k, self.d = clamp_state(
+        # Eq. 10 batched: S_{t+1} = S_t + A_t, clamped to feasibility.
+        self.k = self.k + (actions[:, :n] - 1)
+        self.d = self.d + (actions[:, n:] - 1)
+        self.k, self.d = clamp_state_batch(
             self.k, self.d, self.base_graph, self.sequences,
             self.config.k_max, self.config.d_max,
+            bounds=self._state_bounds,
         )
 
-        graph = self._rewired(self.k, self.d)
-        self.current_graph = graph
+        graphs = [self._rewired(self.k[b], self.d[b]) for b in range(B)]
+        self.current_graphs = graphs
 
-        score, loss = self._metrics(graph)
-        # Eq. 11.
-        reward = (score - self.prev_score) + self.config.lambda_r * (
-            self.prev_loss - loss
+        scores, losses = self._batch_metrics(graphs)
+        # Eq. 11, one vector expression over all episodes.
+        rewards = (scores - self.prev_score) + self.config.lambda_r * (
+            self.prev_loss - losses
         )
 
-        # Algorithm 1, lines 10-13: extra GNN epochs on a record topology.
-        if score > self.best_acc:
-            self.best_acc = score
-            self.best_graph = graph
-            if self.co_train:
-                with self._tel.span("env.co_train", hist="rl.cotrain_s"):
-                    self.trainer.fit(
-                        graph,
-                        self.split,
-                        epochs=self.config.co_train_epochs,
-                        patience=self.config.co_train_patience,
-                    )
-                if self._inc is not None:
+        # Algorithm 1 lines 10-13, processed in episode order against the
+        # one shared model: each record co-trains once and is re-scored.
+        for b in range(B):
+            if scores[b] > self.best_acc:
+                self.best_acc = float(scores[b])
+                self.best_graph = graphs[b]
+                if self.co_train:
+                    with self._tel.span("env.co_train", hist="rl.cotrain_s"):
+                        self.trainer.fit(
+                            graphs[b],
+                            self.split,
+                            epochs=self.config.co_train_epochs,
+                            patience=self.config.co_train_patience,
+                        )
                     # Co-training changed the weights: cached base-graph
                     # activations are stale.
-                    self._inc.invalidate()
-                score, loss = self._metrics(graph)
+                    self._model_version += 1
+                    if self._inc is not None:
+                        self._inc.invalidate()
+                    self._stack.invalidate()
+                    scores[b], losses[b] = self._metrics(graphs[b])
 
-        self.prev_score, self.prev_loss = score, loss
+        self.prev_score = scores
+        self.prev_loss = losses
         self.t += 1
         self._steps_total += 1
-        done = self.t >= self.config.horizon
+        dones = self.t >= self.config.horizon
+        obs = self._obs_batch()
 
-        info = {
-            "train_score": score,
-            "train_loss": loss,
-            "homophily": homophily_ratio(graph) if graph.labels is not None else 0.0,
-            "num_edges": graph.num_edges,
-            "mean_k": float(self.k.mean()),
-            "mean_d": float(self.d.mean()),
-        }
-        if self._stream is not None:
-            info["stream_version"] = self._stream.version
-            info["stream_events"] = self._stream.events_applied
-        self.history.append({"step": self._steps_total, "reward": reward, **info})
-        return self._observation(), float(reward), done, info
+        has_labels = self.base_graph.labels is not None
+        infos: List[Dict[str, Any]] = []
+        for b in range(B):
+            info: Dict[str, Any] = {
+                "train_score": float(scores[b]),
+                "train_loss": float(losses[b]),
+                "homophily": (
+                    homophily_ratio(graphs[b]) if has_labels else 0.0
+                ),
+                "num_edges": graphs[b].num_edges,
+                "mean_k": float(self.k[b].mean()),
+                "mean_d": float(self.d[b].mean()),
+            }
+            if self._stream is not None:
+                info["stream_version"] = self._stream.version
+                info["stream_events"] = self._stream.events_applied
+            self.histories[b].append(
+                {
+                    "step": int(self._steps_total[b]),
+                    "reward": float(rewards[b]),
+                    **info,
+                }
+            )
+            infos.append(info)
+
+        self.episode_returns += rewards
+        self.episode_lengths += 1
+
+        # Gym-style autoreset: finished episodes restart on the base graph;
+        # the observation slot already holds the terminal state, so only the
+        # two dynamic columns need zeroing after the state reset.
+        done_idx = np.flatnonzero(dones)
+        if done_idx.size:
+            for b in done_idx:
+                infos[b]["terminal_observation"] = obs[b].copy()
+                infos[b]["episode"] = {
+                    "r": float(self.episode_returns[b]),
+                    "l": int(self.episode_lengths[b]),
+                }
+            score, loss = self._base_metrics()
+            self.k[done_idx] = 0
+            self.d[done_idx] = 0
+            self.t[done_idx] = 0
+            self.prev_score[done_idx] = score
+            self.prev_loss[done_idx] = loss
+            self.episode_returns[done_idx] = 0.0
+            self.episode_lengths[done_idx] = 0
+            for b in done_idx:
+                self.current_graphs[b] = self.base_graph
+            obs[done_idx, :, 0] = 0.0
+            obs[done_idx, :, 1] = 0.0
+
+        return obs, rewards, dones, infos

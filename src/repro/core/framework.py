@@ -16,12 +16,91 @@ import numpy as np
 from ..entropy import EntropySequences, RelativeEntropy, build_entropy_sequences
 from ..gnn import GNNBackbone, Trainer, build_backbone, evaluate
 from ..graph import Graph, Split, homophily_ratio
+from ..graph.storage import (
+    ScreenStateLoader,
+    entropy_sidecar_meta,
+    has_entropy_sidecar,
+    save_entropy_sidecar,
+)
 from ..rl import NodePolicy, build_agent
 from ..telemetry import get_telemetry, telemetry_from_spec, use_telemetry
 from ..tensor import resolve_backend, use_backend
 from ..tensor.backends.instrument import InstrumentedBackend
 from .config import RareConfig
 from .env import OBS_DIM, TopologyEnv
+
+
+#: The :class:`RareConfig` fields an entropy build depends on.  A bundle's
+#: entropy sidecar records all of them and is reused only when every one
+#: matches the config.
+ENTROPY_RECIPE = ("lam", "embedding", "max_profile_len", "structural_mode")
+
+
+def _recipe(config: RareConfig) -> dict:
+    return {name: getattr(config, name) for name in ENTROPY_RECIPE}
+
+
+def relative_entropy(
+    graph: Graph, config: RareConfig, rng: Optional[np.random.Generator]
+) -> RelativeEntropy:
+    """The relative-entropy state of ``graph`` built with ``config``'s
+    :data:`ENTROPY_RECIPE` (Algorithm 1, lines 1-4)."""
+    return RelativeEntropy.from_graph(
+        graph,
+        lam=config.lam,
+        embedding=config.embedding,
+        max_profile_len=config.max_profile_len,
+        rng=rng,
+        structural_mode=config.structural_mode,
+    )
+
+
+def check_entropy_sidecar(path: str, config: RareConfig) -> None:
+    """Raise ``ValueError`` if the bundle at ``path`` carries an entropy
+    sidecar built with another recipe than ``config``'s.
+
+    A sidecar that does not record every :data:`ENTROPY_RECIPE` field
+    (one written before they were all recorded) counts as a mismatch.  No
+    sidecar is no mismatch: :func:`bundle_state_loader` writes one.
+    """
+    if not has_entropy_sidecar(path):
+        return
+    meta = entropy_sidecar_meta(path)
+    built = {name: meta.get(name, "unrecorded") for name in ENTROPY_RECIPE}
+    wanted = _recipe(config)
+    if built != wanted:
+        raise ValueError(
+            f"entropy sidecar at {path!r} was built with {built} but the "
+            f"config asks for {wanted}; delete the sidecar or align the "
+            "config"
+        )
+
+
+def bundle_state_loader(
+    graph: Graph, config: RareConfig, rng: Optional[np.random.Generator]
+) -> ScreenStateLoader:
+    """The streamed-screening state of a bundle-backed graph.
+
+    The one sidecar recipe behind ``storage="stream"`` and both
+    ``repro run`` and ``repro rewire --graph-bundle``: the bundle's entropy
+    sidecar is written on first use (one in-RAM :func:`relative_entropy`
+    build, persisted next to the graph arrays with its recipe) and checked
+    against the config on every reuse (:func:`check_entropy_sidecar`), so
+    a stale sidecar can never silently change the sequences.
+    """
+    bundle = getattr(graph, "bundle", None)
+    if bundle is None:
+        raise ValueError(
+            "storage='stream' needs a bundle-backed graph; load one "
+            "with repro.graph.load_graph_bundle (CLI: --graph-bundle)"
+        )
+    check_entropy_sidecar(bundle.path, config)
+    if not has_entropy_sidecar(bundle.path):
+        save_entropy_sidecar(
+            bundle.path, relative_entropy(graph, config, rng),
+            recipe=_recipe(config),
+        )
+    return ScreenStateLoader(bundle.path, max_candidates=config.max_candidates)
 
 
 @dataclass
@@ -88,20 +167,12 @@ class GraphRARE:
                     shuffle=shuffle,
                     screening="on",
                     num_workers=self.config.num_workers,
-                    state_loader=self._stream_state_loader(graph, rng),
+                    state_loader=bundle_state_loader(graph, self.config, rng),
                 )
             else:
-                entropy = RelativeEntropy.from_graph(
-                    graph,
-                    lam=self.config.lam,
-                    embedding=self.config.embedding,
-                    max_profile_len=self.config.max_profile_len,
-                    rng=rng,
-                    structural_mode=self.config.structural_mode,
-                )
                 sequences = build_entropy_sequences(
                     graph,
-                    entropy,
+                    relative_entropy(graph, self.config, rng),
                     max_candidates=self.config.max_candidates,
                     rng=rng,
                     shuffle=shuffle,
@@ -109,54 +180,6 @@ class GraphRARE:
                     num_workers=self.config.num_workers,
                 )
         return sequences, span.duration
-
-    def _stream_state_loader(self, graph: Graph, rng: np.random.Generator):
-        """The ``storage="stream"`` screening recipe for a bundle graph.
-
-        The bundle's entropy sidecar is the stream source; it is written
-        on first use (one in-RAM entropy build, persisted next to the
-        graph arrays) and validated against the config on every reuse so
-        a stale sidecar can never silently change the sequences.
-        """
-        from ..graph.storage import (
-            ScreenStateLoader,
-            entropy_sidecar_meta,
-            has_entropy_sidecar,
-            save_entropy_sidecar,
-        )
-
-        bundle = getattr(graph, "bundle", None)
-        if bundle is None:
-            raise ValueError(
-                "storage='stream' needs a bundle-backed graph; load one "
-                "with repro.graph.load_graph_bundle (CLI: --graph-bundle)"
-            )
-        path = bundle.path
-        if not has_entropy_sidecar(path):
-            save_entropy_sidecar(
-                path,
-                RelativeEntropy.from_graph(
-                    graph,
-                    lam=self.config.lam,
-                    embedding=self.config.embedding,
-                    max_profile_len=self.config.max_profile_len,
-                    rng=rng,
-                    structural_mode=self.config.structural_mode,
-                ),
-            )
-        meta = entropy_sidecar_meta(path)
-        if (
-            meta["lam"] != self.config.lam
-            or meta["structural_mode"] != self.config.structural_mode
-        ):
-            raise ValueError(
-                f"entropy sidecar at {path!r} was built with lam="
-                f"{meta['lam']}, structural_mode={meta['structural_mode']!r}"
-                f" but the config asks for lam={self.config.lam}, "
-                f"structural_mode={self.config.structural_mode!r}; delete "
-                "the sidecar or align the config"
-            )
-        return ScreenStateLoader(path, max_candidates=self.config.max_candidates)
 
     def _build_model(self, graph: Graph, rng: np.random.Generator) -> GNNBackbone:
         return build_backbone(
@@ -287,67 +310,39 @@ class GraphRARE:
             # Sec. V-C).
             best_val, _ = evaluate(model, graph, split.val)
             best_graph = graph
-            if cfg.num_envs > 1:
-                # Vectorized path: each iteration collects num_envs
-                # complete episodes as one batched rollout (the
-                # horizon-length vector rollout ends every episode exactly
-                # at the boundary), so the episode budget rounds up to a
-                # multiple of num_envs and the per-iteration curves have
-                # ceil(episodes / num_envs) entries (documented on
-                # RareConfig.num_envs).
-                from ..rl.vector.topology import VecTopologyEnv
+            env = TopologyEnv(graph, sequences, model, trainer, split, cfg,
+                              seed=cfg.seed)
 
-                env = VecTopologyEnv(
-                    graph, sequences, model, trainer, split, cfg,
-                    num_envs=cfg.num_envs, seed=cfg.seed,
-                )
-            else:
-                env = TopologyEnv(graph, sequences, model, trainer, split,
-                                  cfg, seed=cfg.seed)
+        # Each iteration collects num_envs complete episodes as one rollout
+        # (the horizon-length rollout ends every episode exactly at the
+        # boundary), so the episode budget rounds up to a multiple of
+        # num_envs and the curves have ceil(episodes / num_envs) entries.
+        for _ in range(-(-cfg.episodes // cfg.num_envs)):
+            with tel.span("rare.rollout"):
+                buffer = agent.collect_rollout(env, cfg.horizon)
+            with tel.span("rare.update", hist="rl.update_s"):
+                stats = agent.update(buffer)
+            episode_rewards.append(stats.mean_reward)
 
-        if cfg.num_envs > 1:
-            for _ in range(-(-cfg.episodes // cfg.num_envs)):
-                with tel.span("rare.rollout"):
-                    buffer = agent.collect_vectorized_rollout(env, cfg.horizon)
-                with tel.span("rare.update", hist="rl.update_s"):
-                    stats = agent.update(buffer)
-                episode_rewards.append(stats.mean_reward)
-
-                with tel.span("rare.select"):
-                    # Dedupe by identity (Graph is unhashable): after
-                    # autoreset every slot holds the base graph again, so
-                    # the distinct candidates are usually just
-                    # {best_graph, base_graph}.
-                    seen_ids = set()
-                    for candidate in (env.best_graph, *env.current_graphs):
-                        if id(candidate) in seen_ids:
-                            continue
-                        seen_ids.add(id(candidate))
-                        val_acc, _ = evaluate(model, candidate, split.val)
-                        if val_acc > best_val:
-                            best_val = val_acc
-                            best_graph = candidate
-                    lead = env.current_graphs[0]
-                    val_acc, _ = evaluate(model, lead, split.val)
-                    accuracy_curve.append(val_acc)
-                    homophily_curve.append(homophily_ratio(lead))
-        else:
-            for _ in range(cfg.episodes):
-                with tel.span("rare.rollout"):
-                    buffer = agent.collect_rollout(env, cfg.horizon)
-                with tel.span("rare.update", hist="rl.update_s"):
-                    stats = agent.update(buffer)
-                episode_rewards.append(stats.mean_reward)
-
-                with tel.span("rare.select"):
-                    for candidate in (env.current_graph, env.best_graph):
-                        val_acc, _ = evaluate(model, candidate, split.val)
-                        if val_acc > best_val:
-                            best_val = val_acc
-                            best_graph = candidate
-                    val_acc, _ = evaluate(model, env.current_graph, split.val)
-                    accuracy_curve.append(val_acc)
-                    homophily_curve.append(homophily_ratio(env.current_graph))
+            with tel.span("rare.select"):
+                # Current graphs first, then the record graph; a candidate
+                # replaces the selection only on a strictly higher
+                # validation accuracy, so on an exact tie the earlier one
+                # (after autoreset every slot holds the original topology)
+                # wins.  Deduped by identity: Graph is unhashable.
+                seen_ids = set()
+                for candidate in (*env.current_graphs, env.best_graph):
+                    if id(candidate) in seen_ids:
+                        continue
+                    seen_ids.add(id(candidate))
+                    val_acc, _ = evaluate(model, candidate, split.val)
+                    if val_acc > best_val:
+                        best_val = val_acc
+                        best_graph = candidate
+                lead = env.current_graphs[0]
+                val_acc, _ = evaluate(model, lead, split.val)
+                accuracy_curve.append(val_acc)
+                homophily_curve.append(homophily_ratio(lead))
 
         # --- final training on the optimised topology ---------------------
         # A fresh model isolates the quality of the *topology*: the

@@ -1,8 +1,7 @@
 """One shared bounded-LRU mapping with hit/miss/eviction accounting.
 
 Every layer that memoises expensive derived objects — the ``(k, d)``
-rewire memos of :class:`~repro.core.env.TopologyEnv` and
-:class:`~repro.rl.vector.VecTopologyEnv`, the serving layer's
+rewire memo of :class:`~repro.core.env.TopologyEnv`, the serving layer's
 per-session caches (:mod:`repro.serve`) — shares this one
 implementation instead of re-growing ``OrderedDict`` + counter
 boilerplate per call site.  Semantics:
@@ -35,15 +34,11 @@ class LRUCache:
     Parameters
     ----------
     capacity:
-        Default maximum population; :meth:`put` accepts a per-call
-        override so callers that expose a mutable limit attribute (the
-        envs' ``REWIRE_CACHE_LIMIT``) stay honest without rebuilding the
-        cache.
+        Maximum population.
     counter_prefix:
         When given, every hit/miss/eviction is also mirrored into the
         telemetry session active *at construction* as
-        ``<prefix>.hits`` / ``.misses`` / ``.evictions`` — the pattern
-        the env rewire memos established.
+        ``<prefix>.hits`` / ``.misses`` / ``.evictions``.
     tel:
         The telemetry session to mirror into; defaults to the session
         ambient at construction time (:func:`repro.telemetry.get_telemetry`).
@@ -122,23 +117,18 @@ class LRUCache:
         """The cached value without recency refresh or accounting."""
         return self._data.get(key, default)
 
-    def put(
-        self, key: Hashable, value: Any, capacity: Optional[int] = None
-    ) -> Any:
+    def put(self, key: Hashable, value: Any) -> Any:
         """Insert (or refresh) ``key`` and evict down to the bound.
 
-        ``capacity`` overrides the instance default for this call —
-        eviction drops least-recently-used entries while the population
-        is at or above it, matching the env memos' "evict before
-        insert" discipline so the population never exceeds the bound.
-        Returns ``value`` for call-chaining.
+        Eviction drops least-recently-used entries while the population
+        is at the capacity ("evict before insert"), so the population
+        never exceeds the bound.  Returns ``value`` for call-chaining.
         """
-        bound = self.capacity if capacity is None else int(capacity)
         if key in self._data:
             self._data.move_to_end(key)
             self._data[key] = value
             return value
-        while len(self._data) >= max(bound, 1):
+        while len(self._data) >= self.capacity:
             self._data.popitem(last=False)
             self._count("evictions")
         self._data[key] = value

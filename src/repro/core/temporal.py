@@ -99,6 +99,7 @@ class TemporalRareResult:
 
     @property
     def improvement(self) -> float:
+        """Accuracy gain over the plain backbone (test minus baseline)."""
         return self.test_acc - self.baseline_test_acc
 
 

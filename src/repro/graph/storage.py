@@ -484,7 +484,10 @@ def _entropy_dir(path: str) -> str:
 
 
 def save_entropy_sidecar(
-    path: str, entropy, chunk_rows: int = DEFAULT_CHUNK_ROWS
+    path: str,
+    entropy,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    recipe: Optional[Dict] = None,
 ) -> str:
     """Persist the screening engine's read-only state next to a bundle.
 
@@ -496,7 +499,10 @@ def save_entropy_sidecar(
     plus the scalar terms in ``entropy.json``.  Everything written is the
     byte-exact output of the in-RAM builders — a
     :class:`ScreenStateLoader` over this sidecar reproduces the in-RAM
-    screen bit for bit.
+    screen bit for bit.  ``recipe`` (JSON-ready build parameters, e.g.
+    ``embedding`` and ``max_profile_len``) is recorded in the manifest
+    next to ``lam`` and ``structural_mode`` so a reader can check the
+    sidecar matches the build it wants.
     """
     from ..entropy.screening import PairEntropyScorer
 
@@ -540,6 +546,7 @@ def save_entropy_sidecar(
         "log_denominator": float(entropy.log_denominator),
         "feature_scale": float(entropy.feature_scale),
         "structural_mode": entropy.structural_mode,
+        **(recipe or {}),
         "arrays": manifest,
     }
     with open(os.path.join(edir, ENTROPY_META), "w") as f:
@@ -553,8 +560,9 @@ def has_entropy_sidecar(path: str) -> bool:
 
 
 def entropy_sidecar_meta(path: str) -> Dict:
-    """The sidecar's manifest (lam, structural mode, array inventory) —
-    what a pipeline checks against its config before streaming from it."""
+    """The sidecar's manifest (lam, structural mode, any recorded recipe,
+    array inventory) — what a pipeline checks against its config before
+    streaming from it."""
     meta_path = os.path.join(_entropy_dir(path), ENTROPY_META)
     if not os.path.isfile(meta_path):
         raise FileNotFoundError(

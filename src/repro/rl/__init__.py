@@ -1,27 +1,21 @@
 """Deep RL substrate: PPO/A2C/REINFORCE with multi-discrete actions
 (replaces OpenAI Gym + Stable-Baselines3).
 
-The :mod:`repro.rl.vector` subpackage adds the vectorized execution layer:
-batched envs (:class:`VecEnv`, :class:`SyncVecEnv`, ``VecTopologyEnv``),
-preallocated :class:`BatchedRolloutBuffer` storage with batch-axis GAE, and
-the :func:`collect_vectorized_rollout` path PPO/A2C use to collect ``B``
-episodes per rollout in one pass.
+Every agent collects through one path, as Stable-Baselines3 runs a single
+env as a width-1 ``DummyVecEnv``: a :class:`VecEnv` steps ``B`` episodes
+at once (``B = 1`` is the sequential case), :func:`collect_vectorized_rollout`
+fills a preallocated :class:`BatchedRolloutBuffer` with one policy
+forward per step, and each agent's ``update`` consumes that buffer.
 """
 
 from .a2c import A2C, A2CConfig
-from .buffer import RolloutBuffer
 from .distributions import Categorical, MultiDiscreteDistribution
-from .env import Env, MultiDiscreteSpace
+from .env import MultiDiscreteSpace
 from .policy import NodePolicy
 from .ppo import PPO, PPOConfig, PPOStats
 from .registry import AGENTS, agent_names, build_agent
 from .reinforce import Reinforce, ReinforceConfig
-from .vector import (
-    BatchedRolloutBuffer,
-    SyncVecEnv,
-    VecEnv,
-    collect_vectorized_rollout,
-)
+from .vector import BatchedRolloutBuffer, VecEnv, collect_vectorized_rollout
 
 __all__ = [
     "A2C",
@@ -29,7 +23,6 @@ __all__ = [
     "AGENTS",
     "BatchedRolloutBuffer",
     "Categorical",
-    "Env",
     "MultiDiscreteDistribution",
     "MultiDiscreteSpace",
     "NodePolicy",
@@ -38,20 +31,8 @@ __all__ = [
     "PPOStats",
     "Reinforce",
     "ReinforceConfig",
-    "RolloutBuffer",
-    "SyncVecEnv",
     "VecEnv",
-    "VecTopologyEnv",
     "agent_names",
     "build_agent",
     "collect_vectorized_rollout",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: VecTopologyEnv pulls in repro.core, which imports this package.
-    if name == "VecTopologyEnv":
-        from .vector.topology import VecTopologyEnv
-
-        return VecTopologyEnv
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,8 +3,8 @@
 A middle ground between REINFORCE and PPO: a learned critic provides the
 baseline and bootstrapping (via GAE), but the policy update is a single
 unclipped gradient step per rollout.  Shares the rollout/update/learn API
-with :class:`repro.rl.PPO` — including the vectorized collection path over
-:class:`repro.rl.vector.VecEnv` batches and the collection-time truncation
+with :class:`repro.rl.PPO` — the one collector over any
+:class:`repro.rl.vector.VecEnv` and its collection-time truncation
 bootstrap — so the GraphRARE framework can swap agents via
 ``RareConfig.rl_algorithm``.
 """
@@ -12,25 +12,16 @@ bootstrap — so the GraphRARE framework can swap agents via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from ..nn import Adam, clip_grad_norm
-from .buffer import RolloutBuffer
-from .env import Env
 from .policy import NodePolicy
-from .ppo import (
-    AnyRolloutBuffer,
-    PPOStats,
-    learn_loop,
-    mean_buffer_reward,
-    rollout_advantages,
-    rollout_samples,
-)
+from .ppo import PPOStats
 from .vector.base import VecEnv
 from .vector.buffer import BatchedRolloutBuffer
-from .vector.rollout import collect_vectorized_rollout
+from .vector.rollout import collect_vectorized_rollout, learn_loop
 
 
 @dataclass
@@ -60,48 +51,30 @@ class A2C:
         self.rng = rng or np.random.default_rng(0)
         self.optimizer = Adam(policy.parameters(), lr=self.config.lr)
         self.history: List[PPOStats] = []
-        self._last_obs = None
 
     # ------------------------------------------------------------------
-    def collect_rollout(self, env: Env, num_steps: int) -> RolloutBuffer:
-        """Run the policy in ``env`` for ``num_steps`` transitions, with
-        the truncation bootstrap attached (see :meth:`PPO.collect_rollout`)."""
-        buffer = RolloutBuffer(
-            gamma=self.config.gamma, gae_lambda=self.config.gae_lambda
-        )
-        obs = env.reset()
-        done = False
-        for _ in range(num_steps):
-            action, log_prob, value = self.policy.act(obs, self.rng)
-            next_obs, reward, done, _ = env.step(action)
-            buffer.add(obs, action, reward, value, log_prob, done)
-            obs = env.reset() if done else next_obs
-        self._last_obs = obs
-        buffer.set_bootstrap(
-            obs, 0.0 if done else self.policy.value(obs).item()
-        )
-        return buffer
-
-    def collect_vectorized_rollout(
-        self, venv: VecEnv, num_steps: int
+    def collect_rollout(
+        self, env: VecEnv, num_steps: int
     ) -> BatchedRolloutBuffer:
-        """Batched collection: ``num_steps * B`` transitions in one pass."""
+        """Run the policy in ``env`` for ``num_steps`` batched steps, with
+        the truncation bootstrap attached (see :meth:`PPO.collect_rollout`)."""
         return collect_vectorized_rollout(
             self.policy,
-            venv,
+            env,
             num_steps,
             self.rng,
             gamma=self.config.gamma,
             gae_lambda=self.config.gae_lambda,
         )
 
-    def update(self, buffer: AnyRolloutBuffer) -> PPOStats:
-        """One joint actor-critic gradient step over the rollout."""
+    def update(self, buffer: BatchedRolloutBuffer) -> PPOStats:
+        """One joint actor-critic gradient step per sample of the rollout."""
         cfg = self.config
-        advantages, returns = rollout_advantages(buffer)
+        advantages, returns = buffer.compute_flat_advantages()
         if cfg.normalize_advantages and len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        observations, actions, _ = rollout_samples(buffer)
+        observations = buffer.flat_observations()
+        actions = buffer.flat_actions()
 
         policy_losses, value_losses, entropies = [], [], []
         for idx in range(len(buffer)):
@@ -124,7 +97,7 @@ class A2C:
             entropies.append(entropy.item())
 
         stats = PPOStats(
-            mean_reward=mean_buffer_reward(buffer),
+            mean_reward=float(buffer.flat_rewards().mean()),
             policy_loss=float(np.mean(policy_losses)),
             value_loss=float(np.mean(value_losses)),
             entropy=float(np.mean(entropies)),
@@ -135,10 +108,9 @@ class A2C:
 
     def learn(
         self,
-        env: Union[Env, VecEnv],
+        env: VecEnv,
         total_steps: int,
         rollout_steps: int = 16,
-    ):
-        """Alternate collection and updates; accepts plain or batched envs
-        (see :meth:`PPO.learn`)."""
+    ) -> List[PPOStats]:
+        """Alternate collection and updates (see :meth:`PPO.learn`)."""
         return learn_loop(self, env, total_steps, rollout_steps)

@@ -1,13 +1,11 @@
-"""Minimal environment interface (replaces OpenAI Gym [2]).
+"""The multi-discrete action space of the topology MDP (replaces OpenAI
+Gym [2]'s spaces).
 
-Only the pieces the paper's MDP needs: a reset/step contract and a
-multi-discrete action space (``A = [a^k_1..a^k_N, a^d_1..a^d_N]`` with three
-choices per component, Sec. IV-B).
+``A = [a^k_1..a^k_N, a^d_1..a^d_N]`` with three choices per component
+(Sec. IV-B).  The step/reset contract is :class:`repro.rl.vector.VecEnv`.
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -50,24 +48,3 @@ class MultiDiscreteSpace:
             return f"MultiDiscrete({len(self.nvec)} x {uniq[0]})"
         return f"MultiDiscrete({self.nvec.tolist()})"
 
-
-class Env:
-    """The classic step/reset contract.
-
-    Observations are arrays of shape ``(num_components_over_2?, features)``
-    defined by the concrete environment; ``step`` returns
-    ``(obs, reward, done, info)``.  Environments with internal randomness
-    should accept an optional ``seed`` keyword on ``reset`` (gym-style) so
-    the vectorized wrappers in :mod:`repro.rl.vector` can hand each episode
-    an independent spawned stream.
-    """
-
-    action_space: MultiDiscreteSpace
-
-    def reset(self) -> np.ndarray:
-        """Start a new episode; returns its first observation."""
-        raise NotImplementedError
-
-    def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
-        """Apply ``action``; returns ``(obs, reward, done, info)``."""
-        raise NotImplementedError

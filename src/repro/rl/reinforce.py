@@ -4,7 +4,8 @@ The paper notes (Sec. IV-B) that "in addition to the PPO algorithm, other
 reinforcement learning algorithms can also be conveniently applied to the
 proposed framework"; this module and :mod:`repro.rl.a2c` make that claim
 concrete.  REINFORCE is the simplest possible agent: no critic, whole-
-episode returns, a scalar baseline to cut variance.
+episode returns, a scalar baseline to cut variance.  It collects through
+the same batched collector as PPO/A2C, so any batch width works.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import List, Optional
 import numpy as np
 
 from ..nn import Adam
-from .buffer import RolloutBuffer
-from .env import Env
 from .policy import NodePolicy
 from .ppo import PPOStats
+from .vector.base import VecEnv
+from .vector.buffer import BatchedRolloutBuffer
+from .vector.rollout import collect_vectorized_rollout, learn_loop
 
 
 @dataclass
@@ -50,33 +52,32 @@ class Reinforce:
         self._baseline_initialised = False
 
     # ------------------------------------------------------------------
-    def collect_rollout(self, env: Env, num_steps: int) -> RolloutBuffer:
-        """Run the policy for ``num_steps`` transitions (value slot unused)."""
-        buffer = RolloutBuffer(gamma=self.config.gamma)
-        obs = env.reset()
-        for _ in range(num_steps):
-            action, log_prob, _ = self.policy.act(obs, self.rng)
-            next_obs, reward, done, _ = env.step(action)
-            buffer.add(obs, action, reward, 0.0, log_prob, done)
-            obs = env.reset() if done else next_obs
-        return buffer
+    def collect_rollout(
+        self, env: VecEnv, num_steps: int
+    ) -> BatchedRolloutBuffer:
+        """Run the policy for ``num_steps`` batched steps (the value slots
+        are recorded but unused)."""
+        return collect_vectorized_rollout(
+            self.policy, env, num_steps, self.rng, gamma=self.config.gamma
+        )
 
-    def _returns(self, buffer: RolloutBuffer) -> np.ndarray:
-        """Discounted returns-to-go, restarting at episode boundaries."""
-        n = len(buffer)
-        returns = np.zeros(n)
-        running = 0.0
-        for t in reversed(range(n)):
-            if buffer.dones[t]:
-                running = 0.0
-            running = buffer.rewards[t] + self.config.gamma * running
+    def _returns(self, buffer: BatchedRolloutBuffer) -> np.ndarray:
+        """Discounted returns-to-go, ``(T, B)``: one backward sweep over
+        the batch axis, restarting each column at its episode
+        boundaries."""
+        returns = np.zeros((buffer.pos, buffer.num_envs))
+        running = np.zeros(buffer.num_envs)
+        for t in reversed(range(buffer.pos)):
+            running = buffer.rewards[t] + self.config.gamma * np.where(
+                buffer.dones[t], 0.0, running
+            )
             returns[t] = running
         return returns
 
-    def update(self, buffer: RolloutBuffer) -> PPOStats:
+    def update(self, buffer: BatchedRolloutBuffer) -> PPOStats:
         """One REINFORCE gradient step over the rollout."""
         cfg = self.config
-        returns = self._returns(buffer)
+        returns = self._returns(buffer).reshape(-1)  # time-major samples
 
         mean_return = float(returns.mean())
         if not self._baseline_initialised:
@@ -92,12 +93,14 @@ class Reinforce:
         # One batched gradient step per rollout: per-sample Adam steps make
         # REINFORCE collapse (later samples see a policy already moved by
         # earlier ones while their advantages are stale).
+        observations = buffer.flat_observations()
+        actions = buffer.flat_actions()
         policy_losses, entropies = [], []
         self.optimizer.zero_grad()
         scale = 1.0 / max(len(buffer), 1)
         for idx in range(len(buffer)):
             log_prob, entropy, _ = self.policy.evaluate_actions(
-                buffer.observations[idx], buffer.actions[idx]
+                observations[idx], actions[idx]
             )
             loss = (-log_prob * advantages[idx] - cfg.entropy_coef * entropy) * scale
             loss.backward()
@@ -106,7 +109,7 @@ class Reinforce:
         self.optimizer.step()
 
         stats = PPOStats(
-            mean_reward=float(np.mean(buffer.rewards)),
+            mean_reward=float(buffer.flat_rewards().mean()),
             policy_loss=float(np.mean(policy_losses)),
             value_loss=0.0,
             entropy=float(np.mean(entropies)),
@@ -115,12 +118,12 @@ class Reinforce:
         self.history.append(stats)
         return stats
 
-    def learn(self, env: Env, total_steps: int, rollout_steps: int = 16):
-        """Alternate rollouts and updates until ``total_steps``."""
-        collected = 0
-        while collected < total_steps:
-            steps = min(rollout_steps, total_steps - collected)
-            buffer = self.collect_rollout(env, steps)
-            self.update(buffer)
-            collected += steps
-        return self.history
+    def learn(
+        self,
+        env: VecEnv,
+        total_steps: int,
+        rollout_steps: int = 16,
+    ) -> List[PPOStats]:
+        """Alternate rollouts and updates until ``total_steps`` (see
+        :meth:`PPO.learn`)."""
+        return learn_loop(self, env, total_steps, rollout_steps)

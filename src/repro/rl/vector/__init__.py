@@ -1,40 +1,27 @@
-"""Vectorized rollout subsystem: batched envs + batched GAE storage.
+"""Rollout subsystem: the env contract, batched storage and collection.
 
 Public surface:
 
-* :class:`VecEnv` — the batched step/reset/autoreset contract.
-* :class:`SyncVecEnv` — reference twin: B plain envs stepped in a loop.
-* :class:`VecTopologyEnv` — the batched GraphRARE topology MDP (shared
-  base CSR, cross-env rewire memo, stacked reward evaluation).
+* :class:`VecEnv` — the batched step/reset/autoreset contract every
+  environment implements (:class:`repro.core.TopologyEnv` is the
+  GraphRARE MDP; a single env is ``num_envs = 1``).
 * :class:`BatchedRolloutBuffer` — preallocated ``(T, B, ...)`` storage
   with vectorized GAE over the batch axis.
-* :func:`collect_vectorized_rollout` — the collection loop PPO/A2C use.
-
-``VecTopologyEnv`` is exported lazily: it depends on :mod:`repro.core`,
-which itself imports :mod:`repro.rl` — deferring the import keeps the
-package graph acyclic while ``from repro.rl.vector import VecTopologyEnv``
-still works.
+* :func:`collect_vectorized_rollout` — the one collection loop every
+  agent uses, and :func:`learn_loop`, the collect/update driver.
+* :class:`StackedGraphBuilder` — block-diagonal stacking of derived
+  graphs, the batched reward forward of the env and of ``repro serve``.
 """
 
 from .base import VecEnv
 from .buffer import BatchedRolloutBuffer
-from .rollout import collect_vectorized_rollout
+from .rollout import collect_vectorized_rollout, learn_loop
 from .stacked import StackedGraphBuilder
-from .sync import SyncVecEnv
 
 __all__ = [
     "BatchedRolloutBuffer",
     "StackedGraphBuilder",
-    "SyncVecEnv",
     "VecEnv",
-    "VecTopologyEnv",
     "collect_vectorized_rollout",
+    "learn_loop",
 ]
-
-
-def __getattr__(name: str):
-    if name == "VecTopologyEnv":
-        from .topology import VecTopologyEnv
-
-        return VecTopologyEnv
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,7 @@
-"""The vectorized environment contract.
+"""The environment contract.
 
-A :class:`VecEnv` steps ``B`` independent episodes of the same MDP at once:
+A :class:`VecEnv` steps ``B`` independent episodes of the same MDP at once
+(``B = 1`` is a single environment):
 observations are stacked along a leading batch axis, rewards/dones are
 ``(B,)`` arrays, and ``info`` is a list of ``B`` per-episode dicts.
 
@@ -8,10 +9,8 @@ Autoreset semantics (gym ``VectorEnv``-style): when episode ``b`` ends,
 ``step`` returns ``done[b] = True``, stores the final observation under
 ``info[b]["terminal_observation"]`` and an ``info[b]["episode"]`` summary
 (``{"r": return, "l": length}``), and the returned ``obs[b]`` is already the
-first observation of the *next* episode.  This matches the data stream the
-single-env rollout loop produces with ``obs = env.reset() if done else
-next_obs``, which is what makes the two collection paths drop-in
-equivalents.
+first observation of the *next* episode, so the collector never calls
+``reset`` mid-rollout.
 """
 
 from __future__ import annotations

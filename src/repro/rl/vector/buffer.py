@@ -1,13 +1,12 @@
 """Preallocated ``(T, B, ...)`` rollout storage with batched GAE.
 
-The single-env :class:`~repro.rl.buffer.RolloutBuffer` appends Python lists;
-this twin preallocates dense numpy arrays for a fixed-length vectorized
-rollout and computes GAE(lambda) over the whole batch axis in one backward
-sweep.  Row ``b`` of the batched advantage/return arrays is byte-identical
-to what ``RolloutBuffer.compute_advantages`` produces for episode ``b``
-collected alone (the property tests assert exact equality, including every
-done-mask edge case) — the arithmetic is the same float64 expression
-evaluated per batch column instead of per scalar.
+The one rollout buffer: dense numpy arrays for a fixed-length rollout of
+``B`` episodes (``B = 1`` for a single env), with GAE(lambda) computed over
+the whole batch axis in one backward sweep.  Column ``b`` of the
+advantage/return arrays is byte-identical to the scalar per-episode GAE
+recursion for episode ``b`` (the property tests assert exact equality
+against a scalar oracle, including every done-mask edge case) — the
+arithmetic is the same float64 expression evaluated per batch column.
 """
 
 from __future__ import annotations
@@ -108,10 +107,10 @@ class BatchedRolloutBuffer:
         ``(pos, B)``.
 
         ``last_values`` bootstraps the state following each episode's final
-        transition; defaults to the stored bootstrap (or zeros, matching
-        the single-env buffer's default).  Done masking is per column: a
-        ``done`` at ``(t, b)`` zeroes both the bootstrap term and the GAE
-        carry-over for that episode only.
+        transition; defaults to the stored bootstrap (or zeros when none
+        was recorded).  Done masking is per column: a ``done`` at
+        ``(t, b)`` zeroes both the bootstrap term and the GAE carry-over
+        for that episode only.
         """
         T = self.pos
         if T == 0:
@@ -145,9 +144,8 @@ class BatchedRolloutBuffer:
 
     # ------------------------------------------------------------------
     # Flat (time-major) views for the per-sample update loops.  Index
-    # ``i = t * B + b``; with ``B = 1`` this is exactly the single-env
-    # time order, which is what makes the B=1 learning trajectory
-    # byte-identical to the sequential reference path.
+    # ``i = t * B + b``; with ``B = 1`` this is exactly the time order of
+    # a single env.
     # ------------------------------------------------------------------
     def flat_observations(self) -> np.ndarray:
         """Observations as ``(T * B, N, obs_dim)``, time-major."""

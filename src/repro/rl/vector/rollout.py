@@ -1,16 +1,14 @@
-"""Batched rollout collection: one policy forward per vectorized step.
+"""Rollout collection and the collect/update driver shared by every agent.
 
-:func:`collect_vectorized_rollout` is the execution core PPO/A2C delegate
-to: it drives a :class:`~repro.rl.vector.base.VecEnv` for ``T`` steps with
-:meth:`NodePolicy.act_batch` (a single trunk pass over all ``B * N`` node
-rows), records into a :class:`BatchedRolloutBuffer`, and finishes with the
-truncation bootstrap — value estimates of the observations following the
-final transition, zeroed for episodes that ended exactly there.
-
-With ``B = 1`` the collected buffer is byte-identical to the sequential
-``collect_rollout`` loop: the policy consumes the same ``rng.random((2N,
-1))`` stream per step, autoreset reproduces ``obs = env.reset() if done
-else next_obs``, and the bootstrap mirrors the single-path rule.
+:func:`collect_vectorized_rollout` is the one collector PPO, A2C and
+REINFORCE delegate to: it drives a :class:`~repro.rl.vector.base.VecEnv`
+for ``T`` steps with :meth:`NodePolicy.act_batch` (a single trunk pass over
+all ``B * N`` node rows), records into a :class:`BatchedRolloutBuffer`, and
+finishes with the truncation bootstrap — value estimates of the
+observations following the final transition, zeroed for episodes that
+ended exactly there.  A single environment is the ``B = 1`` case.
+:func:`learn_loop` alternates collection and updates until a transition
+budget is spent.
 """
 
 from __future__ import annotations
@@ -60,3 +58,21 @@ def collect_vectorized_rollout(
         last_values = np.where(final_dones, 0.0, policy.value_batch(obs))
     buffer.set_bootstrap(obs, last_values)
     return buffer
+
+
+def learn_loop(agent, env: VecEnv, total_steps: int, rollout_steps: int):
+    """The collect/update driver behind every agent's ``learn``.
+
+    Each iteration collects ``rollout_steps * B`` transitions through
+    ``agent.collect_rollout`` and hands them to ``agent.update``; the final
+    iteration shrinks its step count so the batch never overshoots
+    ``total_steps`` by more than ``B - 1`` transitions.  Returns
+    ``agent.history``.
+    """
+    num_envs = env.num_envs
+    collected = 0
+    while collected < total_steps:
+        steps = min(rollout_steps, -(-(total_steps - collected) // num_envs))
+        agent.update(agent.collect_rollout(env, steps))
+        collected += steps * num_envs
+    return agent.history

@@ -1,7 +1,7 @@
 """Block-diagonal stacking of graphs derived from one shared base.
 
-The batched-forward kernel behind :class:`~repro.rl.vector.VecTopologyEnv`
-— and, since the serving layer (:mod:`repro.serve`) micro-batches
+The batched-forward kernel behind :class:`~repro.core.env.TopologyEnv` at
+``num_envs > 1`` — and, since the serving layer (:mod:`repro.serve`) micro-batches
 concurrent requests into the same kernel, behind ``repro serve`` too —
 extracted into one reusable builder:
 
@@ -136,11 +136,8 @@ class StackedGraphBuilder:
     def tiled_arrays(
         self, width: int
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """``width`` copies of the base features/labels, memoised.
-
-        Callers that already hold tiles (``VecTopologyEnv`` tiles eagerly
-        at construction) may pre-seed via :meth:`set_tiled`.
-        """
+        """``width`` copies of the base features/labels, memoised per
+        width (built on the first stacked graph of that width)."""
         got = self._tiled.get(width)
         if got is None:
             features = self.base_graph.features
@@ -151,15 +148,6 @@ class StackedGraphBuilder:
             )
             self._tiled[width] = got
         return got
-
-    def set_tiled(
-        self,
-        width: int,
-        features: Optional[np.ndarray],
-        labels: Optional[np.ndarray],
-    ) -> None:
-        """Pre-seed the tiled feature/label arrays for ``width``."""
-        self._tiled[width] = (features, labels)
 
     # ------------------------------------------------------------------
     def stacked_base(self, width: int) -> Graph:

@@ -1,4 +1,5 @@
-"""Tests for the topology-optimisation MDP environment."""
+"""Tests for the topology-optimisation MDP environment at ``num_envs = 1``
+(the batched semantics are in ``test_vec_topology.py``)."""
 
 import numpy as np
 import pytest
@@ -30,13 +31,19 @@ def make_env(co_train=False, **config_overrides):
     return env, graph
 
 
+def ones(graph, value=1):
+    """One ``(1, 2N)`` action row filled with ``value`` (1 = keep)."""
+    return np.full((1, 2 * graph.num_nodes), value)
+
+
 def test_reset_state_is_zero():
     env, graph = make_env()
     obs = env.reset()
-    assert obs.shape == (graph.num_nodes, OBS_DIM)
+    assert obs.shape == (1, graph.num_nodes, OBS_DIM)
+    assert env.num_envs == 1
     assert (env.k == 0).all()
     assert (env.d == 0).all()
-    assert env.current_graph is graph
+    assert env.current_graphs == [graph]
 
 
 def test_action_space_layout():
@@ -48,47 +55,46 @@ def test_action_space_layout():
 def test_step_applies_transition():
     env, graph = make_env()
     env.reset()
-    n = graph.num_nodes
-    action = np.full(2 * n, 2)  # increment everything
-    obs, reward, done, info = env.step(action)
+    obs, reward, done, info = env.step(ones(graph, 2))  # increment all
     assert (env.k == 1).all()
     # d is clamped by node degree (isolated nodes cannot delete).
     assert (env.d <= np.minimum(1, graph.degrees())).all()
-    assert not done
-    assert np.isfinite(reward)
-    assert env.current_graph.edges != graph.edges
+    assert not done[0]
+    assert np.isfinite(reward[0])
+    assert env.current_graphs[0].edges != graph.edges
 
 
 def test_keep_action_is_noop():
     env, graph = make_env()
     env.reset()
-    action = np.ones(2 * graph.num_nodes, dtype=int)  # all "keep"
-    _, _, _, info = env.step(action)
-    assert env.current_graph.edges == graph.edges
-    assert info["mean_k"] == 0.0
+    _, _, _, info = env.step(ones(graph))  # all "keep"
+    assert env.current_graphs[0].edges == graph.edges
+    assert info[0]["mean_k"] == 0.0
 
 
 def test_state_clamped_at_bounds():
     env, graph = make_env()
     env.reset()
-    n = graph.num_nodes
-    for _ in range(10):
-        env.step(np.full(2 * n, 2))
+    for _ in range(3):  # stays inside one episode (horizon 4)
+        env.step(ones(graph, 2))
+    assert (env.k == 3).all()
     assert (env.k <= env.config.k_max).all()
     assert (env.d <= env.config.d_max).all()
     env.reset()
     for _ in range(3):
-        env.step(np.zeros(2 * n, dtype=int))
+        env.step(ones(graph, 0))
     assert (env.k == 0).all()
 
 
 def test_done_after_horizon():
     env, graph = make_env()
     env.reset()
-    n = graph.num_nodes
     for t in range(env.config.horizon):
-        _, _, done, _ = env.step(np.ones(2 * n, dtype=int))
-    assert done
+        _, _, done, info = env.step(ones(graph))
+        assert done[0] == (t == env.config.horizon - 1)
+    # Autoreset: the episode summary rides along, the state restarts.
+    assert info[0]["episode"]["l"] == env.config.horizon
+    assert env.t[0] == 0 and env.current_graphs[0] is graph
 
 
 def test_invalid_action_shape():
@@ -96,18 +102,19 @@ def test_invalid_action_shape():
     env.reset()
     with pytest.raises(ValueError, match="action"):
         env.step(np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="action"):
+        env.step(np.zeros(2 * env.base_graph.num_nodes, dtype=int))
 
 
 def test_reward_is_delta_metric():
     env, graph = make_env()
     env.reset()
-    n = graph.num_nodes
-    prev_score, prev_loss = env.prev_score, env.prev_loss
-    _, reward, _, info = env.step(np.ones(2 * n, dtype=int))
-    expected = (info["train_score"] - prev_score) + env.config.lambda_r * (
-        prev_loss - info["train_loss"]
+    prev_score, prev_loss = env.prev_score[0], env.prev_loss[0]
+    _, reward, _, info = env.step(ones(graph))
+    expected = (info[0]["train_score"] - prev_score) + env.config.lambda_r * (
+        prev_loss - info[0]["train_loss"]
     )
-    assert reward == pytest.approx(expected)
+    assert reward[0] == pytest.approx(expected)
 
 
 def test_auc_reward_variant():
@@ -120,10 +127,9 @@ def test_auc_reward_variant():
 def test_co_training_tracks_best_graph():
     env, graph = make_env(co_train=True)
     env.reset()
-    n = graph.num_nodes
     rng = np.random.default_rng(0)
     for _ in range(4):
-        env.step(rng.integers(0, 3, 2 * n))
+        env.step(rng.integers(0, 3, (1, 2 * graph.num_nodes)))
     assert env.best_acc > 0.0
     assert env.best_graph is not None
 
@@ -131,15 +137,15 @@ def test_co_training_tracks_best_graph():
 def test_history_recorded():
     env, graph = make_env()
     env.reset()
-    env.step(np.ones(2 * graph.num_nodes, dtype=int))
-    assert len(env.history) == 1
-    assert {"reward", "homophily", "num_edges"} <= set(env.history[0])
+    env.step(ones(graph))
+    assert len(env.histories) == 1 and len(env.histories[0]) == 1
+    assert {"reward", "homophily", "num_edges"} <= set(env.histories[0][0])
 
 
 def test_build_observation_ranges():
     env, graph = make_env()
     entropy_cols = build_observation(
-        env.k, env.d, graph, env.sequences, env.config
+        env.k[0], env.d[0], graph, env.sequences, env.config
     )
     assert entropy_cols.shape == (graph.num_nodes, OBS_DIM)
     assert np.isfinite(entropy_cols).all()
@@ -154,57 +160,54 @@ def test_reset_accumulates_history_across_episodes():
     """Documented semantics: history and the global step counter survive
     reset() so one env yields one continuous training log."""
     env, graph = make_env()
-    n = graph.num_nodes
     env.reset()
-    env.step(np.ones(2 * n, dtype=int))
-    env.step(np.ones(2 * n, dtype=int))
+    env.step(ones(graph))
+    env.step(ones(graph))
     env.reset()
-    assert len(env.history) == 2
-    assert env._steps_total == 2
-    env.step(np.ones(2 * n, dtype=int))
-    assert len(env.history) == 3
-    assert env.history[-1]["step"] == 3  # counter keeps running across episodes
+    assert len(env.histories[0]) == 2
+    assert env._steps_total[0] == 2
+    env.step(ones(graph))
+    assert len(env.histories[0]) == 3
+    # The counter keeps running across episodes.
+    assert env.histories[0][-1]["step"] == 3
 
 
 def test_clear_history_starts_a_fresh_log():
     env, graph = make_env()
-    n = graph.num_nodes
     env.reset()
-    env.step(np.ones(2 * n, dtype=int))
+    env.step(ones(graph))
     env.clear_history()
-    assert env.history == []
-    assert env._steps_total == 0
-    env.step(np.ones(2 * n, dtype=int))
-    assert len(env.history) == 1
-    assert env.history[0]["step"] == 1
+    assert env.histories == [[]]
+    assert env._steps_total[0] == 0
+    env.step(ones(graph))
+    assert len(env.histories[0]) == 1
+    assert env.histories[0][0]["step"] == 1
 
 
 def test_reset_restores_episode_state():
     """Per-episode state (k, d, t, current graph) does reset."""
     env, graph = make_env()
-    n = graph.num_nodes
     env.reset()
-    env.step(np.full(2 * n, 2))
-    assert env.t == 1
+    env.step(ones(graph, 2))
+    assert env.t[0] == 1
     env.reset()
-    assert env.t == 0
+    assert env.t[0] == 0
     assert (env.k == 0).all() and (env.d == 0).all()
-    assert env.current_graph is graph
+    assert env.current_graphs[0] is graph
 
 
 def test_rewire_memoization_reuses_graph_objects():
     """Repeated (k, d) states are free: the exact Graph object comes back."""
     env, graph = make_env()
-    n = graph.num_nodes
     env.reset()
-    env.step(np.full(2 * n, 2))  # k=d=1 everywhere (clamped)
-    first = env.current_graph
-    misses = env._rewire_misses
+    env.step(ones(graph, 2))  # k=d=1 everywhere (clamped)
+    first = env.current_graphs[0]
+    misses = env.rewire_memo_stats["misses"]
     env.reset()
-    env.step(np.full(2 * n, 2))  # identical state again
-    assert env.current_graph is first
-    assert env._rewire_misses == misses
-    assert env._rewire_hits >= 1
+    env.step(ones(graph, 2))  # identical state again
+    assert env.current_graphs[0] is first
+    assert env.rewire_memo_stats["misses"] == misses
+    assert env.rewire_memo_stats["hits"] >= 1
 
 
 def test_build_observation_zero_remote_candidates():

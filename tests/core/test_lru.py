@@ -44,16 +44,6 @@ def test_put_existing_key_refreshes_without_eviction():
     assert cache.get("a") == 10
 
 
-def test_per_call_capacity_override_shrinks_population():
-    cache = LRUCache(8)
-    for i in range(6):
-        cache.put(i, i)
-    cache.put("x", "y", capacity=3)
-    assert len(cache) == 3
-    assert cache.evictions == 4
-    assert cache.get("x") == "y"
-
-
 def test_peek_and_pop_do_not_count():
     cache = LRUCache(2)
     cache.put("a", 1)

@@ -1,13 +1,12 @@
-"""Churn parity: sequential vs vectorized envs under live edge churn.
+"""The topology env under live edge churn.
 
-With ``config.stream`` set, both envs drain the SAME seeded event trace
-at the SAME step position (the step prologue, before the agent's move).
-The contract: at ``B = 1`` every observation, reward, info field, memo
-decision, window aggregate and full-graph logit is **byte-identical**
-between :class:`TopologyEnv` and :class:`VecTopologyEnv` — with the
-incremental reward evaluator on or off (the seq-vs-vec axis is bitwise;
-the inc-vs-dense axis is held to the documented 1e-9 halo class of
-``docs/equivalence-policy.md``).
+With ``config.stream`` set, the env drains one seeded event trace at the
+step prologue, before the agents' moves.  Whole fits under churn are
+pinned bit for bit by the golden pins (``test_golden_fit.py``) and each
+``num_envs = 1`` step by the scalar MDP oracle (``scalar_mdp.py``); the
+incremental-vs-dense axis is held to the documented 1e-9 halo class of
+``docs/equivalence-policy.md``, across rebases, and the memo, online
+window and config plumbing are checked directly.
 """
 
 import numpy as np
@@ -18,13 +17,14 @@ from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import Trainer, build_backbone
 from repro.graph import random_split
-from repro.rl.vector import VecTopologyEnv
 from repro.stream import StreamConfig
+
+from .scalar_mdp import assert_matches_oracle
 
 
 def make_parts(num_nodes=40, stream=None, **config_overrides):
     """Fresh (graph, sequences, model, trainer, split, config) — identical
-    across calls, so twin envs start from the same model bytes AND the
+    across calls, so paired envs start from the same model bytes AND the
     same churn trace (StreamConfig carries its own seed)."""
     graph = planted_partition_graph(
         num_nodes=num_nodes, homophily=0.3, feature_signal=0.4,
@@ -48,83 +48,61 @@ def make_parts(num_nodes=40, stream=None, **config_overrides):
 
 
 # ---------------------------------------------------------------------------
-# Seq vs vec under identical churn: bitwise
+# B = 1 under churn: bitwise the scalar MDP oracle
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("incremental", [False, True])
 def test_b1_churn_byte_identical(incremental):
-    env = TopologyEnv(
-        *make_parts(incremental_reward=incremental), co_train=False
+    """Every reward, observation, score and churned base topology of the
+    ``num_envs = 1`` env equals the scalar oracle's, with the incremental
+    evaluator on or off, co-training on."""
+    env = TopologyEnv(*make_parts(incremental_reward=incremental))
+    actions = np.random.default_rng(3).integers(
+        0, 3, (6, 2 * env.base_graph.num_nodes)
+    )  # crosses one episode boundary (horizon 4)
+    assert_matches_oracle(
+        env, make_parts(incremental_reward=incremental), actions, True
     )
-    venv = VecTopologyEnv(
-        *make_parts(incremental_reward=incremental),
-        num_envs=1, co_train=False, seed=0,
-    )
-    n = env.base_graph.num_nodes
-    obs_s = env.reset()
-    obs_v = venv.reset()
-    np.testing.assert_array_equal(obs_s, obs_v[0])
-
-    rng = np.random.default_rng(3)
-    for _ in range(6):  # crosses one episode boundary (horizon=4)
-        action = rng.integers(0, 3, 2 * n)
-        obs_s, rew_s, done_s, info_s = env.step(action)
-        obs_v, rew_v, done_v, info_v = venv.step(action[None])
-        assert rew_s == rew_v[0]  # bitwise: same float, not approx
-        assert done_s == bool(done_v[0])
-        for key, val in info_s.items():
-            assert info_v[0][key] == val, key
-        assert info_s["stream_version"] == info_v[0]["stream_version"]
-        assert info_s["stream_events"] == info_v[0]["stream_events"]
-        if done_s:
-            obs_s = env.reset()
-        np.testing.assert_array_equal(obs_s, obs_v[0])
-        # The drifting base topologies stayed bit-for-bit in lockstep.
-        np.testing.assert_array_equal(
-            env.base_graph.edge_keys(), venv.base_graph.edge_keys()
-        )
     assert env._stream.events_applied == 18
-    assert venv._stream.events_applied == 18
-    # Full-graph logits of the final churned base: byte-identical.
-    np.testing.assert_array_equal(
-        env.model.predict_logits(env.base_graph),
-        venv.model.predict_logits(venv.base_graph),
-    )
-    # Window aggregates: same trace, same integers, same floats.
-    ms, mv = env.stream_metrics(), venv.stream_metrics()
-    assert set(ms) == set(mv)
-    for name in ms:
-        assert np.float64(ms[name]).tobytes() == np.float64(mv[name]).tobytes()
+    env._online.verify()
 
 
+# ---------------------------------------------------------------------------
+# Rebases re-bind the root-addressed reward engines
+# ---------------------------------------------------------------------------
 def test_parity_survives_rebases():
+    """Under a rebasing churn trace the incremental env keeps scoring like
+    the dense one (the documented 1e-9 class) at every batch width,
+    because a rebase re-binds the incremental evaluator and the stacked
+    builder to the new root."""
     stream = StreamConfig(
         regime="hubs", events_per_step=6, rebase_threshold=0.1, seed=2
     )
-    env = TopologyEnv(*make_parts(stream=stream), co_train=False)
-    venv = VecTopologyEnv(
-        *make_parts(stream=stream), num_envs=1, co_train=False, seed=0
-    )
-    n = env.base_graph.num_nodes
-    env.reset()
-    venv.reset()
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        action = rng.integers(0, 3, 2 * n)
-        _, rew_s, done_s, info_s = env.step(action)
-        _, rew_v, _, info_v = venv.step(action[None])
-        assert rew_s == rew_v[0]
-        assert info_s["stream_version"] == info_v[0]["stream_version"]
-        if done_s:
-            env.reset()
-    # The hub regime at a 0.1 threshold actually exercised the rebase
-    # rebind path in BOTH envs (evaluator + stacked builder + memo keys).
-    assert env._stream.rebases >= 1
-    assert venv._stream.rebases == env._stream.rebases
-    np.testing.assert_array_equal(
-        env.base_graph.edge_keys(), venv.base_graph.edge_keys()
-    )
-    env._online.verify()
-    venv._online.verify()
+    for num_envs in (1, 2):
+        dense, inc = (
+            TopologyEnv(
+                *make_parts(stream=stream, incremental_reward=flag,
+                            num_envs=num_envs),
+                co_train=False, seed=0,
+            )
+            for flag in (False, True)
+        )
+        for _ in range(10):
+            actions = dense.sample_actions()
+            _, rew_d, _, info_d = dense.step(actions)
+            _, rew_i, _, info_i = inc.step(actions)
+            np.testing.assert_allclose(rew_i, rew_d, rtol=1e-9, atol=1e-9)
+            assert info_d[0]["stream_version"] == info_i[0]["stream_version"]
+        # The hub regime at a 0.1 threshold actually exercised the rebase
+        # rebind path (evaluator + stacked builder + memo keys).
+        assert inc._stream.rebases >= 1
+        assert dense._stream.rebases == inc._stream.rebases
+        assert inc._inc.base_graph is inc._stream.root
+        assert inc._stack.delta_root is inc._stream.root
+        np.testing.assert_array_equal(
+            dense.base_graph.edge_keys(), inc.base_graph.edge_keys()
+        )
+        dense._online.verify()
+        inc._online.verify()
 
 
 def test_online_window_verifies_inside_the_env():
@@ -132,10 +110,8 @@ def test_online_window_verifies_inside_the_env():
     env.reset()
     rng = np.random.default_rng(1)
     n = env.base_graph.num_nodes
-    for _ in range(8):
-        _, _, done, _ = env.step(rng.integers(0, 3, 2 * n))
-        if done:
-            env.reset()
+    for _ in range(8):  # autoreset crosses episode boundaries
+        env.step(rng.integers(0, 3, (1, 2 * n)))
     # The env-maintained sliding window is byte-identical to rebuilding
     # every record from a fresh fully-validated graph.
     metrics = env._online.verify()
@@ -157,14 +133,11 @@ def test_incremental_vs_dense_rewards_under_churn():
     rng = np.random.default_rng(4)
     n = dense.base_graph.num_nodes
     for _ in range(6):
-        action = rng.integers(0, 3, 2 * n)
-        _, rew_d, done, info_d = dense.step(action)
+        action = rng.integers(0, 3, (1, 2 * n))
+        _, rew_d, _, info_d = dense.step(action)
         _, rew_i, _, info_i = inc.step(action)
-        assert rew_i == pytest.approx(rew_d, rel=1e-9, abs=1e-9)
-        assert info_d["num_edges"] == info_i["num_edges"]
-        if done:
-            dense.reset()
-            inc.reset()
+        assert rew_i[0] == pytest.approx(rew_d[0], rel=1e-9, abs=1e-9)
+        assert info_d[0]["num_edges"] == info_i[0]["num_edges"]
     np.testing.assert_array_equal(
         dense.base_graph.edge_keys(), inc.base_graph.edge_keys()
     )
@@ -208,5 +181,5 @@ def test_non_streaming_env_has_no_stream_state():
         graph, sequences, model, trainer, split, config, co_train=False
     )
     assert env._stream is None and env.stream_metrics() == {}
-    _, _, _, info = env.step(env.sample_action())
-    assert "stream_version" not in info
+    _, _, _, info = env.step(env.sample_actions())
+    assert "stream_version" not in info[0]

@@ -1,10 +1,13 @@
-"""Tests for the batched topology MDP (`repro.rl.vector.VecTopologyEnv`).
+"""Tests for the batched semantics of :class:`repro.core.TopologyEnv`.
 
-The contract under test: with ``B = 1`` every observation, reward, done and
-info is byte-identical to the sequential :class:`TopologyEnv`; with
-``B > 1`` the stacked reward evaluation agrees with per-episode evaluation
-to floating-point noise, and the core batching hooks (clamp, observation
-template) agree with their sequential twins exactly.
+The contract under test: with ``num_envs > 1`` every slot replays exactly
+the episode a ``num_envs = 1`` env produces under the same actions — the
+observations bitwise, the stacked reward evaluation to floating-point
+noise (rtol 1e-9) — and the core batching hooks (clamp, observation
+template) agree with their per-episode forms exactly.  At
+``num_envs = 1`` the env's step stream is bitwise a scalar statement of
+the MDP (the oracle in ``scalar_mdp.py``); whole fits are pinned by
+``test_golden_fit.py``.
 """
 
 import numpy as np
@@ -23,14 +26,14 @@ from repro.core import (
 from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import Trainer, build_backbone
-from repro.graph import random_split
-from repro.rl import PPO, NodePolicy, PPOConfig
-from repro.rl.vector import VecTopologyEnv
+from repro.graph import geom_gcn_splits, random_split
+
+from .scalar_mdp import assert_matches_oracle
 
 
 def make_parts(num_nodes=40, **config_overrides):
     """Fresh (graph, sequences, model, trainer, split, config) — identical
-    across calls, so twin envs start from the same model bytes."""
+    across calls, so paired envs start from the same model bytes."""
     graph = planted_partition_graph(
         num_nodes=num_nodes, homophily=0.3, feature_signal=0.4,
         num_features=32, seed=0,
@@ -90,81 +93,61 @@ def test_observation_template_composes_build_observation():
 
 
 # ---------------------------------------------------------------------------
-# B = 1: byte-identical twin of TopologyEnv
+# B = 1 against a scalar statement of the MDP
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("co_train", [False, True])
 def test_b1_step_stream_byte_identical(co_train):
     env = TopologyEnv(*make_parts(), co_train=co_train)
-    venv = VecTopologyEnv(*make_parts(), num_envs=1, co_train=co_train, seed=0)
-    n = env.base_graph.num_nodes
-
-    obs_s = env.reset()
-    obs_v = venv.reset()
-    np.testing.assert_array_equal(obs_s, obs_v[0])
-
-    rng = np.random.default_rng(3)
-    for _ in range(6):  # crosses one episode boundary (horizon=4)
-        action = rng.integers(0, 3, 2 * n)
-        obs_s, rew_s, done_s, info_s = env.step(action)
-        obs_v, rew_v, done_v, info_v = venv.step(action[None])
-        assert rew_s == rew_v[0]
-        assert done_s == bool(done_v[0])
-        for key, val in info_s.items():
-            assert info_v[0][key] == val
-        if done_s:
-            np.testing.assert_array_equal(
-                obs_s, info_v[0]["terminal_observation"]
-            )
-            obs_s = env.reset()
-        np.testing.assert_array_equal(obs_s, obs_v[0])
-        np.testing.assert_array_equal(env.k, venv.k[0])
-        np.testing.assert_array_equal(env.d, venv.d[0])
+    actions = np.random.default_rng(3).integers(
+        0, 3, (6, 2 * env.base_graph.num_nodes)
+    )  # crosses one episode boundary (horizon 4)
+    assert_matches_oracle(env, make_parts(), actions, co_train)
 
 
 def test_b1_auc_reward_variant_matches():
     env = TopologyEnv(*make_parts(reward="auc"), co_train=False)
-    venv = VecTopologyEnv(
-        *make_parts(reward="auc"), num_envs=1, co_train=False, seed=0
+    actions = np.random.default_rng(0).integers(
+        0, 3, (3, 2 * env.base_graph.num_nodes)
     )
-    n = env.base_graph.num_nodes
-    env.reset()
-    venv.reset()
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        action = rng.integers(0, 3, 2 * n)
-        _, rew_s, _, _ = env.step(action)
-        _, rew_v, _, _ = venv.step(action[None])
-        assert rew_s == rew_v[0]
+    assert_matches_oracle(env, make_parts(reward="auc"), actions, False)
 
 
 # ---------------------------------------------------------------------------
-# B > 1: batch semantics
+# B > 1 against B = 1
 # ---------------------------------------------------------------------------
 def test_stacked_rewards_match_loop_evaluation():
+    """The stacked B > 1 forward (incremental on) scores every episode like
+    a per-episode B = 1 env does, to rtol 1e-9, for both rewards."""
     B = 4
-    va = VecTopologyEnv(*make_parts(), num_envs=B, co_train=False, seed=0,
-                        reward_batching="stacked")
-    vb = VecTopologyEnv(*make_parts(), num_envs=B, co_train=False, seed=0,
-                        reward_batching="loop")
-    np.testing.assert_array_equal(va.reset(), vb.reset())
-    for _ in range(4):
-        actions = va.sample_actions()
-        obs_a, rew_a, done_a, _ = va.step(actions)
-        obs_b, rew_b, done_b, _ = vb.step(actions)
-        np.testing.assert_array_equal(obs_a, obs_b)
-        np.testing.assert_allclose(rew_a, rew_b, rtol=1e-9, atol=1e-12)
-        np.testing.assert_array_equal(done_a, done_b)
+    for reward in ("acc_loss", "auc"):
+        parts = dict(reward=reward, incremental_reward=True)
+        venv = TopologyEnv(*make_parts(num_envs=B, **parts), co_train=False,
+                           seed=0)
+        singles = [
+            TopologyEnv(*make_parts(**parts), co_train=False)
+            for _ in range(B)
+        ]
+        obs_v = venv.reset()
+        for b, env in enumerate(singles):
+            np.testing.assert_array_equal(env.reset()[0], obs_v[b])
+        for _ in range(6):  # crosses an episode boundary (horizon 4)
+            actions = venv.sample_actions()
+            obs_v, rew_v, done_v, _ = venv.step(actions)
+            for b, env in enumerate(singles):
+                obs_s, rew_s, done_s, _ = env.step(actions[b:b + 1])
+                np.testing.assert_array_equal(obs_s[0], obs_v[b])
+                assert done_s[0] == done_v[b]
+                np.testing.assert_allclose(rew_s[0], rew_v[b], rtol=1e-9,
+                                           atol=1e-12)
 
 
 def test_batched_episodes_match_independent_sequential_envs():
-    """Each batch slot replays exactly the episode a sequential env would
-    produce under the same actions (co_train off = fixed shared model)."""
+    """Each batch slot replays exactly the episode a ``num_envs = 1`` env
+    produces under the same actions (co_train off = fixed shared model)."""
     B = 3
-    venv = VecTopologyEnv(*make_parts(), num_envs=B, co_train=False, seed=0)
+    venv = TopologyEnv(*make_parts(num_envs=B), co_train=False, seed=0)
     parts = make_parts()
-    seq_envs = [
-        TopologyEnv(*parts, co_train=False) for _ in range(B)
-    ]
+    seq_envs = [TopologyEnv(*parts, co_train=False) for _ in range(B)]
     venv.reset()
     for env in seq_envs:
         env.reset()
@@ -174,15 +157,15 @@ def test_batched_episodes_match_independent_sequential_envs():
         actions = rng.integers(0, 3, (B, 2 * n))
         obs_v, rew_v, _, _ = venv.step(actions)
         for b, env in enumerate(seq_envs):
-            obs_s, rew_s, _, _ = env.step(actions[b])
-            np.testing.assert_array_equal(obs_s, obs_v[b])
-            assert rew_s == pytest.approx(rew_v[b], rel=1e-9, abs=1e-12)
+            obs_s, rew_s, _, _ = env.step(actions[b:b + 1])
+            np.testing.assert_array_equal(obs_s[0], obs_v[b])
+            assert rew_s[0] == pytest.approx(rew_v[b], rel=1e-9, abs=1e-12)
 
 
 def test_autoreset_and_episode_infos():
     B = 2
-    venv = VecTopologyEnv(*make_parts(horizon=2), num_envs=B, co_train=False,
-                          seed=0)
+    venv = TopologyEnv(*make_parts(horizon=2, num_envs=B), co_train=False,
+                       seed=0)
     venv.reset()
     venv.step(venv.sample_actions())
     obs, rewards, dones, infos = venv.step(venv.sample_actions())
@@ -195,7 +178,7 @@ def test_autoreset_and_episode_infos():
     assert (venv.k == 0).all() and (venv.d == 0).all()
     assert (obs[:, :, 0] == 0).all() and (obs[:, :, 1] == 0).all()
     assert all(g is venv.base_graph for g in venv.current_graphs)
-    # Histories accumulate across episodes, like the sequential env.
+    # Histories accumulate across episodes.
     assert all(len(h) == 2 for h in venv.histories)
     venv.reset()
     assert all(len(h) == 2 for h in venv.histories)
@@ -206,21 +189,21 @@ def test_autoreset_and_episode_infos():
 def test_shared_rewire_memo_across_envs():
     """Two episodes reaching the same (k, d) state share one Graph."""
     B = 2
-    venv = VecTopologyEnv(*make_parts(), num_envs=B, co_train=False, seed=0)
+    venv = TopologyEnv(*make_parts(num_envs=B), co_train=False, seed=0)
     venv.reset()
     n = venv.base_graph.num_nodes
     same = np.tile(np.full(2 * n, 2), (B, 1))  # both increment everything
     venv.step(same)
     assert venv.current_graphs[0] is venv.current_graphs[1]
-    assert venv._rewire_misses == 1
-    assert venv._rewire_hits >= 1
+    assert venv.rewire_memo_stats["misses"] == 1
+    assert venv.rewire_memo_stats["hits"] >= 1
 
 
 def test_seed_spawns_stable_per_episode_streams():
     """Episode b's random stream is one function of (base seed, b): the
     same for any batch width that includes it."""
-    a = VecTopologyEnv(*make_parts(), num_envs=2, co_train=False, seed=11)
-    b = VecTopologyEnv(*make_parts(), num_envs=4, co_train=False, seed=11)
+    a = TopologyEnv(*make_parts(num_envs=2), co_train=False, seed=11)
+    b = TopologyEnv(*make_parts(num_envs=4), co_train=False, seed=11)
     sa = a.sample_actions()
     sb = b.sample_actions()
     np.testing.assert_array_equal(sa, sb[:2])
@@ -233,68 +216,54 @@ def test_seed_spawns_stable_per_episode_streams():
 
 def test_sequential_env_seed_plumbing():
     env = TopologyEnv(*make_parts(), co_train=False, seed=4)
-    first = env.sample_action()
+    first = env.sample_actions()
+    assert first.shape == (1, 2 * env.base_graph.num_nodes)
     env.reset(seed=4)
-    np.testing.assert_array_equal(env.sample_action(), first)
-    assert env.action_space.contains(first)
+    np.testing.assert_array_equal(env.sample_actions(), first)
+    assert env.action_space.contains(first[0])
 
 
 def test_validation_errors():
-    parts = make_parts()
     with pytest.raises(ValueError, match="num_envs"):
-        VecTopologyEnv(*parts, num_envs=0)
-    with pytest.raises(ValueError, match="reward_batching"):
-        VecTopologyEnv(*parts, num_envs=2, reward_batching="turbo")
-    venv = VecTopologyEnv(*parts, num_envs=2, co_train=False, seed=0)
+        make_parts(num_envs=0)
+    venv = TopologyEnv(*make_parts(num_envs=2), co_train=False, seed=0)
     with pytest.raises(ValueError, match="actions"):
         venv.step(np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="actions"):
+        venv.step(np.zeros((1, 2 * venv.base_graph.num_nodes), dtype=int))
 
 
 def test_rare_config_num_envs_validation():
     with pytest.raises(ValueError, match="num_envs"):
         RareConfig(num_envs=0)
-    with pytest.raises(ValueError, match="vectorized"):
-        RareConfig(num_envs=4, rl_algorithm="reinforce")
     assert RareConfig(num_envs=4).num_envs == 4
+    # Every agent collects through the batched path, REINFORCE included.
+    assert RareConfig(num_envs=4, rl_algorithm="reinforce").num_envs == 4
+
+
+def test_vec_topology_env_is_an_alias():
+    from repro.rl.vector.topology import VecTopologyEnv
+
+    assert VecTopologyEnv is TopologyEnv
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: PPO through the B = 1 vectorized path is the reference run
+# Framework integration
 # ---------------------------------------------------------------------------
-def test_ppo_vectorized_b1_training_byte_identical():
-    env = TopologyEnv(*make_parts(num_nodes=30, horizon=3), co_train=True)
-    ppo_a = PPO(
-        NodePolicy(obs_dim=OBS_DIM, hidden=16, rng=np.random.default_rng(1)),
-        PPOConfig(update_epochs=1),
-        rng=np.random.default_rng(2),
-    )
-    ppo_a.learn(env, total_steps=6, rollout_steps=3)
-
-    venv = VecTopologyEnv(
-        *make_parts(num_nodes=30, horizon=3), num_envs=1, co_train=True, seed=0
-    )
-    ppo_b = PPO(
-        NodePolicy(obs_dim=OBS_DIM, hidden=16, rng=np.random.default_rng(1)),
-        PPOConfig(update_epochs=1),
-        rng=np.random.default_rng(2),
-    )
-    ppo_b.learn(venv, total_steps=6, rollout_steps=3)
-
-    for p_a, p_b in zip(ppo_a.policy.parameters(), ppo_b.policy.parameters()):
-        np.testing.assert_array_equal(p_a.data, p_b.data)
-    assert ppo_a.history == ppo_b.history
-
-
-def test_graphrare_fit_with_num_envs():
-    """Framework integration: the vectorized collection path produces a
-    valid result end to end."""
-    from repro.core import GraphRARE
-
+def _fit_world():
     graph = planted_partition_graph(
         num_nodes=40, num_classes=3, homophily=0.25,
         feature_signal=0.5, num_features=32, seed=0,
     )
-    split = random_split(graph.labels, np.random.default_rng(0))
+    return graph, random_split(graph.labels, np.random.default_rng(0))
+
+
+def test_graphrare_fit_with_num_envs():
+    """Framework integration: the batched collection path produces a
+    valid result end to end."""
+    from repro.core import GraphRARE
+
+    graph, split = _fit_world()
     cfg = RareConfig(
         k_max=3, d_max=3, max_candidates=8, episodes=4, horizon=3,
         num_envs=2, final_epochs=20, final_patience=6, seed=0,
@@ -303,3 +272,48 @@ def test_graphrare_fit_with_num_envs():
     assert 0.0 <= result.test_acc <= 1.0
     # ceil(4 episodes / 2 envs) = 2 update iterations.
     assert len(result.episode_rewards) == 2
+
+
+@pytest.mark.parametrize("num_envs", [2, 4])
+def test_graphrare_reinforce_with_num_envs(num_envs):
+    """REINFORCE runs at any batch width: one curve entry per
+    ``num_envs``-episode iteration, ``ceil(episodes / num_envs)`` in all."""
+    from repro.core import GraphRARE
+
+    graph, split = _fit_world()
+    cfg = RareConfig(
+        rl_algorithm="reinforce", k_max=3, d_max=3, max_candidates=8,
+        episodes=5, horizon=3, num_envs=num_envs, final_epochs=10,
+        final_patience=10, seed=0,
+    )
+    result = GraphRARE("gcn", cfg).fit(graph, split, train_baseline=False)
+    iterations = -(-5 // num_envs)
+    assert len(result.episode_rewards) == iterations
+    assert len(result.accuracy_curve) == iterations
+    assert len(result.homophily_curve) == iterations
+    assert np.isfinite(result.episode_rewards).all()
+    assert 0.0 <= result.test_acc <= 1.0
+
+
+def test_selection_tie_keeps_original_topology():
+    """On an exact validation tie between the original topology and a
+    rewired record graph, the original wins: the current graphs (the
+    original after autoreset) are candidates before the record graph and
+    only a strictly higher accuracy replaces the selection.  Measured
+    case: both candidates reach val 0.5833 in every iteration."""
+    from repro.core import GraphRARE
+
+    graph = planted_partition_graph(
+        num_nodes=120, num_classes=4, homophily=0.3, mean_degree=4,
+        num_features=24, seed=3,
+    )
+    split = geom_gcn_splits(graph, seed=3)[0]
+    cfg = RareConfig(
+        seed=3, k_max=3, d_max=3, max_candidates=8, episodes=6, horizon=3,
+        final_epochs=15, final_patience=15, co_train_epochs=3,
+        co_train_patience=3, num_envs=2,
+    )
+    result = GraphRARE("gcn", cfg).fit(graph, split)
+    assert result.accuracy_curve == [7 / 12] * 3
+    assert result.optimized_graph is graph
+    assert result.test_acc == 0.375

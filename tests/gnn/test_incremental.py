@@ -41,7 +41,6 @@ from repro.graph import (
     two_hop_adjacency,
 )
 from repro.nn import accuracy, cross_entropy
-from repro.rl.vector import VecTopologyEnv
 from repro.tensor import Tensor
 
 N = 36
@@ -433,12 +432,9 @@ def test_topology_env_incremental_parity():
         env = TopologyEnv(graph, sequences, model, trainer, split, config,
                           co_train=True, seed=0)
         collected = []
-        for _ in range(2):
-            env.reset()
-            done = False
-            while not done:
-                _, r, done, _ = env.step(env.sample_action())
-                collected.append(r)
+        for _ in range(2 * config.horizon):  # two episodes (autoreset)
+            _, r, _, _ = env.step(env.sample_actions())
+            collected.append(r[0])
         rewards[flag] = np.array(collected)
         assert (env._inc is not None) == flag
     np.testing.assert_allclose(
@@ -465,9 +461,8 @@ def test_derived_base_graph_keeps_the_halo_path():
     # Force the halo path whatever the edit size, then take steps.
     env._inc.max_halo_frac = 1.0
     env.reset()
-    done = False
-    while not done:
-        _, _, done, _ = env.step(env.sample_action())
+    for _ in range(config.horizon):
+        env.step(env.sample_actions())
     stats = env._inc.stats
     assert stats["halo_evals"] + stats["base_hits"] > 0
     assert stats["full_evals"] == 0
@@ -482,8 +477,8 @@ def test_vec_env_incremental_parity_and_stacked_delta():
             k_max=4, d_max=4, max_candidates=8, horizon=3,
             num_envs=3, incremental_reward=flag,
         )
-        venv = VecTopologyEnv(graph, sequences, model, trainer, split, config,
-                              num_envs=3, co_train=True, seed=0)
+        venv = TopologyEnv(graph, sequences, model, trainer, split, config,
+                           co_train=True, seed=0)
         collected = []
         for _ in range(4):
             _, r, _, _ = venv.step(venv.sample_actions())
@@ -491,10 +486,10 @@ def test_vec_env_incremental_parity_and_stacked_delta():
         rewards[flag] = np.array(collected)
         if flag:
             # The stacked graph carries the block-diagonal delta union.
-            stacked = venv._stacked_graph(venv.current_graphs)
+            stacked = venv._stack.stacked_graph(venv.current_graphs)
             assert stacked.delta is not None
-            assert stacked.delta.base is venv._get_stacked_base()
-            total = venv._inc_stacked.stats
+            assert stacked.delta.base is venv._stack.stacked_base(3)
+            total = venv._stack.incremental_for(3).stats
             assert (
                 total["base_hits"] + total["halo_evals"] + total["full_evals"]
                 > 0

@@ -33,7 +33,6 @@ from repro.gnn import (
 )
 from repro.gnn.incremental import _PLANS
 from repro.graph import random_split
-from repro.rl.vector import VecTopologyEnv
 
 N = 36
 
@@ -312,12 +311,9 @@ def test_topology_env_incremental_parity(backbone):
         env = TopologyEnv(graph, sequences, model, trainer, split, config,
                           co_train=True, seed=0)
         collected = []
-        for _ in range(2):
-            env.reset()
-            done = False
-            while not done:
-                _, r, done, _ = env.step(env.sample_action())
-                collected.append(r)
+        for _ in range(2 * config.horizon):  # two episodes (autoreset)
+            _, r, _, _ = env.step(env.sample_actions())
+            collected.append(r[0])
         rewards[flag] = np.array(collected)
         if flag:
             stats = env._inc.stats
@@ -338,17 +334,17 @@ def test_vec_env_incremental_parity(backbone):
             k_max=4, d_max=4, max_candidates=8, horizon=3,
             num_envs=3, incremental_reward=flag, max_halo_frac=1.0,
         )
-        venv = VecTopologyEnv(graph, sequences, model, trainer, split, config,
-                              num_envs=3, co_train=True, seed=0)
+        venv = TopologyEnv(graph, sequences, model, trainer, split, config,
+                           co_train=True, seed=0)
         collected = []
         for _ in range(4):
             _, r, _, _ = venv.step(venv.sample_actions())
             collected.append(r.copy())
         rewards[flag] = np.array(collected)
         if flag:
-            stacked = venv._stacked_graph(venv.current_graphs)
+            stacked = venv._stack.stacked_graph(venv.current_graphs)
             assert stacked.delta is not None
-            total = venv._inc_stacked.stats
+            total = venv._stack.incremental_for(3).stats
             assert (
                 total["base_hits"] + total["halo_evals"]
                 + total["state_fulls"] + total["full_evals"] > 0

@@ -8,9 +8,9 @@ here (``docs/equivalence-policy.md``, "Sparse-feature input"):
 * given the same dropout mask, logits and first-layer weight gradients
   are float64-allclose to the dense path;
 * every exactness contract that compares two evaluations of the *same*
-  operand stays bitwise — halo vs dense eval off the halo,
-  ``VecTopologyEnv`` at B=1 vs ``TopologyEnv``, out-of-core vs in-RAM
-  base states;
+  operand stays bitwise — halo vs dense eval off the halo, the env's
+  ``num_envs = 1`` rewards vs direct ``reward_metrics`` scoring,
+  out-of-core vs in-RAM base states;
 * narrow or dense features, and GraphSAGE / MixHop, never see the CSR
   operand; a fit converts its features once.
 """
@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 import repro.gnn.base as gnn_base
 from repro.core import GraphRARE, RareConfig, TopologyEnv, rewire_graph
+from repro.core.env import reward_metrics
 from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import (
@@ -35,7 +36,6 @@ from repro.gnn.base import SPARSE_MAX_DENSITY, SPARSE_MIN_WIDTH
 from repro.graph import Graph, random_split
 from repro.graph.storage import load_graph_bundle, save_graph_bundle
 from repro.nn import Dropout, cross_entropy
-from repro.rl.vector import VecTopologyEnv
 from repro.tensor import Tensor
 
 PROJECTION_FIRST = ("mlp", "gcn", "gat", "h2gcn")
@@ -250,22 +250,25 @@ def _env_parts(world):
 
 
 def test_vec_env_b1_bitwise_vs_sequential(world):
-    env = TopologyEnv(*_env_parts(world), co_train=True)
-    venv = VecTopologyEnv(*_env_parts(world), num_envs=1, co_train=True, seed=0)
+    """At ``num_envs = 1`` the env scores each step through
+    ``reward_metrics`` on the CSR operand: its per-step score, loss and
+    reward are bitwise those of scoring the rewired graphs one by one."""
+    env = TopologyEnv(*_env_parts(world), co_train=False)
     assert sp.isspmatrix_csr(features_tensor(env.base_graph, env.model))
-    obs_s, obs_v = env.reset(), venv.reset()
-    np.testing.assert_array_equal(obs_s, obs_v[0])
+    g, seqs, split = world
+    prev = reward_metrics(env.model, g, split.train, "acc_loss")
     rng = np.random.default_rng(3)
-    n = env.base_graph.num_nodes
-    for _ in range(4):
-        action = rng.integers(0, 3, 2 * n)
-        obs_s, rew_s, done_s, _ = env.step(action)
-        obs_v, rew_v, done_v, _ = venv.step(action[None])
-        assert rew_s == rew_v[0]
-        assert done_s == bool(done_v[0])
-        if done_s:
-            obs_s = env.reset()
-        np.testing.assert_array_equal(obs_s, obs_v[0])
+    k = np.zeros(g.num_nodes, dtype=np.int64)
+    d = np.zeros(g.num_nodes, dtype=np.int64)
+    for _ in range(2):  # inside one episode (horizon 3)
+        action = rng.integers(0, 3, (1, 2 * g.num_nodes))
+        _, reward, _, info = env.step(action)
+        k, d = env.k[0].copy(), env.d[0].copy()
+        graph = rewire_graph(g, seqs, k, d)
+        score, loss = reward_metrics(env.model, graph, split.train, "acc_loss")
+        assert (info[0]["train_score"], info[0]["train_loss"]) == (score, loss)
+        assert reward[0] == (score - prev[0]) + (prev[1] - loss)
+        prev = (score, loss)
 
 
 def test_stream_base_state_bitwise_vs_in_ram(world, tmp_path):

@@ -16,7 +16,7 @@ from repro.rl import (
     build_agent,
 )
 
-from .test_ppo import CounterEnv
+from .toy_env import CounterEnv, counter_venv
 
 
 def make_policy(seed=0):
@@ -63,17 +63,51 @@ def test_build_agent_keeps_native_config():
 # ---------------------------------------------------------------------------
 def test_reinforce_returns_restart_at_boundaries():
     agent = Reinforce(make_policy(), ReinforceConfig(gamma=1.0))
-    env = CounterEnv(n=2, horizon=2)
+    env = counter_venv(n=2, horizon=2)
     buf = agent.collect_rollout(env, 4)
     # Manually set rewards for a deterministic check.
-    buf.rewards[:] = [1.0, 1.0, 1.0, 1.0]
+    buf.rewards[:] = 1.0
     returns = agent._returns(buf)
-    np.testing.assert_allclose(returns, [2.0, 1.0, 2.0, 1.0])
+    np.testing.assert_allclose(returns[:, 0], [2.0, 1.0, 2.0, 1.0])
+
+
+def test_reinforce_batched_returns_match_per_episode_sweep():
+    """Each column of the batched returns-to-go is the scalar backward
+    sweep of that episode alone, bit for bit, boundaries included."""
+    agent = Reinforce(make_policy(), ReinforceConfig(gamma=0.9))
+    buf = agent.collect_rollout(counter_venv(3, n=2, horizon=3), 7)
+    rng = np.random.default_rng(0)
+    buf.rewards[:] = rng.standard_normal(buf.rewards.shape)
+    buf.dones[:] = rng.random(buf.dones.shape) < 0.3
+    returns = agent._returns(buf)
+    for b in range(3):
+        expected = np.zeros(7)
+        running = 0.0
+        for t in reversed(range(7)):
+            if buf.dones[t, b]:
+                running = 0.0
+            running = buf.rewards[t, b] + 0.9 * running
+            expected[t] = running
+        np.testing.assert_array_equal(returns[:, b], expected)
+
+
+@pytest.mark.parametrize("num_envs", [2, 4])
+def test_reinforce_learns_with_batched_envs(num_envs):
+    """REINFORCE runs at any batch width: ``learn`` counts ``B``
+    transitions per vector step and the update sees all of them."""
+    agent = Reinforce(make_policy(), rng=np.random.default_rng(0))
+    history = agent.learn(
+        counter_venv(num_envs, n=2, horizon=4), total_steps=32,
+        rollout_steps=4,
+    )
+    assert sum(s.num_steps for s in history) == 32
+    assert all(s.num_steps == 4 * num_envs for s in history)
+    assert all(np.isfinite(s.policy_loss) for s in history)
 
 
 def test_reinforce_update_stats():
     agent = Reinforce(make_policy(), rng=np.random.default_rng(0))
-    env = CounterEnv(n=2, horizon=4)
+    env = counter_venv(n=2, horizon=4)
     buf = agent.collect_rollout(env, 4)
     stats = agent.update(buf)
     assert stats.num_steps == 4
@@ -83,7 +117,7 @@ def test_reinforce_update_stats():
 
 def test_reinforce_baseline_tracks_returns():
     agent = Reinforce(make_policy(), ReinforceConfig(baseline_decay=0.0))
-    env = CounterEnv(n=2, horizon=2)
+    env = counter_venv(n=2, horizon=2)
     buf = agent.collect_rollout(env, 2)
     agent.update(buf)
     returns = agent._returns(buf)
@@ -93,7 +127,7 @@ def test_reinforce_baseline_tracks_returns():
 
 
 def test_reinforce_learns_counter_env():
-    env = CounterEnv(n=3, horizon=6, target=3)
+    env = counter_venv(n=3, horizon=6, target=3)
     agent = Reinforce(
         make_policy(), ReinforceConfig(lr=5e-3, entropy_coef=0.005),
         rng=np.random.default_rng(0),
@@ -110,7 +144,7 @@ def test_reinforce_learns_counter_env():
 # ---------------------------------------------------------------------------
 def test_a2c_update_stats():
     agent = A2C(make_policy(), rng=np.random.default_rng(0))
-    env = CounterEnv(n=2, horizon=4)
+    env = counter_venv(n=2, horizon=4)
     buf = agent.collect_rollout(env, 4)
     stats = agent.update(buf)
     assert stats.num_steps == 4
@@ -136,14 +170,14 @@ def test_a2c_gradient_clipping(monkeypatch):
     monkeypatch.setattr(a2c_module, "clip_grad_norm", recording_clip)
     agent = A2C(make_policy(), A2CConfig(max_grad_norm=0.01),
                 rng=np.random.default_rng(0))
-    buf = agent.collect_rollout(CounterEnv(n=2, horizon=4), 4)
+    buf = agent.collect_rollout(counter_venv(n=2, horizon=4), 4)
     agent.update(buf)
     assert len(norms) == 4
     assert max(norms) <= 0.01 + 1e-9
 
 
 def test_a2c_learns_counter_env():
-    env = CounterEnv(n=3, horizon=6, target=3)
+    env = counter_venv(n=3, horizon=6, target=3)
     agent = A2C(
         make_policy(), A2CConfig(lr=5e-3, entropy_coef=0.005),
         rng=np.random.default_rng(0),

@@ -1,9 +1,9 @@
-"""Tests for the rollout buffer (GAE) and spaces."""
+"""Tests for the rollout buffer's GAE at ``B = 1`` and the action space."""
 
 import numpy as np
 import pytest
 
-from repro.rl import MultiDiscreteSpace, RolloutBuffer
+from repro.rl import BatchedRolloutBuffer, MultiDiscreteSpace
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,20 @@ def test_space_repr():
 # Buffer / GAE
 # ---------------------------------------------------------------------------
 def make_buffer(rewards, values, dones, gamma=0.9, lam=0.8):
-    buf = RolloutBuffer(gamma=gamma, gae_lambda=lam)
+    buf = BatchedRolloutBuffer(
+        max(len(rewards), 1), 1, obs_shape=(2, 2), action_dim=4,
+        gamma=gamma, gae_lambda=lam,
+    )
     for r, v, d in zip(rewards, values, dones):
-        buf.add(np.zeros((2, 2)), np.zeros(4, dtype=int), r, v, 0.0, d)
+        buf.add(np.zeros((1, 2, 2)), np.zeros((1, 4), dtype=int),
+                [r], [v], [0.0], [d])
     return buf
+
+
+def gae(buf, last_value=0.0):
+    """Flat ``(advantages, returns)`` of a ``B = 1`` buffer."""
+    adv, ret = buf.compute_advantages(np.array([last_value]))
+    return adv[:, 0], ret[:, 0]
 
 
 def reference_gae(rewards, values, dones, last_value, gamma, lam):
@@ -64,7 +74,7 @@ def test_gae_matches_reference_implementation():
     values = rng.standard_normal(10)
     dones = [False] * 9 + [True]
     buf = make_buffer(rewards, values, dones)
-    adv, ret = buf.compute_advantages(last_value=0.5)
+    adv, ret = gae(buf, last_value=0.5)
     expected = reference_gae(rewards, values, dones, 0.5, 0.9, 0.8)
     np.testing.assert_allclose(adv, expected)
     np.testing.assert_allclose(ret, expected + values)
@@ -72,14 +82,14 @@ def test_gae_matches_reference_implementation():
 
 def test_gae_single_step_terminal():
     buf = make_buffer([1.0], [0.3], [True])
-    adv, ret = buf.compute_advantages()
+    adv, ret = gae(buf)
     assert adv[0] == pytest.approx(1.0 - 0.3)
     assert ret[0] == pytest.approx(1.0)
 
 
 def test_gae_bootstrap_uses_last_value():
     buf = make_buffer([0.0], [0.0], [False], gamma=1.0, lam=1.0)
-    adv, _ = buf.compute_advantages(last_value=2.0)
+    adv, _ = gae(buf, last_value=2.0)
     assert adv[0] == pytest.approx(2.0)
 
 
@@ -89,7 +99,7 @@ def test_gae_resets_at_episode_boundary():
     values = [0.0, 0.0, 0.0]
     dones = [False, True, True]
     buf = make_buffer(rewards, values, dones, gamma=1.0, lam=1.0)
-    adv, _ = buf.compute_advantages()
+    adv, _ = gae(buf)
     assert adv[0] == pytest.approx(0.0)
     assert adv[2] == pytest.approx(100.0)
 
@@ -98,17 +108,10 @@ def test_gamma_lambda_one_gives_monte_carlo():
     rewards = [1.0, 1.0, 1.0]
     values = [0.0, 0.0, 0.0]
     buf = make_buffer(rewards, values, [False, False, True], gamma=1.0, lam=1.0)
-    adv, ret = buf.compute_advantages()
+    adv, ret = gae(buf)
     np.testing.assert_allclose(ret, [3.0, 2.0, 1.0])
 
 
 def test_empty_buffer_raises():
     with pytest.raises(ValueError):
-        RolloutBuffer().compute_advantages()
-
-
-def test_clear():
-    buf = make_buffer([1.0], [0.0], [True])
-    assert len(buf) == 1
-    buf.clear()
-    assert len(buf) == 0
+        make_buffer([], [], []).compute_advantages()

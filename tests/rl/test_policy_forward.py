@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.rl import NodePolicy, PPO, PPOConfig, RolloutBuffer
+from repro.rl import BatchedRolloutBuffer, NodePolicy, PPO, PPOConfig
 from repro.tensor import Tensor, ops
 
 from .reference_policy import (
@@ -183,15 +183,18 @@ def test_rollout_calls_record_no_graph():
 # ---------------------------------------------------------------------------
 def fixed_buffer(num_steps=6, seed=12):
     rng = np.random.default_rng(seed)
-    buf = RolloutBuffer()
+    buf = BatchedRolloutBuffer(
+        num_steps, 1, obs_shape=(NUM_NODES, OBS_DIM),
+        action_dim=2 * NUM_NODES,
+    )
     for t in range(num_steps):
         buf.add(
-            rng.standard_normal((NUM_NODES, OBS_DIM)),
-            rng.integers(0, 3, size=2 * NUM_NODES),
-            float(rng.standard_normal()),
-            float(rng.standard_normal()),
-            -2.0 * NUM_NODES * np.log(3.0) + 0.1 * float(rng.standard_normal()),
-            t == num_steps - 1,
+            rng.standard_normal((1, NUM_NODES, OBS_DIM)),
+            rng.integers(0, 3, size=(1, 2 * NUM_NODES)),
+            [float(rng.standard_normal())],
+            [float(rng.standard_normal())],
+            [-2.0 * NUM_NODES * np.log(3.0) + 0.1 * float(rng.standard_normal())],
+            [t == num_steps - 1],
         )
     return buf
 

@@ -4,47 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn import clip_grad_norm
-from repro.rl import Env, MultiDiscreteSpace, NodePolicy, PPO, PPOConfig
+from repro.rl import NodePolicy, PPO, PPOConfig
 
-
-class CounterEnv(Env):
-    """Toy multi-discrete control problem with the GraphRARE action layout.
-
-    Each of ``n`` counters starts at 0 and should reach its target; actions
-    are (dec / keep / inc) per counter for two banks (mirroring the k and d
-    banks).  Reward is the decrease in total distance to target — directly
-    analogous to the paper's Delta-accuracy reward.
-    """
-
-    OBS_DIM = 4
-
-    def __init__(self, n=4, horizon=8, target=3):
-        self.n = n
-        self.horizon = horizon
-        self.target = np.full(2 * n, float(target))
-        self.action_space = MultiDiscreteSpace([3] * 2 * n)
-
-    def _obs(self):
-        # Row i describes counter i in both banks: (value, gap) x 2.
-        k_state, d_state = self.state[: self.n], self.state[self.n :]
-        k_gap = self.target[: self.n] - k_state
-        d_gap = self.target[self.n :] - d_state
-        return np.stack(
-            [k_state / 5.0, k_gap / 5.0, d_state / 5.0, d_gap / 5.0], axis=1
-        )
-
-    def reset(self):
-        self.state = np.zeros(2 * self.n)
-        self.t = 0
-        return self._obs()
-
-    def step(self, action):
-        before = np.abs(self.target - self.state).sum()
-        self.state += np.asarray(action) - 1.0
-        after = np.abs(self.target - self.state).sum()
-        self.t += 1
-        done = self.t >= self.horizon
-        return self._obs(), float(before - after), done, {}
+from .toy_env import CounterEnv, counter_venv
 
 
 @pytest.fixture
@@ -84,17 +46,17 @@ def test_evaluate_matches_act_log_prob(policy):
 
 
 def test_collect_rollout_length(policy):
-    env = CounterEnv()
+    env = counter_venv()
     ppo = PPO(policy, rng=np.random.default_rng(0))
     buf = ppo.collect_rollout(env, 10)
     assert len(buf) == 10
     # Episode boundary after horizon=8 steps.
-    assert buf.dones[7] is True
-    assert buf.dones[8] is False
+    assert buf.dones[7, 0]
+    assert not buf.dones[8, 0]
 
 
 def test_update_returns_stats(policy):
-    env = CounterEnv()
+    env = counter_venv()
     ppo = PPO(policy, PPOConfig(update_epochs=1), rng=np.random.default_rng(0))
     buf = ppo.collect_rollout(env, 8)
     stats = ppo.update(buf)
@@ -144,7 +106,7 @@ def test_gradient_clipping_leaves_small_or_disabled_norms(policy):
 
 def test_ppo_learns_counter_env():
     """End-to-end: mean episode reward should rise toward the optimum."""
-    env = CounterEnv(n=3, horizon=6, target=3)
+    env = counter_venv(n=3, horizon=6, target=3)
     policy = NodePolicy(obs_dim=CounterEnv.OBS_DIM, hidden=32, rng=np.random.default_rng(0))
     ppo = PPO(
         policy,
@@ -161,7 +123,7 @@ def test_ppo_learns_counter_env():
 
 
 def test_learn_respects_total_steps(policy):
-    env = CounterEnv()
+    env = counter_venv()
     ppo = PPO(policy, PPOConfig(update_epochs=1), rng=np.random.default_rng(0))
     history = ppo.learn(env, total_steps=20, rollout_steps=8)
     assert sum(s.num_steps for s in history) == 20

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.rl import Categorical, MultiDiscreteDistribution, RolloutBuffer
+from repro.rl import BatchedRolloutBuffer, Categorical, MultiDiscreteDistribution
 from repro.tensor import Tensor
 
 logit_arrays = arrays(
@@ -57,11 +57,15 @@ def test_joint_log_prob_leq_zero(logits):
     gamma=st.floats(min_value=0.5, max_value=1.0),
 )
 def test_gae_with_zero_values_and_lambda_one_is_discounted_return(rewards, gamma):
-    buf = RolloutBuffer(gamma=gamma, gae_lambda=1.0)
+    buf = BatchedRolloutBuffer(
+        len(rewards), 1, obs_shape=(1, 1), action_dim=2,
+        gamma=gamma, gae_lambda=1.0,
+    )
     for i, r in enumerate(rewards):
         done = i == len(rewards) - 1
-        buf.add(np.zeros((1, 1)), np.zeros(2, int), r, 0.0, 0.0, done)
-    adv, ret = buf.compute_advantages()
+        buf.add(np.zeros((1, 1, 1)), np.zeros((1, 2), int), [r], [0.0],
+                [0.0], [done])
+    adv, ret = buf.compute_flat_advantages()
     expected = 0.0
     expected_list = []
     for r in reversed(rewards):

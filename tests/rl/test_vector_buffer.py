@@ -1,15 +1,15 @@
 """Property tests for the batched rollout buffer's GAE.
 
 The contract: batched GAE over B episodes is *byte-identical* to B
-independent single-env :class:`RolloutBuffer` computations — including
-every done-mask edge (done at the last step, mid-rollout boundaries,
-all-done, never-done) and the truncation bootstrap.
+independent scalar GAE recursions (the oracle below) — including every
+done-mask edge (done at the last step, mid-rollout boundaries, all-done,
+never-done) and the truncation bootstrap.
 """
 
 import numpy as np
 import pytest
 
-from repro.rl import BatchedRolloutBuffer, RolloutBuffer
+from repro.rl import BatchedRolloutBuffer
 
 
 def fill_batched(rewards, values, dones, gamma=0.9, lam=0.8):
@@ -31,11 +31,22 @@ def fill_batched(rewards, values, dones, gamma=0.9, lam=0.8):
 
 
 def single_env_gae(rewards, values, dones, last_value, gamma=0.9, lam=0.8):
-    """Episode-b reference through the sequential RolloutBuffer."""
-    buf = RolloutBuffer(gamma=gamma, gae_lambda=lam)
-    for r, v, d in zip(rewards, values, dones):
-        buf.add(np.zeros((2, 2)), np.zeros(4, dtype=np.int64), r, v, 0.0, d)
-    return buf.compute_advantages(last_value)
+    """Episode-b oracle: the scalar GAE(lambda) recursion, one transition
+    at a time."""
+    n = len(rewards)
+    advantages = np.zeros(n)
+    gae = 0.0
+    for t in reversed(range(n)):
+        if dones[t]:
+            next_value = 0.0
+            next_non_terminal = 0.0
+        else:
+            next_value = values[t + 1] if t + 1 < n else last_value
+            next_non_terminal = 1.0
+        delta = rewards[t] + gamma * next_value * next_non_terminal - values[t]
+        gae = delta + gamma * lam * next_non_terminal * gae
+        advantages[t] = gae
+    return advantages, advantages + np.asarray(values)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -143,12 +154,13 @@ def test_capacity_and_empty_guards():
 
 
 def test_single_buffer_bootstrap_api():
-    """RolloutBuffer carries its truncation bootstrap (satellite fix)."""
-    buf = RolloutBuffer()
-    assert buf.last_value is None
-    buf.add(np.zeros((2, 2)), np.zeros(4, dtype=np.int64), 1.0, 0.5, 0.0, False)
-    buf.set_bootstrap(np.ones((2, 2)), 0.25)
-    assert buf.last_value == 0.25
-    assert np.array_equal(buf.last_obs, np.ones((2, 2)))
-    buf.clear()
-    assert buf.last_value is None and buf.last_obs is None
+    """A ``B = 1`` buffer carries its truncation bootstrap."""
+    buf = BatchedRolloutBuffer(1, 1, obs_shape=(2, 2), action_dim=4)
+    assert buf.last_values is None and buf.last_obs is None
+    buf.add(np.zeros((1, 2, 2)), np.zeros((1, 4), dtype=np.int64),
+            [1.0], [0.5], [0.0], [False])
+    buf.set_bootstrap(np.ones((1, 2, 2)), [0.25])
+    assert buf.last_values[0] == 0.25
+    assert np.array_equal(buf.last_obs, np.ones((1, 2, 2)))
+    adv, _ = buf.compute_advantages()
+    assert adv[0, 0] == 1.0 + 0.99 * 0.25 - 0.5

@@ -1,12 +1,12 @@
-"""Tests for the generic vectorized layer: SyncVecEnv, batched policy
-methods, and the vectorized collection path (against CounterEnv)."""
+"""Tests for the rollout layer: the SyncVecEnv toy-env adapter, batched
+policy methods, and the one collection path (against CounterEnv)."""
 
 import numpy as np
 import pytest
 
-from repro.rl import A2C, NodePolicy, PPO, PPOConfig, SyncVecEnv
+from repro.rl import A2C, NodePolicy, PPO, PPOConfig
 
-from .test_ppo import CounterEnv
+from .toy_env import CounterEnv, SyncVecEnv, counter_venv
 
 
 def make_policy(seed=0):
@@ -150,44 +150,53 @@ def test_act_batch_rejects_bad_shapes():
 # Vectorized collection / learning
 # ---------------------------------------------------------------------------
 def test_collect_vectorized_b1_byte_identical():
-    ppo_a = PPO(make_policy(), rng=np.random.default_rng(7))
-    buf_a = ppo_a.collect_rollout(CounterEnv(), 10)
-    ppo_b = PPO(make_policy(), rng=np.random.default_rng(7))
-    buf_b = ppo_b.collect_vectorized_rollout(SyncVecEnv([CounterEnv()]), 10)
+    """At ``B = 1`` the collector is the scalar loop ``act -> step ->
+    obs = reset() if done else next_obs``, transition for transition:
+    the buffer matches a hand-rolled single-env loop byte for byte."""
+    ppo = PPO(make_policy(), rng=np.random.default_rng(7))
+    buf = ppo.collect_rollout(counter_venv(), 10)
 
+    policy, rng, env = make_policy(), np.random.default_rng(7), CounterEnv()
+    obs = env.reset()
+    rows = []
+    for _ in range(10):
+        action, log_prob, value = policy.act(obs, rng)
+        next_obs, reward, done, _ = env.step(action)
+        rows.append((obs, action, reward, value, log_prob, done))
+        obs = env.reset() if done else next_obs
     np.testing.assert_array_equal(
-        np.stack(buf_a.observations), buf_b.flat_observations()
+        np.stack([r[0] for r in rows]), buf.flat_observations()
     )
-    np.testing.assert_array_equal(np.stack(buf_a.actions), buf_b.flat_actions())
-    np.testing.assert_array_equal(buf_a.rewards, buf_b.flat_rewards())
-    np.testing.assert_array_equal(buf_a.log_probs, buf_b.flat_log_probs())
-    np.testing.assert_array_equal(buf_a.dones, buf_b.dones[:10].reshape(-1))
-    assert buf_a.last_value == buf_b.last_values[0]
-    adv_a, ret_a = buf_a.compute_advantages(buf_a.last_value)
-    adv_b, ret_b = buf_b.compute_flat_advantages()
-    np.testing.assert_array_equal(adv_a, adv_b)
-    np.testing.assert_array_equal(ret_a, ret_b)
+    np.testing.assert_array_equal(
+        np.stack([r[1] for r in rows]), buf.flat_actions()
+    )
+    np.testing.assert_array_equal([r[2] for r in rows], buf.flat_rewards())
+    np.testing.assert_array_equal([r[3] for r in rows], buf.values[:, 0])
+    np.testing.assert_array_equal([r[4] for r in rows], buf.flat_log_probs())
+    np.testing.assert_array_equal([r[5] for r in rows], buf.dones[:, 0])
+    assert buf.last_values[0] == policy.value(obs).item()
 
 
 def test_learn_vectorized_b1_byte_identical():
-    """PPO trained through the B=1 vectorized path reproduces the
-    sequential reference run parameter-for-parameter."""
+    """``learn`` at ``B = 1`` is exactly its collect/update iterations
+    (24 steps in rollouts of 8), parameter for parameter."""
     ppo_a = PPO(make_policy(), PPOConfig(update_epochs=1),
                 rng=np.random.default_rng(3))
-    ppo_a.learn(CounterEnv(), total_steps=24, rollout_steps=8)
+    ppo_a.learn(counter_venv(), total_steps=24, rollout_steps=8)
     ppo_b = PPO(make_policy(), PPOConfig(update_epochs=1),
                 rng=np.random.default_rng(3))
-    ppo_b.learn(SyncVecEnv([CounterEnv()]), total_steps=24, rollout_steps=8)
+    env = counter_venv()
+    for _ in range(3):
+        ppo_b.update(ppo_b.collect_rollout(env, 8))
     for p_a, p_b in zip(ppo_a.policy.parameters(), ppo_b.policy.parameters()):
         np.testing.assert_array_equal(p_a.data, p_b.data)
-    assert [s.num_steps for s in ppo_a.history] == \
-        [s.num_steps for s in ppo_b.history]
+    assert ppo_a.history == ppo_b.history
 
 
 @pytest.mark.parametrize("agent_cls", [PPO, A2C])
 def test_vectorized_learn_counts_batched_transitions(agent_cls):
     agent = agent_cls(make_policy(), rng=np.random.default_rng(0))
-    venv = SyncVecEnv([CounterEnv(n=2, horizon=4) for _ in range(4)])
+    venv = counter_venv(4, n=2, horizon=4)
     history = agent.learn(venv, total_steps=32, rollout_steps=4)
     assert sum(s.num_steps for s in history) == 32
     assert all(s.num_steps == 16 for s in history)  # 4 steps x 4 envs
@@ -195,7 +204,7 @@ def test_vectorized_learn_counts_batched_transitions(agent_cls):
 
 def test_ppo_learns_counter_env_vectorized():
     """End-to-end: batched collection still improves the policy."""
-    venv = SyncVecEnv([CounterEnv(n=3, horizon=6, target=3) for _ in range(4)])
+    venv = counter_venv(4, n=3, horizon=6, target=3)
     policy = make_policy()
     ppo = PPO(
         policy,
@@ -212,13 +221,13 @@ def test_truncation_bootstrap_recorded_on_collect():
     """Satellite fix: a rollout cut mid-episode carries a value-net
     bootstrap instead of the implicit 0.0."""
     ppo = PPO(make_policy(), rng=np.random.default_rng(0))
-    env = CounterEnv(n=2, horizon=8)
+    env = counter_venv(n=2, horizon=8)
     buf = ppo.collect_rollout(env, 5)  # stops 3 steps before the boundary
-    assert not buf.dones[-1]
-    assert buf.last_value is not None
-    expected = ppo.policy.value(buf.last_obs).item()
-    assert buf.last_value == pytest.approx(expected)
+    assert not buf.dones[-1, 0]
+    assert buf.last_values is not None
+    expected = ppo.policy.value(buf.last_obs[0]).item()
+    assert buf.last_values[0] == pytest.approx(expected)
     # Ending exactly on the boundary zeroes the bootstrap.
     buf2 = ppo.collect_rollout(env, 8)
-    assert buf2.dones[-1]
-    assert buf2.last_value == 0.0
+    assert buf2.dones[-1, 0]
+    assert buf2.last_values[0] == 0.0

@@ -1,11 +1,11 @@
-"""Sequential vectorized wrapper around a list of single environments.
+"""Toy environments for the RL tests, and the adapter that runs them.
 
-:class:`SyncVecEnv` is the reference twin of the batched execution layer:
-it implements the :class:`~repro.rl.vector.base.VecEnv` contract by simply
-stepping ``B`` ordinary :class:`~repro.rl.env.Env` instances in a Python
-loop.  It earns no speed, but it defines the semantics — the equivalence
-tests pit :class:`~repro.rl.vector.topology.VecTopologyEnv` against it, and
-any toy env (the test-suite's ``CounterEnv``) can be vectorized with it.
+The agents collect through one path, the batched
+:class:`~repro.rl.vector.VecEnv` contract.  A toy single-episode env
+(:class:`Env`, e.g. :class:`CounterEnv`) meets it through
+:class:`SyncVecEnv`, which steps ``B`` plain envs in a Python loop with
+gym-style autoreset — ``SyncVecEnv([CounterEnv()])`` is the ``B = 1``
+case.
 """
 
 from __future__ import annotations
@@ -14,12 +14,36 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..env import Env
-from .base import VecEnv
+from repro.rl import MultiDiscreteSpace, VecEnv
+
+
+class Env:
+    """The classic step/reset contract.
+
+    Observations are arrays of shape ``(num_components_over_2?, features)``
+    defined by the concrete environment; ``step`` returns
+    ``(obs, reward, done, info)``.  Environments with internal randomness
+    should accept an optional ``seed`` keyword on ``reset`` (gym-style) so
+    :class:`SyncVecEnv` can hand each episode an independent spawned
+    stream.
+    """
+
+    action_space: MultiDiscreteSpace
+
+    def reset(self) -> np.ndarray:
+        """Start a new episode; returns its first observation."""
+        raise NotImplementedError
+
+    def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
+        """Apply ``action``; returns ``(obs, reward, done, info)``."""
+        raise NotImplementedError
 
 
 class SyncVecEnv(VecEnv):
     """Step ``B`` independent env instances sequentially with autoreset.
+
+    ``SyncVecEnv([env])`` is how a toy single env meets the one rollout
+    path of the agents (``B = 1``).
 
     Parameters
     ----------
@@ -120,3 +144,50 @@ class SyncVecEnv(VecEnv):
         return np.stack(
             [self.action_space.sample(rng) for rng in self.rngs]
         )
+
+
+class CounterEnv(Env):
+    """Toy multi-discrete control problem with the GraphRARE action layout.
+
+    Each of ``n`` counters starts at 0 and should reach its target; actions
+    are (dec / keep / inc) per counter for two banks (mirroring the k and d
+    banks).  Reward is the decrease in total distance to target — directly
+    analogous to the paper's Delta-accuracy reward.
+    """
+
+    OBS_DIM = 4
+
+    def __init__(self, n=4, horizon=8, target=3):
+        self.n = n
+        self.horizon = horizon
+        self.target = np.full(2 * n, float(target))
+        self.action_space = MultiDiscreteSpace([3] * 2 * n)
+
+    def _obs(self):
+        # Row i describes counter i in both banks: (value, gap) x 2.
+        k_state, d_state = self.state[: self.n], self.state[self.n :]
+        k_gap = self.target[: self.n] - k_state
+        d_gap = self.target[self.n :] - d_state
+        return np.stack(
+            [k_state / 5.0, k_gap / 5.0, d_state / 5.0, d_gap / 5.0], axis=1
+        )
+
+    def reset(self):
+        self.state = np.zeros(2 * self.n)
+        self.t = 0
+        return self._obs()
+
+    def step(self, action):
+        before = np.abs(self.target - self.state).sum()
+        self.state += np.asarray(action) - 1.0
+        after = np.abs(self.target - self.state).sum()
+        self.t += 1
+        done = self.t >= self.horizon
+        return self._obs(), float(before - after), done, {}
+
+
+def counter_venv(num_envs: int = 1, seed=None, **kwargs) -> SyncVecEnv:
+    """``num_envs`` :class:`CounterEnv` instances behind one
+    :class:`SyncVecEnv`."""
+    return SyncVecEnv([CounterEnv(**kwargs) for _ in range(num_envs)],
+                      seed=seed)

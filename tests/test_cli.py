@@ -90,6 +90,17 @@ def test_run_command_alternative_agent(capsys):
     assert code == 0
 
 
+def test_run_reinforce_with_num_envs(capsys):
+    """``--num-envs > 1`` works for every agent, REINFORCE included."""
+    code = main([
+        "run", "--dataset", "texas", "--scale", "0.4",
+        "--episodes", "2", "--horizon", "2", "--rl", "reinforce",
+        "--num-envs", "2", "--k-max", "2", "--d-max", "2",
+    ])
+    assert code == 0
+    assert "mean over 1 split" in capsys.readouterr().out
+
+
 def test_telemetry_flag_parses():
     args = build_parser().parse_args(["run", "--dataset", "texas"])
     assert args.telemetry is None
@@ -155,9 +166,13 @@ def test_rewire_graph_bundle(tmp_path, capsys):
 
     assert entropy_sidecar_meta(path)["lam"] == 1.0
     assert main(["rewire", "--graph-bundle", path, "--k", "1", "--d", "0"]) == 0
-    with pytest.raises(ValueError, match="lam"):
-        main(["rewire", "--graph-bundle", path, "--k", "1", "--d", "0",
-              "--lam", "2.0"])
+    capsys.readouterr()
+    assert main(["rewire", "--graph-bundle", path, "--k", "1", "--d", "0",
+                 "--lam", "2.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: entropy sidecar")
+    assert "'lam': 2.0" in captured.err and captured.err.count("\n") == 1
 
 
 def test_rewire_bundle_matches_dataset_rewire(tmp_path, capsys):
@@ -202,7 +217,7 @@ def test_run_rejects_zero_splits(capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--num-envs", "0"], "num_envs must be >= 1, got 0"),
     (["--horizon", "0"], "horizon and episodes must be >= 1"),
-    (["--num-envs", "2", "--rl", "reinforce"], "num_envs > 1 requires"),
+    (["--max-halo-frac", "2"], "max_halo_frac must be in [0, 1], got 2.0"),
     (["--churn", "--churn-events", "0"], "events_per_step"),
 ])
 def test_run_config_errors_are_one_line(flags, message, capsys):
@@ -213,4 +228,54 @@ def test_run_config_errors_are_one_line(flags, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_bundle_sidecar_recipe_is_shared_by_run_and_rewire(tmp_path, capsys):
+    """``rewire --graph-bundle`` writes the sidecar ``run`` would write
+    (RareConfig's entropy recipe), so ``run`` reuses it."""
+    from repro.core import RareConfig
+    from repro.graph.storage import entropy_sidecar_meta
+
+    _, path = _make_bundle(tmp_path)
+    assert main(["rewire", "--graph-bundle", path, "--k", "2", "--d", "1"]) == 0
+    meta = entropy_sidecar_meta(path)
+    defaults = RareConfig()
+    for name in ("lam", "embedding", "max_profile_len", "structural_mode"):
+        assert meta[name] == getattr(defaults, name), name
+    assert main([
+        "run", "--graph-bundle", path, "--episodes", "1", "--horizon", "2",
+        "--k-max", "2", "--d-max", "2",
+    ]) == 0
+    assert "mean over 1 split" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--episodes", "1", "--horizon", "2"],
+    ["rewire", "--k", "2", "--d", "1"],
+])
+def test_stale_entropy_sidecar_is_one_error_line(command, tmp_path, capsys):
+    """A sidecar built with another recipe (here: the old CLI recipe,
+    full-width profiles, no recorded ``max_profile_len``/``embedding``)
+    is rejected with exit status 2 before any training."""
+    from repro.entropy import RelativeEntropy
+    from repro.graph.storage import save_entropy_sidecar
+
+    graph, path = _make_bundle(tmp_path)
+    save_entropy_sidecar(path, RelativeEntropy.from_graph(graph, lam=1.0))
+    assert main([command[0], "--graph-bundle", path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: entropy sidecar")
+    assert "unrecorded" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "rewire"])
+def test_missing_bundle_is_one_error_line(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main([command, "--graph-bundle", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot load graph bundle '{missing}'")
     assert captured.err.count("\n") == 1
