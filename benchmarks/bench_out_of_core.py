@@ -97,7 +97,8 @@ def make_bundle(path: str, n: int, seed: int) -> dict:
     )
     save_graph_bundle(graph, path)
     entropy = RelativeEntropy.from_graph(graph, lam=1.0)
-    save_entropy_sidecar(path, entropy)
+    recipe = {"embedding": "normalize", "max_profile_len": None}
+    save_entropy_sidecar(path, entropy, recipe=recipe)
     bundle = GraphBundle.open(path)
     stored = sum(spec["nbytes"] for spec in bundle.meta["arrays"].values())
     return {

@@ -486,8 +486,8 @@ def _entropy_dir(path: str) -> str:
 def save_entropy_sidecar(
     path: str,
     entropy,
+    recipe: Dict,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    recipe: Optional[Dict] = None,
 ) -> str:
     """Persist the screening engine's read-only state next to a bundle.
 
@@ -499,10 +499,11 @@ def save_entropy_sidecar(
     plus the scalar terms in ``entropy.json``.  Everything written is the
     byte-exact output of the in-RAM builders — a
     :class:`ScreenStateLoader` over this sidecar reproduces the in-RAM
-    screen bit for bit.  ``recipe`` (JSON-ready build parameters, e.g.
-    ``embedding`` and ``max_profile_len``) is recorded in the manifest
-    next to ``lam`` and ``structural_mode`` so a reader can check the
-    sidecar matches the build it wants.
+    screen bit for bit.  ``recipe`` holds the JSON-ready build parameters
+    the entropy was made with (``embedding`` and ``max_profile_len``; see
+    :data:`repro.core.framework.ENTROPY_RECIPE`).  It is recorded in the
+    manifest next to ``lam`` and ``structural_mode`` so a reader can check
+    the sidecar matches the build it wants.
     """
     from ..entropy.screening import PairEntropyScorer
 
@@ -546,7 +547,7 @@ def save_entropy_sidecar(
         "log_denominator": float(entropy.log_denominator),
         "feature_scale": float(entropy.feature_scale),
         "structural_mode": entropy.structural_mode,
-        **(recipe or {}),
+        **recipe,
         "arrays": manifest,
     }
     with open(os.path.join(edir, ENTROPY_META), "w") as f:

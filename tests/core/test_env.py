@@ -18,9 +18,10 @@ def make_env(co_train=False, **config_overrides):
     split = random_split(graph.labels, np.random.default_rng(0))
     entropy = RelativeEntropy.from_graph(graph, lam=1.0)
     sequences = build_entropy_sequences(graph, entropy, max_candidates=8)
-    config = RareConfig(
-        k_max=4, d_max=4, max_candidates=8, horizon=4, **config_overrides
-    )
+    config = RareConfig(**{
+        "k_max": 4, "d_max": 4, "max_candidates": 8, "horizon": 4,
+        **config_overrides,
+    })
     model = build_backbone(
         "gcn", graph.num_features, graph.num_classes,
         hidden=16, rng=np.random.default_rng(0),
@@ -73,11 +74,13 @@ def test_keep_action_is_noop():
 
 
 def test_state_clamped_at_bounds():
-    env, graph = make_env()
+    # Three increments inside one episode (horizon 4) push past k_max=2.
+    env, graph = make_env(k_max=2, d_max=2)
     env.reset()
-    for _ in range(3):  # stays inside one episode (horizon 4)
+    for _ in range(3):
         env.step(ones(graph, 2))
-    assert (env.k == 3).all()
+    assert (env.k == 2).all()
+    assert (env.d == np.minimum(2, graph.degrees())).all()
     assert (env.k <= env.config.k_max).all()
     assert (env.d <= env.config.d_max).all()
     env.reset()

@@ -38,6 +38,10 @@ from repro.graph.storage import (
 )
 
 
+#: The build parameters of ``RelativeEntropy.from_graph``'s defaults.
+RECIPE = {"embedding": "normalize", "max_profile_len": None}
+
+
 def small_graph(n=40, seed=0, features=True):
     g = planted_partition_graph(
         num_nodes=n, num_classes=3, homophily=0.5, mean_degree=5.0,
@@ -244,10 +248,11 @@ def test_entropy_sidecar_roundtrip(bundle_dir):
     with pytest.raises(FileNotFoundError):
         entropy_sidecar_meta(path)
     entropy = RelativeEntropy.from_graph(g, lam=1.25)
-    save_entropy_sidecar(path, entropy)
+    save_entropy_sidecar(path, entropy, RECIPE)
     assert has_entropy_sidecar(path)
     meta = entropy_sidecar_meta(path)
     assert meta["lam"] == 1.25
+    assert {name: meta[name] for name in RECIPE} == RECIPE
     for mmap_arrays in (True, False):
         loaded = load_entropy_sidecar(path, mmap_arrays=mmap_arrays)
         assert loaded.lam == entropy.lam
@@ -265,7 +270,7 @@ def test_streamed_screening_byte_identical(tmp_path, num_workers, executor):
     path = str(tmp_path / "bundle")
     save_graph_bundle(g, path)
     entropy = RelativeEntropy.from_graph(g, lam=1.0)
-    save_entropy_sidecar(path, entropy)
+    save_entropy_sidecar(path, entropy, RECIPE)
     ref = build_entropy_sequences(g, entropy, max_candidates=6, screening="on")
     mg = load_graph_bundle(path)
     for mmap_arrays in (True, False):
@@ -287,7 +292,7 @@ def test_screen_state_loader_pickles_and_builds(bundle_dir):
     import pickle
 
     g, path = bundle_dir
-    save_entropy_sidecar(path, RelativeEntropy.from_graph(g, lam=1.0))
+    save_entropy_sidecar(path, RelativeEntropy.from_graph(g, lam=1.0), RECIPE)
     loader = ScreenStateLoader(path, max_candidates=4)
     # The loader (not any array) is what crosses the process boundary.
     clone = pickle.loads(pickle.dumps(loader))

@@ -171,7 +171,10 @@ def _storage_hot_path(tmp_path):
     g = planted_partition_graph(num_nodes=30, num_classes=3, seed=0)
     path = str(tmp_path / "bundle")
     save_graph_bundle(g, path)
-    save_entropy_sidecar(path, RelativeEntropy.from_graph(g, lam=1.0))
+    save_entropy_sidecar(
+        path, RelativeEntropy.from_graph(g, lam=1.0),
+        recipe={"embedding": "normalize", "max_profile_len": None},
+    )
     mg = load_graph_bundle(path)
     mg.csr_row_slice(0, 10)
     mg.edge_key_slice(0, 10)

@@ -250,24 +250,34 @@ def test_bundle_sidecar_recipe_is_shared_by_run_and_rewire(tmp_path, capsys):
     assert "mean over 1 split" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("recipe, reason", [
+    # Written before the recipe was recorded: counts as a mismatch.
+    ({}, "unrecorded"),
+    # Full-width profiles, the recipe `rewire` once used on bundles.
+    ({"embedding": "normalize", "max_profile_len": None},
+     "'max_profile_len': None"),
+])
 @pytest.mark.parametrize("command", [
     ["run", "--episodes", "1", "--horizon", "2"],
     ["rewire", "--k", "2", "--d", "1"],
 ])
-def test_stale_entropy_sidecar_is_one_error_line(command, tmp_path, capsys):
-    """A sidecar built with another recipe (here: the old CLI recipe,
-    full-width profiles, no recorded ``max_profile_len``/``embedding``)
-    is rejected with exit status 2 before any training."""
+def test_stale_entropy_sidecar_is_one_error_line(
+    command, recipe, reason, tmp_path, capsys
+):
+    """A sidecar built with another recipe than the config's (64-wide
+    profiles) is rejected with exit status 2 before any training."""
     from repro.entropy import RelativeEntropy
     from repro.graph.storage import save_entropy_sidecar
 
     graph, path = _make_bundle(tmp_path)
-    save_entropy_sidecar(path, RelativeEntropy.from_graph(graph, lam=1.0))
+    save_entropy_sidecar(
+        path, RelativeEntropy.from_graph(graph, lam=1.0), recipe=recipe
+    )
     assert main([command[0], "--graph-bundle", path, *command[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: entropy sidecar")
-    assert "unrecorded" in captured.err
+    assert reason in captured.err
     assert captured.err.count("\n") == 1
 
 
