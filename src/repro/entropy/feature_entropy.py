@@ -10,6 +10,14 @@ Because the pair probabilities are tiny (``P ~ 1/N^2 << 1/e``) the map
 dot product always means a larger feature entropy — the property the node
 ranking relies on.  We compute the global log-normaliser with a chunked
 log-sum-exp so the full ``N x N`` matrix never has to be materialised.
+
+Every row block of the Gram matrix ``Z Zᵀ`` comes from :class:`GramBlocks`.
+When ``Z`` is wide and sparse — bag-of-words features under the
+``"normalize"`` embedding keep their zeros — a block is a CSR x CSR
+product made dense one block at a time, so only the overlapping feature
+pairs are multiplied; any other ``Z`` keeps the BLAS GEMM.  The sparse
+product sums each dot product in ascending feature order, so its logits
+are float64-allclose to the GEMM's, not bitwise equal.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 import numpy as np
+
+from ..tensor.sparse import sparse_features
 
 EmbeddingFn = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -58,12 +68,46 @@ def embed_features(
     return Z / norms
 
 
+class GramBlocks:
+    """Dense row blocks ``Z[start:stop] @ Z.T`` of the embedding Gram matrix.
+
+    Wide, sparse ``Z`` (the rule of :func:`repro.tensor.sparse.sparse_features`)
+    is multiplied as CSR x CSR and each block made dense on return; any
+    other ``Z`` goes through the BLAS GEMM, bit for bit the plain
+    ``Z[start:stop] @ Z.T``.  ``perm`` reorders the rows (and so the
+    columns) of ``Z`` first; the rule is decided on ``Z`` itself, so a
+    permuted view reuses its memoised CSR.  Instances pickle, so a
+    process pool can ship one to its workers.
+
+    Examples
+    --------
+    >>> gram = GramBlocks(Z)
+    >>> gram(0, 64).shape == (64, Z.shape[0])
+    True
+    """
+
+    def __init__(self, Z: np.ndarray, perm: Optional[np.ndarray] = None) -> None:
+        csr = sparse_features(Z)
+        if csr is None:
+            self.rows = Z if perm is None else np.ascontiguousarray(Z[perm])
+            self.cols = None
+        else:
+            self.rows = csr if perm is None else csr[perm]
+            self.cols = self.rows.T.tocsr()
+
+    def __call__(self, start: int, stop: int) -> np.ndarray:
+        if self.cols is None:
+            return self.rows[start:stop] @ self.rows.T
+        return (self.rows[start:stop] @ self.cols).toarray()
+
+
 def log_pair_normalizer(Z: np.ndarray, chunk: int = 256) -> float:
     """``log sum_{i,j} exp(<z_i, z_j>)`` computed in row chunks (Eq. 4 denom)."""
     n = Z.shape[0]
+    gram = GramBlocks(Z)
     total = -np.inf
     for start in range(0, n, chunk):
-        block = Z[start : start + chunk] @ Z.T  # (c, n)
+        block = gram(start, min(n, start + chunk))  # (c, n)
         m = block.max()
         total = np.logaddexp(total, m + np.log(np.exp(block - m).sum()))
     return float(total)

@@ -69,9 +69,21 @@ class RelativeEntropy:
         normalize_feature: bool = True,
         structural_mode: str = "js",
     ) -> "RelativeEntropy":
-        """Precompute entropy state for ``graph`` with weight ``lam`` (Eq. 9)."""
+        """Precompute entropy state for ``graph`` with weight ``lam`` (Eq. 9).
+
+        Raises ``ValueError`` on missing or non-finite features: one NaN
+        would make the global normaliser NaN and silently empty every
+        node's remote ranking.
+        """
         if graph.features is None:
             raise ValueError("relative entropy requires node features")
+        bad = ~np.isfinite(graph.features)
+        if bad.any():
+            first = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise ValueError(
+                f"relative entropy requires finite node features: "
+                f"{int(bad.sum())} non-finite entries, first in row {first}"
+            )
         if lam < 0:
             raise ValueError(f"lambda must be non-negative, got {lam}")
         if structural_mode not in ("js", "kl"):
@@ -94,6 +106,7 @@ class RelativeEntropy:
 
     @property
     def num_nodes(self) -> int:
+        """Number of nodes ``N`` (rows of the embedding ``Z``)."""
         return self.Z.shape[0]
 
     # ------------------------------------------------------------------

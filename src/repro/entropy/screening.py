@@ -142,6 +142,7 @@ class EntropyShardPlan:
 
     @property
     def num_shards(self) -> int:
+        """Number of row ranges in the plan."""
         return len(self.starts) - 1
 
     def ranges(self) -> List[Tuple[int, int]]:
@@ -320,10 +321,6 @@ class PairEntropyScorer:
     mode: str
     profiles: np.ndarray
     lengths: np.ndarray
-    S: np.ndarray
-    """Per-node ``sum p log2 p`` — not read by the scorer itself (it is
-    folded into :attr:`U`), but kept so builders that also need the
-    unfolded term (the sorted tiled kernel) reuse one pass."""
     U: np.ndarray
     """Folded per-node suffix state, shape ``(n, m + 1)``: the divergence
     of a pair evaluated at width ``w`` is ``U[v, w] + U[u, w] - cross``
@@ -334,6 +331,7 @@ class PairEntropyScorer:
 
     @classmethod
     def from_entropy(cls, entropy: RelativeEntropy) -> "PairEntropyScorer":
+        """Precompute the per-node profile reductions of ``entropy``."""
         P = entropy.profiles
         lengths = (P > 0).sum(axis=1).astype(np.int64)
         S = _plogp(P).sum(axis=1)
@@ -345,7 +343,6 @@ class PairEntropyScorer:
             mode=entropy.structural_mode,
             profiles=P,
             lengths=lengths,
-            S=S,
         )
         if entropy.structural_mode == "kl":
             kw["L"] = np.log2(np.maximum(P, _KL_EPS))
@@ -489,6 +486,22 @@ class ScreenState:
     after every screened row block, ``release.flush()`` at shard end, so
     a streaming worker's resident set stays bounded by one block's
     gathers.  ``None`` (in-RAM state) skips both calls."""
+
+
+#: Neighbour scores equal to this many decimals rank as ties, which keep
+#: ascending id order.  Mathematically equal pairs (structurally identical
+#: neighbours, common on low-degree graphs) can differ in the last bits
+#: depending on which kernel, column tile or batch scored them; rounding
+#: makes the deletion order a function of the entropy itself.
+TIE_DECIMALS = 12
+
+
+def neighbor_order(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Permutation putting flat ``(row, score)`` neighbour entries in
+    deletion order: by row, then ascending score rounded to
+    :data:`TIE_DECIMALS`.  The sort is stable, so ties keep their input
+    order — ascending id for CSR neighbour lists."""
+    return np.lexsort((np.round(vals, TIE_DECIMALS), rows))
 
 
 def select_topk_flat(
@@ -715,7 +728,7 @@ def screen_shard(args) -> Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np
         np.arange(r0, r1), np.diff(state.indptr[r0 : r1 + 1])
     )
     vals = state.scorer.score(rows_flat, nbr) if nbr.size else np.empty(0)
-    perm = np.lexsort((vals, rows_flat))
+    perm = neighbor_order(rows_flat, vals)
     nbr, vals = nbr[perm], vals[perm]
     if state.release is not None:
         state.release.flush()

@@ -14,6 +14,9 @@ for the DRL's ``k`` range.
 
 Ranking ties are broken deterministically by ascending node id in both
 directions, so the sequences are a pure function of the entropy values.
+Neighbour scores that agree to ``TIE_DECIMALS`` decimals count as ties,
+so last-bit differences between kernels do not reorder mathematically
+equal neighbours.
 
 The default builder is fully vectorised and comes in two engines, both
 executed as row-range shards on an optional worker pool (see
@@ -26,17 +29,23 @@ executed as row-range shards on an optional worker pool (see
   scratch buffers keep numpy's SIMD loops hot.  The kernel is
   parameterised over the divergence, so the paper's JS mode and the
   symmetrised-KL ablation share one code path (KL's cross term even
-  reduces to two GEMMs over clamped log-profiles);
+  reduces to two GEMMs over clamped log-profiles).  The feature term
+  comes from :class:`~repro.entropy.feature_entropy.GramBlocks`: a CSR
+  product on wide sparse embeddings, the BLAS GEMM otherwise;
 * the *screened* engine (default from ``SCREEN_AUTO_MIN`` nodes) prunes
   the ``O(N^2 L)`` structural work with the certified bound
   ``H <= H_f + lam * hs_max`` evaluated in feature-logit space, then
   rescores only the surviving superset exactly — identical rankings away
   from exact value ties at a fraction of the cost.
 
-Neighbour rankings come from one exact pairwise-entropy pass over the CSR
-edge list plus a single flat ``lexsort``.  Candidate selection replaces
-full row sorts with a ``partition`` threshold plus an exact tie-respecting
-``lexsort`` of the few surviving candidates.
+The dense engine and the provided-rows builder make one pass over the
+pairs: each block of entropy rows is ranked by :func:`_rank_block`, which
+reads the rows' neighbour values off the block before masking them, so
+neighbour and remote scores come from the same numbers.  The screened
+engine scores its shard's edge list with its exact pair scorer.
+Candidate selection replaces full row sorts with a ``partition``
+threshold plus an exact tie-respecting ``lexsort`` of the few surviving
+candidates.
 
 The seed's per-node loop survives as
 :func:`build_entropy_sequences_reference` for the equivalence property
@@ -56,17 +65,19 @@ import numpy as np
 
 from ..graph import Graph
 from ..telemetry import get_telemetry
+from .feature_entropy import GramBlocks
 from .relative_entropy import RelativeEntropy
 from .screening import (
     SCREEN_DEFAULT_SHARDS,
     _KL_EPS,
     _TINY,
     SCREEN_AUTO_MIN,
+    TIE_DECIMALS,
     EntropyShardPlan,
-    PairEntropyScorer,
     _plogp,
     _suffix_sums,
     build_screen_state,
+    neighbor_order,
     run_sharded,
     screen_shard,
     select_topk_flat,
@@ -99,11 +110,32 @@ class EntropySequences:
 
     @property
     def num_nodes(self) -> int:
+        """Number of ranked nodes ``N``."""
         return self.remote.shape[0]
 
     @property
     def max_candidates(self) -> int:
+        """Width of :attr:`remote`: remote candidates kept per node."""
         return self.remote.shape[1]
+
+    @classmethod
+    def _from_flat(
+        cls,
+        remote: np.ndarray,
+        remote_scores: np.ndarray,
+        indptr: np.ndarray,
+        flat_ids: np.ndarray,
+        flat_scores: np.ndarray,
+    ) -> "EntropySequences":
+        """Wrap a builder's outputs; the neighbour arrays are flat CSR."""
+        return cls(
+            remote=remote,
+            remote_scores=remote_scores,
+            neighbors=list(np.split(flat_ids, indptr[1:-1])),
+            neighbor_scores=list(np.split(flat_scores, indptr[1:-1])),
+            flat_neighbors=flat_ids,
+            neighbor_indptr=indptr.copy(),
+        )
 
     def top_remote(self, v: int, k: int) -> np.ndarray:
         """The ``k`` best remote candidates for node ``v`` (may be fewer)."""
@@ -213,6 +245,37 @@ def _select_remote_block(
     return select_topk_flat(r, ids, scores, b, mc)
 
 
+def _rank_block(
+    block: np.ndarray,
+    row_local: np.ndarray,
+    nbr_cols: np.ndarray,
+    self_cols: np.ndarray,
+    col_ids: Optional[np.ndarray],
+    mc: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both rankings of one block of entropy rows, in one pass.
+
+    ``block`` is ``(B, N)``; row ``r``'s one-hop neighbours sit at columns
+    ``nbr_cols[row_local == r]`` (given in ascending node-id order) and
+    its own column is ``self_cols[r]``.  The neighbour values are read
+    off the block first and put in deletion order by
+    :func:`~repro.entropy.screening.neighbor_order` (ascending, ties in
+    ascending id order).  Then self and neighbours are masked to ``-inf``
+    *in place* and the top-``mc`` remote candidates selected (``col_ids``
+    maps columns to node ids, ``None`` = identity).
+
+    Returns ``(order, nbr_scores, remote_ids, remote_scores)``: ``order``
+    permutes the block's flat neighbour entries into deletion order and
+    ``nbr_scores`` are their values in that order.
+    """
+    vals = block[row_local, nbr_cols]
+    order = neighbor_order(row_local, vals)
+    block[np.arange(block.shape[0]), self_cols] = -np.inf
+    block[row_local, nbr_cols] = -np.inf
+    ids, scores = _select_remote_block(block, col_ids, mc)
+    return order, vals[order], ids, scores
+
+
 def _build_from_rows(graph: Graph, rows_fn, max_candidates: int,
                      block_size: int) -> EntropySequences:
     """Generic blocked builder over entropy rows in original node order."""
@@ -227,35 +290,21 @@ def _build_from_rows(graph: Graph, rows_fn, max_candidates: int,
     for start in range(0, n, block_size):
         stop = min(n, start + block_size)
         b = stop - start
-        rows = rows_fn(start, stop)
-
+        # A copy: the ranking masks in place and the rows may be a view.
+        rows = np.array(rows_fn(start, stop), copy=True)
         lo, hi = indptr[start], indptr[stop]
         nbr = indices[lo:hi]
         row_local = np.repeat(np.arange(b), np.diff(indptr[start : stop + 1]))
-        vals = rows[row_local, nbr]
-
-        # One-hop neighbours, ascending entropy; lexsort is stable, so
-        # equal scores keep CSR order = ascending id.
-        perm = np.lexsort((vals, row_local))
-        flat_ids[lo:hi] = nbr[perm]
-        flat_scores[lo:hi] = vals[perm]
-
-        masked = np.array(rows, copy=True)
-        masked[np.arange(b), np.arange(start, stop)] = -np.inf
-        masked[row_local, nbr] = -np.inf
-        ids, scores = _select_remote_block(masked, None, mc)
+        order, vals, ids, scores = _rank_block(
+            rows, row_local, nbr, np.arange(start, stop), None, mc
+        )
+        flat_ids[lo:hi] = nbr[order]
+        flat_scores[lo:hi] = vals
         remote[start:stop] = ids
         remote_scores[start:stop] = scores
 
-    neighbors = list(np.split(flat_ids, indptr[1:-1]))
-    neighbor_scores = list(np.split(flat_scores, indptr[1:-1]))
-    return EntropySequences(
-        remote=remote,
-        remote_scores=remote_scores,
-        neighbors=neighbors,
-        neighbor_scores=neighbor_scores,
-        flat_neighbors=flat_ids,
-        neighbor_indptr=indptr.copy(),
+    return EntropySequences._from_flat(
+        remote, remote_scores, indptr, flat_ids, flat_scores
     )
 
 
@@ -263,8 +312,9 @@ def _build_from_rows(graph: Graph, rows_fn, max_candidates: int,
 class _SortedState:
     """Length-sorted tiled-kernel state shared by every dense shard worker.
 
-    Everything is a plain array (picklable), so the same payload drives
-    thread and process pools; workers only read it.
+    Everything is a plain array or a :class:`GramBlocks` (picklable), so
+    the same payload drives thread and process pools; workers only read
+    it.
     """
 
     mode: str
@@ -277,13 +327,13 @@ class _SortedState:
     log_den: float
     inv_scale: float
     perm: np.ndarray
-    iperm: np.ndarray
     Pp: np.ndarray
     Ls: np.ndarray
     S: np.ndarray
-    Zp: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    gram: GramBlocks
+    nbr_ptr: np.ndarray   # neighbour-list row pointers, sorted row order
+    nbr_cols: np.ndarray  # neighbour columns (perm order), ascending id per row
+    nbr_pos: np.ndarray   # merge only: CSR slot of each nbr_cols entry
     T: Optional[np.ndarray] = None   # js: suffix sums of f(p / 2)
     L2: Optional[np.ndarray] = None  # kl: log2(max(p, eps)), permuted
     PS: Optional[np.ndarray] = None  # kl: suffix sums of p, permuted
@@ -295,27 +345,29 @@ def _sorted_state(
     max_candidates: int,
     block_size: int,
     tile_size: int,
-    scorer: Optional[PairEntropyScorer] = None,
 ) -> _SortedState:
     """Precompute the permuted structural/feature state once per build.
 
-    ``scorer`` (when the caller already built one for neighbour ranking)
-    donates its per-node ``lengths``/``S`` reductions; only the suffix-sum
-    arrays are rebuilt here, because the tiled kernel needs them unfolded
-    and C-ordered in permuted row order while the scorer keeps a folded
-    Fortran-order layout for strided per-pair gathers.
+    The CSR neighbour lists are regrouped into sorted row order
+    (``nbr_ptr``/``nbr_cols``, columns in permuted coordinates) so a
+    shard slices its blocks' neighbours contiguously; ``nbr_pos`` sends
+    each entry back to its slot in the original CSR for the merge.
     """
     n = graph.num_nodes
     indptr, indices = graph.csr_neighbors()
     P = entropy.profiles
     m_prof = P.shape[1]
-    lengths = (
-        scorer.lengths if scorer is not None else (P > 0).sum(axis=1)
-    )
+    lengths = (P > 0).sum(axis=1)
     perm = np.argsort(-lengths, kind="stable")
     iperm = np.empty(n, dtype=np.int64)
     iperm[perm] = np.arange(n)
     Pp = np.ascontiguousarray(P[perm])
+    deg = np.diff(indptr)[perm]
+    nbr_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=nbr_ptr[1:])
+    nbr_pos = np.repeat(indptr[perm] - nbr_ptr[:-1], deg) + np.arange(
+        nbr_ptr[-1]
+    )
     state = _SortedState(
         mode=entropy.structural_mode,
         n=n,
@@ -327,13 +379,13 @@ def _sorted_state(
         log_den=entropy.log_denominator,
         inv_scale=1.0 / entropy.feature_scale,
         perm=perm,
-        iperm=iperm,
         Pp=Pp,
         Ls=lengths[perm],
-        S=scorer.S[perm] if scorer is not None else _plogp(Pp).sum(axis=1),
-        Zp=np.ascontiguousarray(entropy.Z[perm]),
-        indptr=indptr,
-        indices=indices,
+        S=_plogp(P).sum(axis=1)[perm],
+        gram=GramBlocks(entropy.Z, perm),
+        nbr_ptr=nbr_ptr,
+        nbr_cols=iperm[indices[nbr_pos]],
+        nbr_pos=nbr_pos,
     )
     if entropy.structural_mode == "kl":
         state.L2 = np.log2(np.maximum(Pp, _KL_EPS))
@@ -402,13 +454,16 @@ def _sorted_divergence_block(
         ) - (cross + pure)
 
 
-def _sorted_shard(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense worker: remote rankings for sorted-order rows ``[s0, s1)``.
+def _sorted_shard(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray, np.ndarray]:
+    """Dense worker: both rankings for sorted-order rows ``[s0, s1)``.
 
-    Returns ``(orig_rows, ids, scores)``; ``s0``/``s1`` are multiples of
-    the block size, so any sharding produces the exact block boundaries of
-    the sequential build and the merge is byte-identical for every worker
-    count.
+    Returns ``(orig_rows, ids, scores, nbr_ids, nbr_scores)``; the
+    neighbour arrays cover the shard's slice ``nbr_ptr[s0]:nbr_ptr[s1]``
+    of the sorted-order neighbour lists, each row in deletion order.
+    ``s0``/``s1`` are multiples of the block size, so any sharding
+    produces the exact block boundaries of the sequential build and the
+    merge is byte-identical for every worker count.
     """
     state, s0, s1 = args
     n, m_prof = state.n, state.m_prof
@@ -423,9 +478,11 @@ def _sorted_shard(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     H = np.empty((block_size, n))
 
     rows = s1 - s0
-    out_rows = np.empty(rows, dtype=np.int64)
     out_ids = np.empty((rows, mc), dtype=np.int64)
     out_scores = np.empty((rows, mc))
+    base = state.nbr_ptr[s0]
+    nbr_ids = np.empty(state.nbr_ptr[s1] - base, dtype=np.int64)
+    nbr_scores = np.empty(nbr_ids.shape[0])
 
     for start in range(s0, s1, block_size):
         stop = min(s1, start + block_size)
@@ -440,41 +497,28 @@ def _sorted_shard(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         else:
             Hb.fill(0.0)
 
-        # Feature term H_f = -P log P from the block GEMM, folded in place.
-        logits = state.Zp[start:stop] @ state.Zp.T
+        # Feature term H_f = -P log P from the block Gram, folded in place.
+        logits = state.gram(start, stop)
         logits -= state.log_den
         hf = np.exp(logits)
         hf *= logits
         hf *= -state.inv_scale
         Hb += hf
 
-        # Mask self and current neighbours (columns live in perm order).
-        Hb[np.arange(b), np.arange(start, stop)] = -np.inf
-        orig_rows = state.perm[start:stop]
-        for r, ov in enumerate(orig_rows):
-            nb = state.indices[state.indptr[ov] : state.indptr[ov + 1]]
-            Hb[r, state.iperm[nb]] = -np.inf
-
-        ids, scores = _select_remote_block(Hb, state.perm, mc)
-        out_rows[start - s0 : stop - s0] = orig_rows
+        # Columns live in perm order; perm maps them back to node ids.
+        lo, hi = state.nbr_ptr[start], state.nbr_ptr[stop]
+        cols = state.nbr_cols[lo:hi]
+        row_local = np.repeat(
+            np.arange(b), np.diff(state.nbr_ptr[start : stop + 1])
+        )
+        order, vals, ids, scores = _rank_block(
+            Hb, row_local, cols, np.arange(start, stop), state.perm, mc
+        )
+        nbr_ids[lo - base : hi - base] = state.perm[cols[order]]
+        nbr_scores[lo - base : hi - base] = vals
         out_ids[start - s0 : stop - s0] = ids
         out_scores[start - s0 : stop - s0] = scores
-    return out_rows, out_ids, out_scores
-
-
-def _neighbor_ranking(
-    graph: Graph, scorer: PairEntropyScorer
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending-entropy neighbour ordering over the whole CSR edge list."""
-    indptr, indices = graph.csr_neighbors()
-    n = graph.num_nodes
-    rows_flat = np.repeat(np.arange(n), np.diff(indptr))
-    if indptr[-1]:
-        pair_vals = scorer.score(rows_flat, indices)
-    else:
-        pair_vals = np.empty(0)
-    perm_n = np.lexsort((pair_vals, rows_flat))
-    return indptr, indices[perm_n], pair_vals[perm_n]
+    return state.perm[s0:s1], out_ids, out_scores, nbr_ids, nbr_scores
 
 
 def _sorted_shard_ranges(n: int, num_workers: int, block_size: int):
@@ -503,16 +547,13 @@ def _build_sorted(
     ``K = min(block max length, tile max length)`` columns; the dropped
     columns, where one side of the pair is all padding, collapse to
     precomputed suffix sums.  Scratch buffers are carved from flat
-    preallocations so every inner op runs on contiguous memory.
+    preallocations so every inner op runs on contiguous memory.  Each
+    block's neighbour scores are read off its entropy rows, so the build
+    is one pass over the pairs.
     """
     n = graph.num_nodes
     mc = max_candidates
-    scorer = PairEntropyScorer.from_entropy(entropy)
-    indptr, flat_ids, flat_scores = _neighbor_ranking(graph, scorer)
-
-    state = _sorted_state(
-        graph, entropy, mc, block_size, tile_size, scorer=scorer
-    )
+    state = _sorted_state(graph, entropy, mc, block_size, tile_size)
     tasks = _sorted_shard_ranges(n, num_workers, block_size)
     results = run_sharded(
         _sorted_shard, tasks, num_workers, executor, state=state
@@ -520,19 +561,19 @@ def _build_sorted(
 
     remote = np.full((n, mc), -1, dtype=np.int64)
     remote_scores = np.full((n, mc), -np.inf)
-    for orig_rows, ids, scores in results:
+    flat_ids = np.empty(state.nbr_pos.shape[0], dtype=np.int64)
+    flat_scores = np.empty(state.nbr_pos.shape[0])
+    for (s0, s1), (orig_rows, ids, scores, nbr_ids, nbr_scores) in zip(
+        tasks, results
+    ):
         remote[orig_rows] = ids
         remote_scores[orig_rows] = scores
-
-    neighbors = list(np.split(flat_ids, indptr[1:-1]))
-    neighbor_scores = list(np.split(flat_scores, indptr[1:-1]))
-    return EntropySequences(
-        remote=remote,
-        remote_scores=remote_scores,
-        neighbors=neighbors,
-        neighbor_scores=neighbor_scores,
-        flat_neighbors=flat_ids,
-        neighbor_indptr=indptr.copy(),
+        slots = state.nbr_pos[state.nbr_ptr[s0] : state.nbr_ptr[s1]]
+        flat_ids[slots] = nbr_ids
+        flat_scores[slots] = nbr_scores
+    indptr = graph.csr_neighbors()[0]
+    return EntropySequences._from_flat(
+        remote, remote_scores, indptr, flat_ids, flat_scores
     )
 
 
@@ -601,15 +642,8 @@ def _build_screened(
     flat_scores = (
         np.concatenate(nbr_score_parts) if indptr[-1] else np.empty(0)
     )
-    neighbors = list(np.split(flat_ids, indptr[1:-1]))
-    neighbor_scores = list(np.split(flat_scores, indptr[1:-1]))
-    return EntropySequences(
-        remote=remote,
-        remote_scores=remote_scores,
-        neighbors=neighbors,
-        neighbor_scores=neighbor_scores,
-        flat_neighbors=flat_ids,
-        neighbor_indptr=indptr.copy(),
+    return EntropySequences._from_flat(
+        remote, remote_scores, indptr, flat_ids, flat_scores
     )
 
 
@@ -757,7 +791,7 @@ def build_entropy_sequences_reference(
 
         # --- one-hop neighbours, ascending entropy (deletion order) -----
         neigh_vals = row[neigh]
-        order = np.argsort(neigh_vals, kind="stable")
+        order = np.argsort(np.round(neigh_vals, TIE_DECIMALS), kind="stable")
         if shuffle:
             order = rng.permutation(len(neigh))
         neighbors.append(neigh[order])

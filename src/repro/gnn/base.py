@@ -14,8 +14,7 @@ memoised CSR matrix that dropout masks on its nonzeros and the first
 
 from __future__ import annotations
 
-import weakref
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,12 +22,7 @@ import scipy.sparse as sp
 from ..graph import Graph
 from ..nn import Module
 from ..tensor import Tensor, no_grad
-
-#: Feature matrices at least this wide ...
-SPARSE_MIN_WIDTH = 256
-#: ... with at most this fraction of nonzero entries are fed to
-#: projection-first backbones as CSR.
-SPARSE_MAX_DENSITY = 0.10
+from ..tensor.sparse import sparse_features
 
 
 def cached_matrix(graph: Graph, key: str, builder: Callable[[Graph], sp.spmatrix]):
@@ -84,52 +78,19 @@ class GNNBackbone(Module):
         return out
 
 
-#: ``id(features) -> (weakref to the array, its CSR or None)``; entries
-#: are dropped when the array is collected.
-_CSR_MEMO: Dict[int, Tuple[weakref.ref, Optional[sp.csr_matrix]]] = {}
-
-
-def _to_csr(features: np.ndarray) -> sp.csr_matrix:
-    return sp.csr_matrix(features)
-
-
-def _sparse_features(features: np.ndarray) -> Optional[sp.csr_matrix]:
-    """The CSR form of ``features`` if they are wide and sparse, else ``None``.
-
-    The rule is fixed: at least :data:`SPARSE_MIN_WIDTH` columns and at
-    most :data:`SPARSE_MAX_DENSITY` nonzero entries.  The answer (and the
-    conversion) is memoised per feature *array*, so every graph sharing
-    one ``features`` object — all rewires of a base graph do — reuses a
-    single conversion.  Feature arrays are treated as immutable.
-    """
-    key = id(features)
-    hit = _CSR_MEMO.get(key)
-    if hit is not None and hit[0]() is features:
-        return hit[1]
-    sparse = (
-        features.shape[1] >= SPARSE_MIN_WIDTH
-        and np.count_nonzero(features) <= SPARSE_MAX_DENSITY * features.size
-    )
-    csr = _to_csr(features) if sparse else None
-    _CSR_MEMO[key] = (weakref.ref(features), csr)
-    weakref.finalize(features, _CSR_MEMO.pop, key, None)
-    return csr
-
-
 def features_tensor(
     graph: Graph, model: Optional[GNNBackbone] = None
 ) -> Union[Tensor, sp.csr_matrix]:
     """The first-layer input operand for ``graph``'s features.
 
     A constant dense :class:`~repro.tensor.Tensor` — unless ``model``'s
-    class declares ``projection_first = True`` and the features are at
-    least :data:`SPARSE_MIN_WIDTH` wide with at most
-    :data:`SPARSE_MAX_DENSITY` nonzeros, in which case one CSR matrix is
-    returned, memoised per feature array (every rewire of a graph shares
-    its ``features`` object, so a fit converts once).  Only
-    ``ops.dropout`` and ``nn.Linear`` accept that operand: dropout masks
-    its nonzeros, ``Linear`` projects it through ``ops.spmm``.  Every
-    forward that starts from ``graph.features`` (training, evaluation,
+    class declares ``projection_first = True`` and the features pass the
+    wide-sparse rule of :func:`repro.tensor.sparse.sparse_features`, in
+    which case one CSR matrix is returned, memoised per feature array
+    (every rewire of a graph shares its ``features`` object, so a fit
+    converts once).  Only ``ops.dropout`` and ``nn.Linear`` accept that
+    operand: dropout masks its nonzeros, ``Linear`` projects it through
+    ``ops.spmm``.  Every forward that starts from ``graph.features`` (training, evaluation,
     halo base states, stacked forwards) goes through here, so a backbone
     sees one operand type.
 
@@ -142,7 +103,7 @@ def features_tensor(
     if graph.features is None:
         raise ValueError("graph has no node features")
     if model is not None and vars(type(model)).get("projection_first", False):
-        csr = _sparse_features(graph.features)
+        csr = sparse_features(graph.features)
         if csr is not None:
             return csr
     return Tensor(graph.features)

@@ -515,7 +515,6 @@ def save_entropy_sidecar(
         "Z32": np.ascontiguousarray(entropy.Z, dtype=np.float32),
         "profiles": np.asarray(entropy.profiles),
         "U": scorer.U,
-        "S": scorer.S,
         "lengths": scorer.lengths,
     }
     if scorer.L is not None:
@@ -670,7 +669,7 @@ class ScreenStateLoader:
             meta, arrays = _open_sidecar(
                 self.path,
                 self.mmap_arrays,
-                ("Z", "Z32", "profiles", "U", "S", "lengths", "L"),
+                ("Z", "Z32", "profiles", "U", "lengths", "L"),
             )
             n = int(bundle.meta["num_nodes"])
             scorer = PairEntropyScorer(
@@ -681,7 +680,6 @@ class ScreenStateLoader:
                 mode=meta["structural_mode"],
                 profiles=arrays["profiles"],
                 lengths=arrays["lengths"],
-                S=arrays["S"],
                 U=arrays["U"],
                 L=arrays["L"],
             )

@@ -8,6 +8,9 @@ Three layers (see ``docs/architecture.md``):
   through (see ``docs/custom-ops.md``);
 * :mod:`repro.tensor.ops` — the op surface, thin wrappers over private
   ``Function`` subclasses.
+
+:mod:`repro.tensor.sparse` holds the wide-sparse rule: which dense
+feature matrices the GNN input and the entropy Gram blocks keep as CSR.
 """
 
 from . import backends, ops

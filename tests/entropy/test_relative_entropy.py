@@ -28,6 +28,20 @@ def test_from_graph_requires_features():
         RelativeEntropy.from_graph(g)
 
 
+def test_from_graph_rejects_non_finite_features(graph):
+    """One NaN would make the normaliser NaN and empty every remote list."""
+    features = graph.features.copy()
+    features[7, 3] = np.nan
+    features[41, 0] = np.inf
+    bad = Graph._from_keys(
+        graph.num_nodes, graph.edge_keys(), features, graph.labels
+    )
+    with pytest.raises(
+        ValueError, match="2 non-finite entries, first in row 7"
+    ):
+        RelativeEntropy.from_graph(bad)
+
+
 def test_from_graph_rejects_negative_lambda(graph):
     with pytest.raises(ValueError, match="lambda"):
         RelativeEntropy.from_graph(graph, lam=-0.5)

@@ -56,11 +56,9 @@ def test_screened_matches_dense(mode, num_nodes):
         graph, entropy, max_candidates=12, screening="on"
     )
     assert_rankings_match(scr, dense)
-    # Both engines use the exact flat scorer for neighbours, but the dense
-    # path scores the whole edge list in one call while the screened path
-    # scores per shard — the scorer's percentile width-bucketing makes the
-    # values grouping-dependent at the ULP level, so compare to a few ULPs
-    # rather than byte-identical.
+    # The screened engine scores neighbours with its exact flat scorer, the
+    # dense engine reads them off its tiled block rows; the two sum in
+    # different orders, so compare to a few ULPs rather than byte-identical.
     for a, b in zip(scr.neighbors, dense.neighbors):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(scr.neighbor_scores, dense.neighbor_scores):

@@ -19,7 +19,9 @@ REPO = Path(__file__).resolve().parents[2]
 def test_doclint_passes_on_gated_packages():
     """The dependency-free pydocstyle equivalent reports zero problems
     on every documentation-gated package (the ``make doclint`` set)."""
-    packages = ("gnn", "tensor", "telemetry", "serve", "stream", "rl", "core")
+    packages = (
+        "gnn", "tensor", "telemetry", "serve", "stream", "rl", "core", "entropy",
+    )
     proc = subprocess.run(
         [sys.executable, str(REPO / "tools" / "doclint.py"),
          *(str(REPO / "src" / "repro" / name) for name in packages)],

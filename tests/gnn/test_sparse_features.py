@@ -19,10 +19,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro.gnn.base as gnn_base
 from repro.core import GraphRARE, RareConfig, TopologyEnv, rewire_graph
 from repro.core.env import reward_metrics
-from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import (
     GCN,
@@ -32,27 +30,16 @@ from repro.gnn import (
     features_tensor,
     resolve_halo_plan,
 )
-from repro.gnn.base import SPARSE_MAX_DENSITY, SPARSE_MIN_WIDTH
 from repro.graph import Graph, random_split
 from repro.graph.storage import load_graph_bundle, save_graph_bundle
 from repro.nn import Dropout, cross_entropy
 from repro.tensor import Tensor
+from repro.tensor import sparse as tensor_sparse
+from repro.tensor.sparse import SPARSE_MAX_DENSITY, SPARSE_MIN_WIDTH
+
+from ..sparse_graphs import wide_sparse_graph
 
 PROJECTION_FIRST = ("mlp", "gcn", "gat", "h2gcn")
-
-
-def wide_sparse_graph(
-    num_nodes=48, num_features=300, density=0.04, mean_degree=5.0, seed=0
-):
-    """A planted-partition topology with bag-of-words-like features."""
-    g = planted_partition_graph(
-        num_nodes=num_nodes, homophily=0.4, mean_degree=mean_degree,
-        num_features=num_features, seed=seed,
-    )
-    rng = np.random.default_rng(seed + 100)
-    keep = rng.random(g.features.shape) < density
-    features = np.where(keep, np.abs(g.features) + 0.5, 0.0)
-    return Graph._from_keys(g.num_nodes, g.edge_keys(), features, g.labels)
 
 
 def make_model(name, graph, seed=0):
@@ -113,14 +100,16 @@ def test_csr_memoised_per_feature_array():
 
 
 def test_fit_converts_features_once(monkeypatch):
+    """One conversion of the features (the GNN operand) and one of the
+    entropy embedding (its Gram blocks) per fit."""
     calls = []
-    real = gnn_base._to_csr
+    real = tensor_sparse._to_csr
 
     def counting(features):
-        calls.append(features.shape)
+        calls.append(features)
         return real(features)
 
-    monkeypatch.setattr(gnn_base, "_to_csr", counting)
+    monkeypatch.setattr(tensor_sparse, "_to_csr", counting)
     g = wide_sparse_graph(num_nodes=40, seed=3)
     split = random_split(g.labels, np.random.default_rng(0))
     config = RareConfig(
@@ -129,7 +118,8 @@ def test_fit_converts_features_once(monkeypatch):
         co_train_patience=1, seed=0,
     )
     GraphRARE("gcn", config).fit(g, split)
-    assert calls == [g.features.shape]
+    assert len(calls) == 2
+    assert sum(x is g.features for x in calls) == 1
 
 
 # ---------------------------------------------------------------------------
