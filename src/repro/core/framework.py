@@ -22,6 +22,7 @@ from ..graph.storage import (
     has_entropy_sidecar,
     save_entropy_sidecar,
 )
+from ..nn import bind_dropout_rng
 from ..rl import NodePolicy, build_agent
 from ..telemetry import get_telemetry, telemetry_from_spec, use_telemetry
 from ..tensor import resolve_backend, use_backend
@@ -210,7 +211,10 @@ class GraphRARE:
         already trained backbone instead of a fresh build — the temporal
         driver passes the previous snapshot's co-trained model here (the
         baseline and the final evaluation model are always fresh, so the
-        reported accuracies stay comparable across snapshots).  The whole run executes under the configured tensor
+        reported accuracies stay comparable across snapshots).  Its
+        dropout masks are drawn from this run's generator
+        (:func:`repro.nn.bind_dropout_rng`), so the run depends on the
+        model's weights alone.  The whole run executes under the configured tensor
         backend (``RareConfig.tensor_backend``), scoped so concurrent or
         subsequent runs keep their own choice.
 
@@ -284,10 +288,13 @@ class GraphRARE:
         # before it, and the policy draws its init from the same generator
         # after it.
         with tel.span("rare.setup"):
-            model = (
-                initial_model if initial_model is not None
-                else self._build_model(graph, rng)
-            )
+            if initial_model is not None:
+                # A warm-started model draws its dropout masks from this
+                # run's generator, not from the one it was built with.
+                bind_dropout_rng(initial_model, rng)
+                model = initial_model
+            else:
+                model = self._build_model(graph, rng)
             trainer = Trainer(
                 model, lr=cfg.gnn_lr, weight_decay=cfg.gnn_weight_decay
             )
@@ -317,31 +324,39 @@ class GraphRARE:
         # (the horizon-length rollout ends every episode exactly at the
         # boundary), so the episode budget rounds up to a multiple of
         # num_envs and the curves have ceil(episodes / num_envs) entries.
-        for _ in range(-(-cfg.episodes // cfg.num_envs)):
+        # The policy is updated after every rollout but the last: no action
+        # is sampled after it, and the final model below trains from a
+        # fresh generator, so that update could change nothing returned.
+        iterations = -(-cfg.episodes // cfg.num_envs)
+        for iteration in range(iterations):
             with tel.span("rare.rollout"):
                 buffer = agent.collect_rollout(env, cfg.horizon)
-            with tel.span("rare.update", hist="rl.update_s"):
-                stats = agent.update(buffer)
-            episode_rewards.append(stats.mean_reward)
+            if iteration < iterations - 1:
+                with tel.span("rare.update", hist="rl.update_s"):
+                    agent.update(buffer)
+            episode_rewards.append(float(buffer.flat_rewards().mean()))
 
             with tel.span("rare.select"):
                 # Current graphs first, then the record graph; a candidate
                 # replaces the selection only on a strictly higher
                 # validation accuracy, so on an exact tie the earlier one
                 # (after autoreset every slot holds the original topology)
-                # wins.  Deduped by identity: Graph is unhashable.
+                # wins.  Deduped by identity: Graph is unhashable.  The
+                # lead graph is scored first, and that score is its point
+                # on the accuracy curve.
+                lead = env.current_graphs[0]
                 seen_ids = set()
                 for candidate in (*env.current_graphs, env.best_graph):
                     if id(candidate) in seen_ids:
                         continue
                     seen_ids.add(id(candidate))
                     val_acc, _ = evaluate(model, candidate, split.val)
+                    if candidate is lead:
+                        lead_acc = val_acc
                     if val_acc > best_val:
                         best_val = val_acc
                         best_graph = candidate
-                lead = env.current_graphs[0]
-                val_acc, _ = evaluate(model, lead, split.val)
-                accuracy_curve.append(val_acc)
+                accuracy_curve.append(lead_acc)
                 homophily_curve.append(homophily_ratio(lead))
 
         # --- final training on the optimised topology ---------------------

@@ -161,10 +161,11 @@ class Graph:
         Iterable of ``(u, v)`` pairs; direction and duplicates are ignored,
         self-loops are rejected.
     features:
-        Dense node-feature matrix ``X`` of shape ``(N, d)``.
+        Dense node-feature matrix ``X`` of shape ``(N, d)``; every entry
+        must be finite.
     labels:
         Integer class labels ``y`` of shape ``(N,)`` (optional for unlabeled
-        graphs).
+        graphs); class ids start at 0, so a negative label is rejected.
     """
 
     def __init__(
@@ -197,9 +198,21 @@ class Graph:
 
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
+            if features.ndim != 2:
+                raise ValueError(
+                    f"features must be a 2-D (N, d) matrix, got shape "
+                    f"{features.shape}"
+                )
             if features.shape[0] != num_nodes:
                 raise ValueError(
                     f"features have {features.shape[0]} rows for N={num_nodes}"
+                )
+            bad = ~np.isfinite(features)
+            if bad.any():
+                first = int(np.flatnonzero(bad.any(axis=1))[0])
+                raise ValueError(
+                    f"features must be finite: {int(bad.sum())} non-finite "
+                    f"entries, first in row {first}"
                 )
         self.features = features
 
@@ -207,6 +220,14 @@ class Graph:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (num_nodes,):
                 raise ValueError(f"labels shape {labels.shape} != ({num_nodes},)")
+            negative = labels < 0
+            if negative.any():
+                first = int(np.flatnonzero(negative)[0])
+                raise ValueError(
+                    f"labels must be non-negative class ids: "
+                    f"{int(negative.sum())} negative, first {labels[first]} "
+                    f"at node {first}"
+                )
         self.labels = labels
 
         self._init_derived()

@@ -1,7 +1,14 @@
 """Minimal neural-network library built on ``repro.tensor``."""
 
 from .early_stopping import EarlyStopping
-from .layers import ACTIVATIONS, MLP, Dropout, Linear, get_activation
+from .layers import (
+    ACTIVATIONS,
+    MLP,
+    Dropout,
+    Linear,
+    bind_dropout_rng,
+    get_activation,
+)
 from .loss import (
     accuracy,
     cross_entropy,
@@ -35,6 +42,7 @@ __all__ = [
     "confusion_matrix",
     "cross_entropy_label_smoothing",
     "accuracy",
+    "bind_dropout_rng",
     "clip_grad_norm",
     "cross_entropy",
     "get_activation",

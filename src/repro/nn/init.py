@@ -18,4 +18,5 @@ def he_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarra
 
 
 def zeros(*shape: int) -> np.ndarray:
+    """A float64 array of zeros with the given shape (bias initialisation)."""
     return np.zeros(shape)

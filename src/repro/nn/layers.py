@@ -34,10 +34,11 @@ def get_activation(name: str) -> Callable[[Tensor], Tensor]:
 class Linear(Module):
     """Affine map ``y = x W + b`` with Glorot-initialised weights.
 
+    A dense ``x`` with a bias runs as one :func:`repro.tensor.ops.affine`.
     ``x`` may also be a constant scipy sparse matrix (the CSR feature
     operand of :func:`repro.gnn.features_tensor`): ``x W`` then runs
     through :func:`repro.tensor.ops.spmm`, whose backward is ``xᵀ G``
-    for the weight alone.
+    for the weight alone, and the bias is added after it.
     """
 
     def __init__(
@@ -56,11 +57,10 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         if sp.issparse(x):
             out = ops.spmm(x, self.weight)
-        else:
-            out = ops.matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+            return out if self.bias is None else out + self.bias
+        if self.bias is None:
+            return ops.matmul(x, self.weight)
+        return ops.affine(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
@@ -81,6 +81,18 @@ class Dropout(Module):
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
+
+
+def bind_dropout_rng(module: Module, rng: np.random.Generator) -> None:
+    """Draw the masks of every :class:`Dropout` in ``module`` from ``rng``.
+
+    A model handed from one run to the next (a warm start) otherwise keeps
+    drawing from the generator it was built with, so its masks would
+    depend on everything else that generator served in the earlier run.
+    """
+    for m in module.modules():
+        if isinstance(m, Dropout):
+            m._rng = rng
 
 
 class MLP(Module):

@@ -42,17 +42,22 @@ class ClassificationReport:
 
     @property
     def macro_precision(self) -> float:
+        """Unweighted mean of the per-class precisions."""
         return float(self.precision.mean())
 
     @property
     def macro_recall(self) -> float:
+        """Unweighted mean of the per-class recalls."""
         return float(self.recall.mean())
 
     @property
     def macro_f1(self) -> float:
+        """Unweighted mean of the per-class F1 scores."""
         return float(self.f1.mean())
 
     def summary(self) -> str:
+        """A plain-text table: one row per class, a macro row, then the
+        accuracy."""
         lines = [f"{'class':>6} {'prec':>7} {'recall':>7} {'f1':>7} {'n':>6}"]
         for c in range(len(self.precision)):
             lines.append(

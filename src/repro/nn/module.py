@@ -34,6 +34,8 @@ class Module:
     # Parameter / submodule discovery
     # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
+        """``(dotted name, parameter)`` pairs of this module and every
+        sub-module, in attribute order (lists and tuples index in)."""
         for name, value in vars(self).items():
             full = f"{prefix}{name}"
             if isinstance(value, Parameter):
@@ -48,12 +50,12 @@ class Module:
                         yield from item.named_parameters(prefix=f"{full}.{i}.")
 
     def parameters(self) -> List[Parameter]:
+        """Every parameter, in :meth:`named_parameters` order."""
         return [p for _, p in self.named_parameters()]
 
     def modules(self) -> Iterator["Module"]:
+        """This module, then every sub-module depth first."""
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()
@@ -66,11 +68,13 @@ class Module:
     # Mode switching
     # ------------------------------------------------------------------
     def train(self) -> "Module":
+        """Put this module and every sub-module in training mode."""
         for m in self.modules():
             m.training = True
         return self
 
     def eval(self) -> "Module":
+        """Put this module and every sub-module in eval mode (no dropout)."""
         for m in self.modules():
             m.training = False
         return self
@@ -79,10 +83,12 @@ class Module:
     # Gradient / state management
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:
+        """Reset every parameter's gradient to ``None``."""
         for p in self.parameters():
             p.zero_grad()
 
     def num_parameters(self) -> int:
+        """Total number of scalar parameters."""
         return sum(p.size for p in self.parameters())
 
     def state_dict(self) -> Dict[str, np.ndarray]:
@@ -90,6 +96,11 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Copy ``state`` (as from :meth:`state_dict`) into the parameters.
+
+        Raises ``KeyError`` when the names differ and ``ValueError`` when
+        a shape does.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)

@@ -43,10 +43,12 @@ class Optimizer:
         self.lr = lr
 
     def zero_grad(self) -> None:
+        """Reset the gradient of every parameter to ``None``."""
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
+        """Update every parameter that has a gradient."""
         raise NotImplementedError
 
 
@@ -61,6 +63,7 @@ class SGD(Optimizer):
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """One SGD step, through the velocity buffer when momentum is on."""
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
@@ -96,6 +99,7 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self) -> None:
+        """One bias-corrected Adam step, with decoupled weight decay."""
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
@@ -133,6 +137,7 @@ class RMSprop(Optimizer):
         self._sq = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """One RMSprop step over the running mean of squared gradients."""
         for p, sq in zip(self.params, self._sq):
             if p.grad is None:
                 continue

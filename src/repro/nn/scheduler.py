@@ -16,6 +16,7 @@ class LRScheduler:
         self.epoch = 0
 
     def get_lr(self) -> float:
+        """The learning rate for the current :attr:`epoch`."""
         raise NotImplementedError
 
     def step(self) -> float:
@@ -37,6 +38,7 @@ class StepLR(LRScheduler):
         self.gamma = gamma
 
     def get_lr(self) -> float:
+        """``base_lr * gamma ** (epoch // step_size)``."""
         return self.base_lr * self.gamma ** (self.epoch // self.step_size)
 
 
@@ -51,6 +53,7 @@ class CosineAnnealingLR(LRScheduler):
         self.min_lr = min_lr
 
     def get_lr(self) -> float:
+        """The cosine-annealed rate between the base rate and ``min_lr``."""
         progress = min(self.epoch, self.total_epochs) / self.total_epochs
         return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
             1.0 + np.cos(np.pi * progress)
@@ -67,4 +70,5 @@ class LinearWarmupLR(LRScheduler):
         self.warmup_epochs = warmup_epochs
 
     def get_lr(self) -> float:
+        """``base_lr * min(1, epoch / warmup_epochs)``."""
         return self.base_lr * min(1.0, self.epoch / self.warmup_epochs)

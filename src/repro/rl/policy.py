@@ -59,14 +59,17 @@ class NodePolicy(Module):
         """``(k_logits, d_logits, node_values)`` for ``(R, obs_dim)`` rows.
 
         One trunk pass, then ``feats @ [W_k | W_d | W_v] + [b_k | b_d |
-        b_v]`` as one GEMM whose columns are split back into the two
-        ``(R, num_choices)`` logit blocks and the ``(R, 1)`` values.
+        b_v]`` as one :func:`~repro.tensor.ops.affine` whose columns are
+        split back into the two ``(R, num_choices)`` logit blocks and the
+        ``(R, 1)`` values.
         """
         feats = ops.tanh(self.trunk(Tensor(rows)))
         heads = (self.k_head, self.d_head, self.value_head)
-        out = ops.matmul(
-            feats, ops.concat([h.weight for h in heads], axis=1)
-        ) + ops.concat([h.bias for h in heads], axis=0)
+        out = ops.affine(
+            feats,
+            ops.concat([h.weight for h in heads], axis=1),
+            ops.concat([h.bias for h in heads], axis=0),
+        )
         c = self.num_choices
         return (
             ops.gather_cols(out, slice(0, c)),

@@ -26,7 +26,10 @@ Lifecycle of ``out = MyOp(constants)(x, y)``:
    backprop ``backward(grad)`` returns one gradient per input (``None``
    for inputs that get nothing), which the engine accumulates.
    ``self.needs_input_grad`` tells ``backward`` which inputs want one,
-   so it can skip computing gradients nobody consumes.
+   so it can skip computing gradients nobody consumes.  The engine may
+   keep a returned array as the input's ``.grad`` and add into it later,
+   so ``backward`` must never return an array that aliases a tensor's
+   ``.data`` or one it keeps elsewhere (see :meth:`Function.backward`).
 
 See ``docs/custom-ops.md`` for a worked example and the backend
 contract.
@@ -112,6 +115,16 @@ class Function:
         Returns one array per ``__call__`` input, in order (a bare array
         is accepted for single-input ops); ``None`` entries mean "no
         gradient for this input".
+
+        The engine keeps the first gradient an input receives as that
+        input's ``.grad`` without a copy, and adds later contributions
+        into it in place, when the array owns its data, is writeable, has
+        the input's dtype and shape, is not ``grad`` itself and is not
+        returned for another input of this call.  Everything else (views
+        of ``grad``, broadcast views, scalars) is copied.  So a returned
+        array must never alias a tensor's ``.data`` or an array the op
+        keeps elsewhere (a saved value, a cache): return a fresh array, or
+        a view, which is copied.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement backward()"
@@ -172,6 +185,11 @@ class Function:
                 f"{type(self).__name__}.backward returned {len(grads)} "
                 f"gradient(s) for {len(self._inputs)} input(s)"
             )
+        # An input may keep its first gradient without a copy unless the
+        # array is the upstream gradient or went to another input of this
+        # call; ``Tensor._accumulate`` checks the array's own flags.
+        handed = [grad]
         for tensor, g in zip(self._inputs, grads):
             if g is not None:
-                tensor._accumulate(g)
+                tensor._accumulate(g, fresh=not any(g is h for h in handed))
+                handed.append(g)

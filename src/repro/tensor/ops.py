@@ -468,6 +468,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _Matmul()(a, b)
 
 
+class _Affine(Function):
+    def forward(self, x, weight, bias):
+        if x.ndim != 2:
+            raise ValueError(f"affine needs a 2-D input, got shape {x.shape}")
+        self.save_for_backward(x, weight)
+        out = self.backend.matmul(x, weight)
+        out += bias
+        return out
+
+    def backward(self, grad):
+        x, weight = self.saved_for_backward
+        need_x, need_w, need_b = self.needs_input_grad
+        return (
+            self.backend.matmul(grad, weight.T) if need_x else None,
+            self.backend.matmul(x.T, grad) if need_w else None,
+            grad.sum(axis=0) if need_b else None,
+        )
+
+
+def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` for a 2-D ``x`` and a 1-D ``bias``, as one op.
+
+    The bias is added in place into the product, so the op allocates one
+    ``(N, out)`` array where ``matmul`` followed by ``add`` allocates two.
+    Its values and its three gradients ``(grad @ weightᵀ, xᵀ @ grad,
+    grad.sum(axis=0))`` are bitwise those of that composite.
+    """
+    return _Affine()(x, weight, bias)
+
+
 class _Spmm(Function):
     def __init__(self, matrix: sp.spmatrix) -> None:
         self._matrix = matrix.tocsr()

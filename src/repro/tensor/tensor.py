@@ -81,7 +81,9 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    # A reduction that already has the shape is returned as is: the engine
+    # keeps an array that owns its data without copying it.
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 class Tensor:
@@ -192,21 +194,33 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
         """Add ``grad`` into this tensor's gradient buffer.
 
-        The first contribution is stored as a copy — never ``grad``
-        itself, since backward functions hand one array to several
-        inputs (``_Add`` passes its upstream gradient to both) — without
-        zero-filling the buffer first.
+        The first contribution becomes the buffer without a copy when the
+        caller vouches that nothing else holds it (``fresh``: not the
+        upstream gradient, not handed to another input) and it owns its
+        data, is writeable and has this tensor's dtype and shape.  Any
+        other first contribution — a view, a read-only or broadcast
+        array, a numpy scalar, an array shared between inputs — is
+        copied, so later contributions can be added in place.
         """
         if not self.requires_grad:
             return
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += grad
+        elif (
+            fresh
+            and type(grad) is np.ndarray
+            and grad.flags.owndata
+            and grad.flags.writeable
+            and grad.dtype == self.data.dtype
+            and grad.shape == self.data.shape
+        ):
+            self.grad = grad
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, grad)
-        else:
-            self.grad += grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to ``None``."""
@@ -218,7 +232,8 @@ class Tensor:
         ``grad`` defaults to ones (scalar outputs may omit it, matching the
         usual ``loss.backward()`` idiom).
         """
-        if grad is None:
+        fresh = grad is None
+        if fresh:
             grad = np.ones_like(self.data)
         else:
             grad = _as_array(grad)
@@ -244,7 +259,7 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate(grad, fresh=fresh)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -174,7 +174,8 @@ TOP_LEVEL_PHASES = {
 @pytest.mark.parametrize("num_envs", [1, 2])
 def test_phase_spans_cover_fit(heterophilic, num_envs):
     """The top-level phases account for >= 98% of ``rare.fit`` on both
-    driver loops, and every agent update lands in ``rl.update_s``."""
+    driver loops, every rollout but the last is followed by an agent
+    update, and every update lands in ``rl.update_s``."""
     from repro.telemetry import Telemetry, use_telemetry
 
     graph, split = heterophilic
@@ -188,5 +189,129 @@ def test_phase_spans_cover_fit(heterophilic, num_envs):
     covered = sum(s["dur"] for s in phases)
     assert covered >= 0.98 * fit["dur"], (covered, fit["dur"])
     updates = [s for s in phases if s["name"] == "rare.update"]
-    assert len(updates) == -(-cfg.episodes // num_envs)
+    assert len(updates) == -(-cfg.episodes // num_envs) - 1
     assert tel.registry.histograms["rl.update_s"].count == len(updates)
+
+
+def _spy_on_agent(monkeypatch, log):
+    """Wrap the agent ``_fit`` builds so ``log`` records each rollout's
+    buffer (``("rollout", buffer)``) and each update (``("update",
+    buffer)``)."""
+    import repro.core.framework as framework
+
+    build = framework.build_agent
+
+    def spying_build_agent(*args, **kwargs):
+        agent = build(*args, **kwargs)
+        collect, update = agent.collect_rollout, agent.update
+
+        def collect_rollout(env, num_steps):
+            buffer = collect(env, num_steps)
+            log.append(("rollout", buffer))
+            return buffer
+
+        def spying_update(buffer):
+            log.append(("update", buffer))
+            return update(buffer)
+
+        agent.collect_rollout, agent.update = collect_rollout, spying_update
+        return agent
+
+    monkeypatch.setattr(framework, "build_agent", spying_build_agent)
+
+
+@pytest.mark.parametrize("episodes, num_envs", [(3, 1), (4, 2), (2, 2), (5, 2)])
+def test_fit_updates_after_every_rollout_but_the_last(
+    heterophilic, monkeypatch, episodes, num_envs
+):
+    """``agent.update`` runs ``ceil(episodes / num_envs) - 1`` times, each
+    on the rollout just collected, and every iteration's episode reward is
+    its buffer's mean reward — the last one included."""
+    graph, split = heterophilic
+    log = []
+    _spy_on_agent(monkeypatch, log)
+    cfg = tiny_config(episodes=episodes, num_envs=num_envs, horizon=2)
+    result = GraphRARE("gcn", cfg).fit(graph, split, train_baseline=False)
+    iterations = -(-episodes // num_envs)
+    rollouts = [buf for kind, buf in log if kind == "rollout"]
+    updates = [buf for kind, buf in log if kind == "update"]
+    assert len(rollouts) == iterations
+    assert len(updates) == iterations - 1
+    assert all(u is r for u, r in zip(updates, rollouts))
+    assert log[-1][0] == "rollout"
+    assert result.episode_rewards == [
+        float(buf.flat_rewards().mean()) for buf in rollouts
+    ]
+
+
+def test_select_scores_each_candidate_once_per_iteration(
+    heterophilic, monkeypatch
+):
+    """``rare.select`` evaluates every distinct candidate once; the lead
+    graph's score is reused for the accuracy curve."""
+    import repro.core.framework as framework
+
+    graph, split = heterophilic
+    log = []
+    _spy_on_agent(monkeypatch, log)
+    evaluate = framework.evaluate
+
+    def counting_evaluate(model, candidate, mask):
+        score = evaluate(model, candidate, mask)
+        log.append(("evaluate", candidate, score[0]))
+        return score
+
+    monkeypatch.setattr(framework, "evaluate", counting_evaluate)
+    cfg = tiny_config(episodes=6, num_envs=2, horizon=2)
+    result = GraphRARE("gcn", cfg).fit(graph, split, train_baseline=False)
+
+    # Split the log at each rollout; the evaluations after one are that
+    # iteration's selection (the one before the first is the baseline
+    # candidate).
+    iterations, current = [], None
+    for entry in log:
+        if entry[0] == "rollout":
+            current = []
+            iterations.append(current)
+        elif entry[0] == "evaluate" and current is not None:
+            current.append(entry[1:])
+    assert len(iterations) == 3
+    for calls, lead_acc in zip(iterations, result.accuracy_curve):
+        ids = [id(candidate) for candidate, _ in calls]
+        assert len(ids) == len(set(ids)), "a candidate was scored twice"
+        assert calls[0][1] == lead_acc
+
+
+def test_warm_start_draws_dropout_masks_from_the_fit(heterophilic):
+    """A warm-started fit depends on the model's weights only, not on the
+    state of the generator the model was built with."""
+    from repro.gnn import build_backbone
+    from repro.nn import Dropout
+
+    from .golden_fit import digest
+
+    graph, split = heterophilic
+    cfg = tiny_config(episodes=2, horizon=2)
+
+    def warm_model():
+        return build_backbone(
+            "gcn", graph.num_features, graph.num_classes, hidden=cfg.hidden,
+            dropout=0.5, rng=np.random.default_rng(123),
+        )
+
+    plain, advanced = warm_model(), warm_model()
+    (old_rng,) = {
+        m._rng for m in advanced.modules() if isinstance(m, Dropout)
+    }
+    old_rng.random(1000)  # the draws an earlier run would have made
+
+    results = [
+        GraphRARE("gcn", cfg).fit(graph, split, initial_model=model)
+        for model in (plain, advanced)
+    ]
+    assert digest(results[0]) == digest(results[1])
+    for model in (plain, advanced):
+        assert all(
+            m._rng is not old_rng
+            for m in model.modules() if isinstance(m, Dropout)
+        )

@@ -46,6 +46,34 @@ def test_label_shape_validated():
         Graph(3, [], labels=np.zeros((2,), dtype=int))
 
 
+def test_non_finite_features_rejected():
+    features = np.zeros((3, 2))
+    features[0, 1] = np.nan
+    with pytest.raises(ValueError, match="1 non-finite entries, first in row 0"):
+        Graph(3, [(0, 1), (1, 2)], features=features, labels=[-1, 0, 1])
+    features = np.zeros((4, 2))
+    features[2, 0] = np.inf
+    features[3] = -np.inf
+    with pytest.raises(ValueError, match="3 non-finite entries, first in row 2"):
+        Graph(4, [], features=features)
+
+
+def test_one_dimensional_features_rejected():
+    with pytest.raises(ValueError, match=r"2-D \(N, d\).*shape \(3,\)"):
+        Graph(3, [(0, 1)], features=np.ones(3))
+
+
+def test_negative_labels_rejected():
+    with pytest.raises(ValueError, match="2 negative, first -2 at node 1"):
+        Graph(4, [(0, 1)], labels=[0, -2, 1, -1])
+
+
+def test_valid_features_and_labels_accepted():
+    g = Graph(3, [(0, 1)], features=np.ones((3, 2)), labels=[0, 2, 1])
+    assert g.num_features == 2
+    assert g.num_classes == 3
+
+
 def test_adjacency_symmetric_no_selfloops():
     adj = triangle().adjacency().toarray()
     np.testing.assert_allclose(adj, adj.T)

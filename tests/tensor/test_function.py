@@ -207,6 +207,10 @@ GRADCHECK_CASES = {
         lambda a, b: ops.where(np.array([[True, False]] * 3), a, b),
         [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))],
     ),
+    "_Affine": (
+        lambda x, w, b: ops.affine(x, w, b),
+        [rng.normal(size=(3, 5)), rng.normal(size=(5, 2)), rng.normal(size=2)],
+    ),
 }
 
 
