@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: test doclint bench-e2e bench-smoke bench-scaling bench-rollout bench-entropy bench-reward bench-halo bench-backend bench-telemetry bench-out-of-core bench-serving bench-streaming bench-compare serve-smoke
+.PHONY: test doclint bench-e2e bench-smoke bench-scaling bench-rollout bench-entropy bench-reward bench-halo bench-telemetry bench-out-of-core bench-serving bench-streaming bench-compare serve-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -20,7 +20,6 @@ bench-smoke:
 	$(PY) benchmarks/bench_scaling_rewire.py --sizes 1000 5000 --steps 5
 	$(PY) benchmarks/bench_incremental_reward.py --nodes 1500 --edits 2 --steps 6 --repeats 2
 	$(PY) benchmarks/bench_halo_backbones.py --nodes 1500 --edits 2 --steps 4 --repeats 2
-	$(PY) benchmarks/bench_backend_kernels.py --sizes 2000
 	$(PY) benchmarks/bench_telemetry_overhead.py --steps 32 --iterations 50000
 	$(PY) benchmarks/bench_out_of_core.py --n 3000
 	$(PY) benchmarks/bench_streaming.py --nodes 800 --events 4 --steps 40 --repeats 2
@@ -64,13 +63,6 @@ bench-reward:
 # into bench_results/.
 bench-halo:
 	$(PY) benchmarks/bench_halo_backbones.py
-
-# Accelerated tensor-backend kernels (numba spmm + segment softmax) vs
-# the numpy reference at N = 20k; every timed pair is allclose-checked
-# in-bench, the >= 3x contract is asserted on spmm or segment softmax,
-# and JSON lands in bench_results/.  Skips cleanly when numba is absent.
-bench-backend:
-	$(PY) benchmarks/bench_backend_kernels.py
 
 # Disabled-path telemetry cost (ns per span/count/observe), derived
 # per-step overhead asserted <= 2% of a measured RL step, plus the

@@ -7,12 +7,16 @@ that claim executable from two directions:
 
 * **micro** — times the disabled no-op primitives directly (a disabled
   ``span()`` context manager, a disabled ``count()``, a disabled
-  ``observe()``) in a tight loop and reports nanoseconds per operation.
+  ``observe()``, and the ``get_telemetry().enabled`` check the
+  ``Function`` op hook makes per forward and per backward) in a tight
+  loop and reports nanoseconds per operation.
 * **derived contract** — counts the instrumentation points a single
   ``TopologyEnv.step`` crosses (one step span, one rewire span + memo
   counter, reward spans, a handful of incremental-engine counters) with
-  a generous safety factor, multiplies by the measured no-op cost, and
-  asserts the total is <= 2% of the *measured* per-step wall time.
+  a generous safety factor, plus the op-hook points per step read off
+  the enabled run's ``op.*`` histogram counts, multiplies each by its
+  measured no-op cost, and asserts the total is <= 2% of the *measured*
+  per-step wall time.
 * **macro** — runs the same tiny RL loop with telemetry disabled and
   enabled and reports the ratio (informational: the enabled path is
   allowed to cost more; only the disabled path is contractual).
@@ -42,7 +46,12 @@ from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import Trainer, build_backbone
 from repro.graph import random_split
-from repro.telemetry import NULL_TELEMETRY, Telemetry, use_telemetry
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    Telemetry,
+    get_telemetry,
+    use_telemetry,
+)
 
 #: The observability contract: disabled telemetry costs <= this fraction
 #: of a hot-path step.
@@ -80,12 +89,18 @@ def time_noop_ops(iterations: int = 200_000) -> dict:
         tel.observe("x", 1.0)
     observe_s = time.perf_counter() - start - baseline
 
+    start = time.perf_counter()
+    for _ in range(iterations):
+        get_telemetry().enabled
+    hook_s = time.perf_counter() - start - baseline
+
     per = 1e9 / iterations
     return {
         "iterations": iterations,
         "span_ns": max(span_s, 0.0) * per,
         "count_ns": max(count_s, 0.0) * per,
         "observe_ns": max(observe_s, 0.0) * per,
+        "hook_ns": max(hook_s, 0.0) * per,
     }
 
 
@@ -129,15 +144,26 @@ def run_bench(steps: int = 64, iterations: int = 200_000) -> dict:
     disabled_step_s = min(
         time_steps(world, NULL_TELEMETRY, steps=steps) for _ in range(3)
     )
-    enabled_step_s = time_steps(world, Telemetry(enabled=True), steps=steps)
+    enabled = Telemetry(enabled=True)
+    enabled_step_s = time_steps(world, enabled, steps=steps)
+    # One hook point per op forward and per op backward; env
+    # construction runs under the same session, so this over-counts.
+    hook_points_per_step = sum(
+        hist.count for name, hist in enabled.registry.histograms.items()
+        if name.startswith("op.")
+    ) / steps
 
     worst_noop_ns = max(micro["span_ns"], micro["count_ns"],
                         micro["observe_ns"])
     budget_s = MAX_OVERHEAD_FRAC * disabled_step_s
-    derived_overhead_s = OPS_PER_STEP * worst_noop_ns * 1e-9
+    derived_overhead_s = (
+        OPS_PER_STEP * worst_noop_ns
+        + hook_points_per_step * micro["hook_ns"]
+    ) * 1e-9
     return {
         "micro": micro,
         "ops_per_step": OPS_PER_STEP,
+        "hook_points_per_step": hook_points_per_step,
         "disabled_step_s": disabled_step_s,
         "enabled_step_s": enabled_step_s,
         "enabled_over_disabled": enabled_step_s / max(disabled_step_s, 1e-12),
@@ -155,11 +181,13 @@ def print_report(result: dict) -> None:
     print(f"disabled span()    : {micro['span_ns']:8.1f} ns/op")
     print(f"disabled count()   : {micro['count_ns']:8.1f} ns/op")
     print(f"disabled observe() : {micro['observe_ns']:8.1f} ns/op")
+    print(f"disabled op hook   : {micro['hook_ns']:8.1f} ns/op")
     print(f"env step, telemetry off : {1e3 * result['disabled_step_s']:.3f} ms")
     print(f"env step, telemetry on  : {1e3 * result['enabled_step_s']:.3f} ms "
           f"({result['enabled_over_disabled']:.2f}x, informational)")
     print(f"derived disabled overhead: {result['ops_per_step']} ops/step x "
-          f"worst no-op = {1e6 * result['derived_overhead_s']:.2f} us "
+          f"worst no-op + {result['hook_points_per_step']:.1f} op-hook "
+          f"points/step x hook = {1e6 * result['derived_overhead_s']:.2f} us "
           f"({100 * result['derived_overhead_frac']:.3f}% of a step; "
           f"budget {100 * MAX_OVERHEAD_FRAC:.0f}%)")
 

@@ -1,14 +1,12 @@
 """A residual / jumping-knowledge backbone built on a custom ``Function``.
 
-This example combines the two public extension points added by the
-tensor-backend refactor:
+This example combines the repository's two public extension points:
 
 1. :class:`repro.tensor.Function` — a custom differentiable op.
    ``SpmmResidual`` fuses the residual aggregation ``A h + h`` into one
-   node of the autograd graph; its forward and backward both go through
-   ``self.backend.spmm``, so the op automatically runs on whichever
-   tensor backend is active (the byte-identical numpy reference, or the
-   numba kernels under ``tensor_backend="accel"``).
+   node of the autograd graph; its forward and backward are plain
+   numpy/scipy, and under an enabled telemetry session both are timed
+   into ``op.SpmmResidual.fwd_s`` / ``.bwd_s`` like every built-in op.
 2. :class:`repro.gnn.HaloPlan` — the incremental halo engine.  The
    backbone keeps *jumping-knowledge* skip connections (the classifier
    reads the concatenation of both hidden layers), and the plan shows
@@ -43,10 +41,8 @@ class SpmmResidual(Function):
     """Residual sparse aggregation ``A @ x + x`` as one custom op.
 
     Graph-level constants (the sparse matrix) travel through ``__init__``;
-    only differentiable arrays go through ``__call__``.  Both directions
-    use ``self.backend.spmm`` — the backend the engine resolved for this
-    call — so the op is accelerated for free when numba is available.
-    The backward of ``x -> A x + x`` is ``g -> A^T g + g``.
+    only differentiable arrays go through ``__call__``.  The backward of
+    ``x -> A x + x`` is ``g -> A^T g + g``.
     """
 
     def __init__(self, matrix):
@@ -54,12 +50,12 @@ class SpmmResidual(Function):
         self._transposed = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.backend.spmm(self.matrix, x) + x
+        return np.asarray(self.matrix @ x) + x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._transposed is None:
             self._transposed = self.matrix.T.tocsr()
-        return self.backend.spmm(self._transposed, grad) + grad
+        return np.asarray(self._transposed @ grad) + grad
 
 
 def spmm_residual(matrix, x) -> Tensor:

@@ -45,7 +45,6 @@ from .telemetry import (
     use_telemetry,
     validate_lines,
 )
-from .tensor import use_backend
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,13 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker-pool width for the sharded entropy "
                             "build (results are byte-identical for every "
                             "worker count)")
-        p.add_argument("--tensor-backend", default="numpy",
-                       choices=["numpy", "accel", "auto"],
-                       help="tensor kernel backend: the byte-identical "
-                            "numpy reference (default), the numba-JIT "
-                            "accelerated kernels (accel; warns and falls "
-                            "back when numba is missing), or auto "
-                            "(accelerated when available)")
 
     info = sub.add_parser("info", help="print dataset statistics")
     add_dataset_args(info)
@@ -186,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_info(args) -> int:
-    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    graph, _ = _resolve_graph(args)
+    if graph is None:
+        return 2
     stats = degree_statistics(graph)
     print(f"dataset   : {args.dataset} (scale {args.scale})")
     print(f"nodes     : {graph.num_nodes}")
@@ -211,7 +205,9 @@ def _finish_telemetry(tel) -> None:
 
 def _resolve_graph(args):
     """The command's graph and its display name: a memmapped bundle when
-    ``--graph-bundle`` is given, the (scaled) named dataset otherwise."""
+    ``--graph-bundle`` is given, the (scaled) named dataset otherwise.
+    A graph that cannot be loaded prints one ``error:`` line and gives
+    ``(None, None)``."""
     bundle = getattr(args, "graph_bundle", None)
     if bundle is not None and args.dataset is not None:
         print("error: pass either --dataset or --graph-bundle, not both",
@@ -230,7 +226,12 @@ def _resolve_graph(args):
         print("error: one of --dataset or --graph-bundle is required",
               file=sys.stderr)
         return None, None
-    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    try:
+        graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: cannot load dataset {args.dataset!r}: {exc}",
+              file=sys.stderr)
+        return None, None
     return graph, args.dataset
 
 
@@ -260,7 +261,6 @@ def _run_config(args) -> RareConfig:
         max_halo_frac=args.max_halo_frac,
         screening=args.screening,
         num_workers=args.num_workers,
-        tensor_backend=args.tensor_backend,
         stream=stream_cfg,
         seed=args.seed,
     )
@@ -340,21 +340,20 @@ def cmd_rewire(args) -> int:
         args.telemetry, run={"command": "rewire", "dataset": graph_name}
     )
     with use_telemetry(tel):
-        with use_backend(args.tensor_backend):
-            with tel.span("rewire.entropy"):
-                if args.graph_bundle:
-                    sequences = build_entropy_sequences(
-                        graph, None, max_candidates=config.max_candidates,
-                        screening="on", num_workers=args.num_workers,
-                        state_loader=bundle_state_loader(graph, config, None),
-                    )
-                else:
-                    sequences = build_entropy_sequences(
-                        graph, relative_entropy(graph, config, None),
-                        max_candidates=config.max_candidates,
-                        screening=args.screening,
-                        num_workers=args.num_workers,
-                    )
+        with tel.span("rewire.entropy"):
+            if args.graph_bundle:
+                sequences = build_entropy_sequences(
+                    graph, None, max_candidates=config.max_candidates,
+                    screening="on", num_workers=args.num_workers,
+                    state_loader=bundle_state_loader(graph, config, None),
+                )
+            else:
+                sequences = build_entropy_sequences(
+                    graph, relative_entropy(graph, config, None),
+                    max_candidates=config.max_candidates,
+                    screening=args.screening,
+                    num_workers=args.num_workers,
+                )
         k = np.minimum(args.k, (sequences.remote >= 0).sum(axis=1))
         d = np.minimum(args.d, graph.degrees())
         with tel.span("rewire.apply"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..rl import PPOConfig
@@ -137,16 +138,6 @@ class RareConfig:
     RSS tracks one shard's working set rather than the graph.  Outputs
     are byte-identical between the two modes for every worker count and
     executor."""
-    tensor_backend: str = "numpy"
-    """Kernel backend for the tensor substrate
-    (:mod:`repro.tensor.backends`): ``"numpy"`` (default) is the
-    byte-identical reference every equivalence contract is written
-    against; ``"accel"`` requests the numba-JIT kernels (allclose to the
-    reference; falls back to numpy with a warning when numba is not
-    installed); ``"auto"`` uses the accelerated backend when available
-    and the reference otherwise, silently.  The choice is scoped to the
-    run (``GraphRARE.fit`` activates it via
-    :func:`repro.tensor.use_backend`), never set globally."""
 
     stream: "StreamConfig | None" = None  # noqa: F821 - lazy import below
     """Live edge churn (:mod:`repro.stream`).  ``None`` (default) keeps
@@ -162,8 +153,10 @@ class RareConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(
+                f"lam must be finite and non-negative, got {self.lam}"
+            )
         if self.k_max < 0 or self.d_max < 0:
             raise ValueError("k_max and d_max must be non-negative")
         if self.k_max > self.max_candidates:
@@ -200,11 +193,6 @@ class RareConfig:
         if self.storage not in ("ram", "stream"):
             raise ValueError(
                 f"storage must be 'ram' or 'stream', got {self.storage!r}"
-            )
-        if self.tensor_backend not in ("numpy", "accel", "auto"):
-            raise ValueError(
-                f"tensor_backend must be 'numpy', 'accel' or 'auto', "
-                f"got {self.tensor_backend!r}"
             )
         from ..rl import AGENTS
 

@@ -25,8 +25,6 @@ from ..graph.storage import (
 from ..nn import bind_dropout_rng
 from ..rl import NodePolicy, build_agent
 from ..telemetry import get_telemetry, telemetry_from_spec, use_telemetry
-from ..tensor import resolve_backend, use_backend
-from ..tensor.backends.instrument import InstrumentedBackend
 from .config import RareConfig
 from .env import OBS_DIM, TopologyEnv
 
@@ -214,18 +212,15 @@ class GraphRARE:
         reported accuracies stay comparable across snapshots).  Its
         dropout masks are drawn from this run's generator
         (:func:`repro.nn.bind_dropout_rng`), so the run depends on the
-        model's weights alone.  The whole run executes under the configured tensor
-        backend (``RareConfig.tensor_backend``), scoped so concurrent or
-        subsequent runs keep their own choice.
+        model's weights alone.
 
         Observability: if a telemetry session is already ambient
         (:func:`repro.telemetry.use_telemetry`) the run records into it;
         otherwise ``RareConfig.telemetry`` may open one for the duration
         of this call (closed — and its JSONL stream flushed — before
-        returning).  Under an enabled session the active tensor backend
-        is wrapped in an :class:`InstrumentedBackend`, so per-kernel call
-        counts and timings come for free; with telemetry off the backend
-        is used bare and no instrumentation runs.
+        returning).  Under an enabled session every tensor op's forward
+        and backward is timed into ``op.<Name>.fwd_s`` / ``.bwd_s``
+        (:class:`repro.tensor.Function`).
         """
         tel = get_telemetry()
         opened = False
@@ -235,11 +230,8 @@ class GraphRARE:
                 run=f"GraphRARE.fit[{self.backbone_name}]",
             )
             opened = tel.enabled
-        backend = resolve_backend(self.config.tensor_backend)
-        if tel.enabled:
-            backend = InstrumentedBackend(backend, tel)
         try:
-            with use_telemetry(tel), use_backend(backend):
+            with use_telemetry(tel):
                 with tel.span("rare.fit", backbone=self.backbone_name):
                     return self._fit(
                         graph, split, sequences, shuffle_sequences,

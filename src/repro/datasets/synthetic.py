@@ -48,7 +48,7 @@ class DatasetSpec:
 
     def scaled(self, scale: float, min_nodes: int = 40, min_features: int = 32) -> "DatasetSpec":
         """A proportionally smaller spec (constant mean degree and H)."""
-        if scale <= 0 or scale > 1:
+        if not 0 < scale <= 1:
             raise ValueError(f"scale must be in (0, 1], got {scale}")
         if scale == 1.0:
             return self

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from ..graph import Graph
-from ..tensor.backends import active_backend
 
 
 def degree_profiles(graph: Graph, max_len: Optional[int] = None) -> np.ndarray:
@@ -119,14 +118,18 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def js_divergence_block(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Pairwise JS between every row of ``P`` (B, M) and ``Q`` (N, M).
 
-    Returns a ``(B, N)`` matrix; under the numpy reference backend it is
-    bitwise-identical to stacking ``js_divergence(P[i], Q)`` row by row,
-    without the Python loop.  Delegates to the active tensor backend
-    (:mod:`repro.tensor.backends`): the reference materialises an
-    ``O(B * N * M)`` broadcast intermediate — chunk ``P`` at the call
-    site — while the accelerated backend fuses the reduction.
+    Returns a ``(B, N)`` matrix, bitwise-identical to stacking
+    ``js_divergence(P[i], Q)`` row by row, without the Python loop.  It
+    materialises an ``O(B * N * M)`` broadcast intermediate, so chunk
+    ``P`` at the call site.
     """
-    return active_backend().js_divergence_block(P, Q)
+    P3 = P[:, None, :]
+    Q3 = Q[None, :, :]
+    m = 0.5 * (P3 + Q3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl_pm = np.where(P3 > 0, P3 * np.log2(P3 / m), 0.0).sum(axis=-1)
+        kl_qm = np.where(Q3 > 0, Q3 * np.log2(Q3 / m), 0.0).sum(axis=-1)
+    return 0.5 * (kl_pm + kl_qm)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -142,11 +145,11 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> np.ndarra
 def kl_divergence_block(
     P: np.ndarray, Q: np.ndarray, eps: float = 1e-12
 ) -> np.ndarray:
-    """Pairwise raw KL ``KL(P_i || Q_j)`` as a ``(B, N)`` block.
-
-    Delegates to the active tensor backend's fused/reference kernel.
-    """
-    return active_backend().kl_divergence_block(P, Q, eps)
+    """Pairwise raw KL ``KL(P_i || Q_j)`` as a ``(B, N)`` block."""
+    P3 = P[:, None, :]
+    Q3 = np.maximum(Q[None, :, :], eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(P3 > 0, P3 * np.log2(P3 / Q3), 0.0).sum(axis=-1)
 
 
 def symmetric_kl_divergence_block(
@@ -162,10 +165,14 @@ def symmetric_kl_divergence_block(
 
     holds for every zero pattern under the ``0 log 0 = 0`` convention, so
     one broadcast difference and one clamped-log difference replace the two
-    separate ``(B, N, M)`` ratio/where intermediates.  Delegates to the
-    active tensor backend (the accelerated kernel fuses even those).
+    separate ``(B, N, M)`` ratio/where intermediates.
     """
-    return active_backend().symmetric_kl_divergence_block(P, Q, eps)
+    diff = P[:, None, :] - Q[None, :, :]
+    logs = np.log2(np.maximum(P, eps))[:, None, :] - np.log2(
+        np.maximum(Q, eps)
+    )[None, :, :]
+    logs *= diff
+    return 0.5 * logs.sum(axis=-1)
 
 
 def symmetric_kl_divergence_pairs(

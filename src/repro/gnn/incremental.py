@@ -85,7 +85,6 @@ from ..graph.normalize import gcn_norm, row_norm, two_hop_adjacency
 from ..graph.storage import MmapReleaser
 from ..telemetry import SIZE_BUCKETS, Counter, StatsView, get_telemetry
 from ..tensor import Tensor, no_grad, ops
-from ..tensor.backends import active_backend
 from .base import GNNBackbone, cached_matrix, features_tensor
 from .models import GAT, GCN, H2GCN, GraphSAGE, MixHop, _normalized_two_hop
 
@@ -108,17 +107,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Backend plumbing + per-evaluation scratch buffers
+# Sparse products + per-evaluation scratch buffers
 # ---------------------------------------------------------------------------
 def _spmm(matrix: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
-    """Sparse-dense product through the active tensor backend.
+    """Sparse-dense product ``matrix @ dense`` as a dense array.
 
-    Every raw ``np.asarray(matrix @ dense)`` in the correction paths
-    routes through here so the numba backend (when selected) serves the
-    same sites as the reference — the numpy backend computes the exact
-    historical expression, keeping the bitwise off-halo contract intact.
+    The same expression as ``ops.spmm``'s forward, so the correction
+    paths keep the bitwise off-halo contract.
     """
-    return active_backend().spmm(matrix, dense)
+    return np.asarray(matrix @ dense)
 
 
 class ScratchBuffers:

@@ -56,7 +56,7 @@ class RewiringServer:
         self.config = config or ServeConfig()
         self._tel = tel if tel is not None else get_telemetry()
         self.sessions = SessionManager(
-            self.config.max_sessions, self.config.memo_entries
+            self.config.max_sessions, self.config.memo_entries, tel=self._tel
         )
         self.batcher = MicroBatcher(
             max_batch=self.config.max_batch,

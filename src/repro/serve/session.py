@@ -34,7 +34,7 @@ from ..gnn import Trainer, build_backbone
 from ..gnn.incremental import _masked_metrics
 from ..graph import Graph, geom_gcn_splits
 from ..rl.vector.stacked import StackedGraphBuilder
-from ..telemetry import get_telemetry
+from ..telemetry import Telemetry, get_telemetry, use_telemetry
 from .protocol import BadRequestError, UnknownSessionError
 
 __all__ = [
@@ -286,12 +286,16 @@ class GraphSession:
     """One tenant's handle on an artifact plus its private rewire memo."""
 
     def __init__(
-        self, session_id: str, artifact: GraphArtifact, memo_entries: int
+        self,
+        session_id: str,
+        artifact: GraphArtifact,
+        memo_entries: int,
+        tel: Optional[Telemetry] = None,
     ) -> None:
         self.session_id = session_id
         self.artifact = artifact
         self.memo = LRUCache(
-            memo_entries, counter_prefix="serve.session_memo"
+            memo_entries, counter_prefix="serve.session_memo", tel=tel
         )
         self.requests = 0
 
@@ -318,14 +322,23 @@ class SessionManager:
     is the cross-request reuse the service is named for.  ``get``
     refreshes a session's recency, so steady traffic never evicts an
     active tenant.
+
+    ``tel`` is the telemetry session the registry, its session memos and
+    its artifact builds record into; it defaults to the session ambient
+    at construction.
     """
 
-    def __init__(self, max_sessions: int, memo_entries: int) -> None:
+    def __init__(
+        self,
+        max_sessions: int,
+        memo_entries: int,
+        tel: Optional[Telemetry] = None,
+    ) -> None:
         self.max_sessions = int(max_sessions)
         self.memo_entries = int(memo_entries)
-        self._tel = get_telemetry()
+        self._tel = tel if tel is not None else get_telemetry()
         self._sessions = LRUCache(
-            max_sessions, counter_prefix="serve.sessions"
+            max_sessions, counter_prefix="serve.sessions", tel=self._tel
         )
         self._artifacts: Dict[SessionSpec, GraphArtifact] = {}
         self._next_id = 0
@@ -340,7 +353,10 @@ class SessionManager:
         artifact = self._artifacts.get(spec)
         if artifact is None:
             self._tel.count("serve.artifact_builds")
-            artifact = build_artifact(spec, max_batch=max_batch)
+            # The server builds on an executor thread, which does not
+            # inherit the ambient telemetry session.
+            with use_telemetry(self._tel):
+                artifact = build_artifact(spec, max_batch=max_batch)
             self._artifacts[spec] = artifact
         else:
             self._tel.count("serve.artifact_reuses")
@@ -355,7 +371,9 @@ class SessionManager:
         the build — worker thread — from this loop-thread registration)."""
         session_id = f"s{self._next_id}"
         self._next_id += 1
-        session = GraphSession(session_id, artifact, self.memo_entries)
+        session = GraphSession(
+            session_id, artifact, self.memo_entries, tel=self._tel
+        )
         self._sessions.put(session_id, session)
         self._tel.set_gauge("serve.sessions.open", len(self._sessions))
         return session

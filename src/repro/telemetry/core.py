@@ -14,7 +14,7 @@ state.  Enabled, it collects:
   :mod:`repro.telemetry.schema`).
 
 Sessions are scoped with :func:`use_telemetry` (a ``ContextVar``, like
-``repro.tensor.use_backend``) and read with :func:`get_telemetry`.
+:func:`repro.tensor.no_grad`) and read with :func:`get_telemetry`.
 Worker pools do not inherit the context variable — workers see the
 disabled default — which is what makes the capture protocol explicit:
 ``run_sharded`` runs each shard under a fresh local session and the
@@ -315,7 +315,7 @@ def set_telemetry(tel: Optional[Telemetry]) -> None:
 
 @contextmanager
 def use_telemetry(tel: Telemetry) -> Iterator[Telemetry]:
-    """Scoped session activation, mirroring ``repro.tensor.use_backend``.
+    """Scoped session activation: restores the previous session on exit.
 
     Examples
     --------

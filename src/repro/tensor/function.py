@@ -12,11 +12,7 @@ Lifecycle of ``out = MyOp(constants)(x, y)``:
 
 1. the instance is constructed with op-specific *constants* (an axis, a
    sparse matrix, an index array — anything that is not differentiated);
-2. ``__call__`` coerces the inputs to :class:`~repro.tensor.Tensor`,
-   resolves the backend the op will compute with (the inputs' pinned
-   backend, else the process-active one) into ``self.backend``, and
-   rejects mixed-backend inputs with
-   :class:`~repro.tensor.backends.BackendMismatchError`;
+2. ``__call__`` coerces the inputs to :class:`~repro.tensor.Tensor`;
 3. ``forward(*arrays)`` runs on the raw ``numpy`` payloads and returns
    the output array, stashing whatever backward needs via
    :meth:`Function.save_for_backward` or plain attributes (safe because
@@ -31,17 +27,23 @@ Lifecycle of ``out = MyOp(constants)(x, y)``:
    so ``backward`` must never return an array that aliases a tensor's
    ``.data`` or one it keeps elsewhere (see :meth:`Function.backward`).
 
-See ``docs/custom-ops.md`` for a worked example and the backend
-contract.
+Under an enabled telemetry session (:mod:`repro.telemetry`) every
+``forward`` and ``backward`` is timed into the ``op.<Name>.fwd_s`` /
+``op.<Name>.bwd_s`` histograms, ``<Name>`` being the class name without
+its leading underscore (``_Spmm`` -> ``op.Spmm.fwd_s``).  With telemetry
+off the hook costs one context-variable read per call.
+
+See ``docs/custom-ops.md`` for a worked example.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from time import perf_counter
+from typing import Dict, Tuple, Type
 
 import numpy as np
 
-from .backends import BackendMismatchError, TensorBackend, active_backend
+from ..telemetry import get_telemetry
 from .tensor import Tensor
 
 __all__ = ["FUNCTION_REGISTRY", "Function"]
@@ -69,17 +71,13 @@ class Function:
                 self.matrix = matrix.tocsr()
 
             def forward(self, x):
-                return self.backend.spmm(self.matrix, x) + x
+                return np.asarray(self.matrix @ x) + x
 
             def backward(self, grad):
-                return self.backend.spmm(self.matrix.T.tocsr(), grad) + grad
+                return np.asarray(self.matrix.T @ grad) + grad
 
         out = SpmmResidual(adj)(x)   # fresh instance every call
     """
-
-    #: The backend this call computes with; set by ``__call__`` before
-    #: ``forward`` runs and still valid when ``backward`` runs.
-    backend: Optional[TensorBackend] = None
 
     #: Per ``__call__`` input, whether it requires grad; set by
     #: ``__call__``.  ``backward`` may return ``None`` where it is
@@ -89,11 +87,17 @@ class Function:
     _called: bool = False
     _saved: Tuple = ()
     _inputs: Tuple[Tensor, ...] = ()
+    _fwd_metric: str = "op.Function.fwd_s"
+    _bwd_metric: str = "op.Function.bwd_s"
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Record the subclass in :data:`FUNCTION_REGISTRY`."""
+        """Record the subclass in :data:`FUNCTION_REGISTRY` and name its
+        ``op.<Name>.fwd_s`` / ``.bwd_s`` timing histograms."""
         super().__init_subclass__(**kwargs)
         FUNCTION_REGISTRY[cls.__name__] = cls
+        name = cls.__name__.lstrip("_")
+        cls._fwd_metric = f"op.{name}.fwd_s"
+        cls._bwd_metric = f"op.{name}.bwd_s"
 
     # ------------------------------------------------------------------
     # Subclass surface
@@ -101,9 +105,8 @@ class Function:
     def forward(self, *arrays: np.ndarray) -> np.ndarray:
         """Compute the output array from the inputs' raw arrays.
 
-        Runs on plain ``numpy.ndarray`` payloads; fetch accelerated
-        kernels from ``self.backend``.  Stash anything backward needs on
-        ``self`` (or via :meth:`save_for_backward`).
+        Runs on plain ``numpy.ndarray`` payloads.  Stash anything
+        backward needs on ``self`` (or via :meth:`save_for_backward`).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement forward()"
@@ -154,30 +157,26 @@ class Function:
         tensors = tuple(
             x if isinstance(x, Tensor) else Tensor(x) for x in inputs
         )
-        pinned: Optional[TensorBackend] = None
-        for t in tensors:
-            b = t.backend
-            if b is None:
-                continue
-            if pinned is None:
-                pinned = b
-            elif b is not pinned:
-                raise BackendMismatchError(
-                    f"{type(self).__name__} got tensors pinned to "
-                    f"different backends ({pinned.name!r} vs {b.name!r}); "
-                    "keep one backend per computation or unpin "
-                    "(backend=None) to follow the active backend"
-                )
-        self.backend = pinned if pinned is not None else active_backend()
         self._inputs = tensors
         self.needs_input_grad = tuple(t.requires_grad for t in tensors)
-        out_data = self.forward(*(t.data for t in tensors))
-        return Tensor._make(
-            out_data, tensors, self._apply_backward, backend=pinned
-        )
+        arrays = tuple(t.data for t in tensors)
+        tel = get_telemetry()
+        if tel.enabled:
+            start = perf_counter()
+            out_data = self.forward(*arrays)
+            tel.observe(self._fwd_metric, perf_counter() - start)
+        else:
+            out_data = self.forward(*arrays)
+        return Tensor._make(out_data, tensors, self._apply_backward)
 
     def _apply_backward(self, grad: np.ndarray) -> None:
-        grads = self.backward(grad)
+        tel = get_telemetry()
+        if tel.enabled:
+            start = perf_counter()
+            grads = self.backward(grad)
+            tel.observe(self._bwd_metric, perf_counter() - start)
+        else:
+            grads = self.backward(grad)
         if not isinstance(grads, (tuple, list)):
             grads = (grads,)
         if len(grads) != len(self._inputs):

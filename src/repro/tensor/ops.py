@@ -7,13 +7,12 @@ instance per call, ``forward``/``backward`` overrides), and the wrapper
 preserves the historical call signature.  Constant (non-``Tensor``)
 operands are accepted wherever a scalar or array makes sense.
 
-Hot kernels (sparse products, segment reductions, dense GEMM) are
-fetched through the call's resolved backend (``self.backend`` inside a
-Function; see :mod:`repro.tensor.backends`), so the same op runs on the
-byte-identical numpy reference or the numba-accelerated kernels without
-any call-site change.  A handful of ops (``sqrt``, ``mean``, ``min``,
-``var``, ``std``) remain compositions of the primitives and therefore
-ride the same machinery.
+Every op computes with plain numpy/scipy, so the float sequences the
+equivalence contracts pin are the ones written here.  Under an enabled
+telemetry session each op's forward and backward are timed into
+``op.<Name>.fwd_s`` / ``.bwd_s`` by :class:`~repro.tensor.Function`.  A
+handful of ops (``sqrt``, ``mean``, ``min``, ``var``, ``std``) remain
+compositions of the primitives and therefore ride the same machinery.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .backends import active_backend
 from .function import Function
 from .tensor import Tensor, unbroadcast
 
@@ -452,14 +450,14 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 class _Matmul(Function):
     def forward(self, a, b):
         self.save_for_backward(a, b)
-        return self.backend.matmul(a, b)
+        return a @ b
 
     def backward(self, grad):
         a, b = self.saved_for_backward
         need_a, need_b = self.needs_input_grad
         return (
-            self.backend.matmul(grad, b.T) if need_a else None,
-            self.backend.matmul(a.T, grad) if need_b else None,
+            grad @ b.T if need_a else None,
+            a.T @ grad if need_b else None,
         )
 
 
@@ -473,7 +471,7 @@ class _Affine(Function):
         if x.ndim != 2:
             raise ValueError(f"affine needs a 2-D input, got shape {x.shape}")
         self.save_for_backward(x, weight)
-        out = self.backend.matmul(x, weight)
+        out = x @ weight
         out += bias
         return out
 
@@ -481,8 +479,8 @@ class _Affine(Function):
         x, weight = self.saved_for_backward
         need_x, need_w, need_b = self.needs_input_grad
         return (
-            self.backend.matmul(grad, weight.T) if need_x else None,
-            self.backend.matmul(x.T, grad) if need_w else None,
+            grad @ weight.T if need_x else None,
+            x.T @ grad if need_w else None,
             grad.sum(axis=0) if need_b else None,
         )
 
@@ -504,12 +502,12 @@ class _Spmm(Function):
         self._transposed: Optional[sp.spmatrix] = None
 
     def forward(self, x):
-        return self.backend.spmm(self._matrix, x)
+        return np.asarray(self._matrix @ x)
 
     def backward(self, grad):
         if self._transposed is None:
             self._transposed = self._matrix.T.tocsr()
-        return self.backend.spmm(self._transposed, grad)
+        return np.asarray(self._transposed @ grad)
 
 
 def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
@@ -531,12 +529,12 @@ class _SpmmRows(Function):
         self._transposed: Optional[sp.spmatrix] = None
 
     def forward(self, x):
-        return self.backend.spmm(self._sub, x)
+        return np.asarray(self._sub @ x)
 
     def backward(self, grad):
         if self._transposed is None:
             self._transposed = self._sub.T.tocsr()
-        return self.backend.spmm(self._transposed, grad)
+        return np.asarray(self._transposed @ grad)
 
 
 def spmm_rows(matrix: sp.spmatrix, rows: np.ndarray, x: Tensor) -> Tensor:
@@ -616,7 +614,7 @@ class _ScatterAddRows(Function):
         self._num_rows = num_rows
 
     def forward(self, src):
-        return self.backend.segment_sum(src, self._index, self._num_rows)
+        return segment_sum_array(src, self._index, self._num_rows)
 
     def backward(self, grad):
         return grad[self._index]
@@ -626,10 +624,9 @@ def scatter_add_rows(src: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
     """Sum rows of ``src`` into ``num_rows`` buckets given by ``index``.
 
     The inverse of :func:`gather_rows`: ``out[i] = sum_{j: index[j]=i} src[j]``.
-    The forward values come from the active backend's ``segment_sum``
-    kernel (:func:`segment_sum_array` is the same kernel exposed for
-    gradient-free consumers), so the incremental engine's twin can never
-    drift from this op.
+    The forward values come from :func:`segment_sum_array`, the kernel
+    gradient-free consumers call too, so the incremental engine's twin can
+    never drift from this op.
     """
     return _ScatterAddRows(index, num_rows)(src)
 
@@ -783,17 +780,24 @@ def segment_softmax_array(
 
     Entries sharing a segment id are normalised together; the per-segment
     max is subtracted for numerical stability.  This is the exact float
-    sequence the Tensor op runs (both delegate to the active backend's
-    ``segment_softmax`` kernel), exposed for gradient-free consumers: the
+    sequence the Tensor op runs (:class:`_SegmentSoftmax` calls it),
+    exposed for gradient-free consumers: the
     incremental engine's halo-restricted edge-softmax re-normalisation
     feeds it sub-edge lists gathered for the dirty destination rows only,
     and relies on the two paths never diverging.  Per segment the
     accumulation order equals the order in which that segment's entries
     appear in ``data`` — gather sub-edges in the full forward's
-    per-destination order to reproduce its sums bitwise (a guarantee of
-    the numpy reference backend; the accelerated backend is allclose).
+    per-destination order to reproduce its sums bitwise.
     """
-    return active_backend().segment_softmax(data, segment_ids, num_segments)
+    data = np.asarray(data)
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    seg_max = np.full((num_segments,) + data.shape[1:], -np.inf)
+    np.maximum.at(seg_max, segment_ids, data)
+    shifted = data - seg_max[segment_ids]
+    e = np.exp(shifted)
+    denom = np.zeros((num_segments,) + data.shape[1:])
+    np.add.at(denom, segment_ids, e)
+    return e / denom[segment_ids]
 
 
 def segment_sum_array(
@@ -803,11 +807,13 @@ def segment_sum_array(
 
     ``out[i] = sum_{j: segment_ids[j] = i} data[j]``, accumulated in the
     order the entries appear in ``data`` (the entry-order guarantee the
-    incremental engine's bitwise off-halo contract builds on; exact under
-    the numpy reference backend).  Delegates to the active backend's
-    ``segment_sum`` kernel.
+    incremental engine's bitwise off-halo contract builds on).
     """
-    return active_backend().segment_sum(data, segment_ids, num_segments)
+    data = np.asarray(data)
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    out = np.zeros((num_segments,) + data.shape[1:])
+    np.add.at(out, segment_ids, data)
+    return out
 
 
 class _SegmentSoftmax(Function):
@@ -816,7 +822,7 @@ class _SegmentSoftmax(Function):
         self._num_segments = num_segments
 
     def forward(self, logits):
-        out = self.backend.segment_softmax(
+        out = segment_softmax_array(
             logits, self._segment_ids, self._num_segments
         )
         self.save_for_backward(out)
@@ -825,7 +831,7 @@ class _SegmentSoftmax(Function):
     def backward(self, grad):
         (out,) = self.saved_for_backward
         weighted = grad * out
-        seg_sum = self.backend.segment_sum(
+        seg_sum = segment_sum_array(
             weighted, self._segment_ids, self._num_segments
         )
         return weighted - out * seg_sum[self._segment_ids]
@@ -837,8 +843,8 @@ def segment_softmax(logits: Tensor, segment_ids: np.ndarray, num_segments: int) 
     ``logits`` has shape ``(E,)`` or ``(E, H)``; entries sharing a segment id
     (destination node) are normalised together.  The per-segment max used for
     numerical stability is treated as a constant, which leaves the gradient
-    of the softmax unchanged.  The forward values come from the same backend
-    kernel as :func:`segment_softmax_array` so the gradient-free twin the
+    of the softmax unchanged.  The forward values come from
+    :func:`segment_softmax_array`, so the gradient-free twin the
     incremental engine uses can never drift from this op.
     """
     return _SegmentSoftmax(segment_ids, num_segments)(logits)

@@ -96,34 +96,14 @@ class Tensor:
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.
-    backend:
-        Optional backend pin (a name like ``"accel"`` or a
-        ``TensorBackend`` instance).  ``None`` — the default — means
-        "follow the process-active backend at each op call"
-        (:func:`repro.tensor.backends.active_backend`).  Ops reject
-        inputs pinned to *different* backends with a
-        ``BackendMismatchError``; a pinned tensor combined with unpinned
-        ones pins the result.
     """
 
-    __slots__ = (
-        "data", "grad", "requires_grad", "backend", "_backward", "_parents"
-    )
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        backend=None,
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        if backend is not None and not hasattr(backend, "spmm"):
-            from .backends import resolve_backend
-
-            backend = resolve_backend(backend)
-        self.backend = backend
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: tuple = ()
 
@@ -155,7 +135,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False, backend=self.backend)
+        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -172,22 +152,18 @@ class Tensor:
         data: np.ndarray,
         parents: Iterable["Tensor"],
         backward: Callable[[np.ndarray], None],
-        backend=None,
     ) -> "Tensor":
         """Create a result tensor wired into the graph.
 
         ``backward`` receives the upstream gradient and is responsible for
         calling :meth:`_accumulate` on each parent that requires grad.
-        ``backend`` propagates an input pin to the result (``None`` keeps
-        the result following the active backend).  Inside :func:`no_grad`
-        the result is a constant.
+        Inside :func:`no_grad` the result is a constant.
         """
         parents = tuple(parents)
         out = Tensor(
             data,
             requires_grad=_GRAD_ENABLED.get()
             and any(p.requires_grad for p in parents),
-            backend=backend,
         )
         if out.requires_grad:
             out._parents = parents

@@ -169,7 +169,13 @@ def test_stats_exposes_serve_telemetry():
     counters = stats["telemetry"]["counters"]
     assert counters["serve.requests"] >= 2
     assert counters["serve.batches"] >= 1
+    # The session build runs on the batcher's executor thread and still
+    # records into the server's session, as do the LRU counters.
+    assert counters["serve.artifact_builds"] == 1
+    assert counters["serve.sessions.hits"] >= 1
+    assert counters["serve.session_memo.misses"] >= 1
     assert "serve.request_s" in stats["telemetry"]["histograms"]
+    assert "serve.build_artifact_s" in stats["telemetry"]["histograms"]
     assert all(
         name.startswith("serve.")
         for kind in stats["telemetry"].values()

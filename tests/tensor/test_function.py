@@ -2,7 +2,7 @@
 
 Every op in ``repro.tensor.ops`` is a ``Function`` subclass; this suite
 pins the lifecycle contract (one instance per call, ``save_for_backward``,
-backend resolution at call time), the subclass registry, and — the bulk —
+the per-op telemetry hook), the subclass registry, and — the bulk —
 a gradcheck sweep that covers every Function-migrated op in ``ops``.  The
 sweep is exhaustive by construction: a test asserts that the case table
 names every ``Function`` subclass defined in the ops module, so adding an
@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.tensor import Function, Tensor, gradcheck, ops
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    Telemetry,
+    get_telemetry,
+    use_telemetry,
+)
+from repro.tensor import Function, Tensor, gradcheck, no_grad, ops
 from repro.tensor.function import FUNCTION_REGISTRY
-from repro.tensor.backends import TensorBackend, active_backend, use_backend
 
 rng = np.random.default_rng(0)
 
@@ -58,39 +63,6 @@ def test_base_class_requires_overrides():
     out = _NoBackward()(Tensor(np.ones(2), requires_grad=True))
     with pytest.raises(NotImplementedError):
         out.backward(np.ones(2))
-
-
-def test_call_resolves_the_active_backend():
-    captured = {}
-
-    class _Probe(Function):
-        def forward(self, x):
-            captured["backend"] = self.backend
-            return x
-
-        def backward(self, grad):
-            return grad
-
-    marker = TensorBackend()
-    with use_backend(marker):
-        _Probe()(Tensor(np.ones(2)))
-    assert captured["backend"] is marker
-
-
-def test_call_prefers_a_pinned_input_backend():
-    captured = {}
-
-    class _Probe(Function):
-        def forward(self, x, y):
-            captured["backend"] = self.backend
-            return x + y
-
-        def backward(self, grad):
-            return grad, grad
-
-    pin = TensorBackend()
-    _Probe()(Tensor(np.ones(2), backend=pin), Tensor(np.ones(2)))
-    assert captured["backend"] is pin
 
 
 def test_raw_arrays_are_promoted_to_tensors():
@@ -255,30 +227,74 @@ def test_needs_input_grad_recorded_per_input():
     assert fn.needs_input_grad == (False, True)
 
 
-class _CountingBackend(TensorBackend):
-    name = "counting"
-
-    def __init__(self):
-        self.matmuls = 0
-
-    def matmul(self, a, b):
-        self.matmuls += 1
-        return super().matmul(a, b)
-
-
 @pytest.mark.parametrize("x_grad", [False, True])
 def test_matmul_backward_skips_constant_inputs(x_grad):
-    backend = _CountingBackend()
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=x_grad)
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    with use_backend(backend):
-        out = ops.matmul(x, w)
-        forward_calls = backend.matmuls
-        out.sum().backward()
-    assert forward_calls == 1
-    assert backend.matmuls - forward_calls == (2 if x_grad else 1)
-    np.testing.assert_array_equal(w.grad, x.data.T @ np.ones((5, 3)))
-    assert (x.grad is not None) == x_grad
+    fn = ops._Matmul()
+    fn(x, w)
+    grad = rng.normal(size=(5, 3))
+    gx, gw = fn.backward(grad)
+    np.testing.assert_array_equal(gw, x.data.T @ grad)
+    if x_grad:
+        np.testing.assert_array_equal(gx, grad @ w.data.T)
+    else:
+        assert gx is None
+
+
+# ---------------------------------------------------------------------------
+# Telemetry hook: every op times its forward and backward
+# ---------------------------------------------------------------------------
+def _op_counts(tel):
+    """Observations per ``op.*`` histogram of ``tel``."""
+    return {
+        name: hist.count
+        for name, hist in tel.registry.histograms.items()
+        if name.startswith("op.")
+    }
+
+
+def test_enabled_session_times_each_forward_and_backward():
+    tel = Telemetry(enabled=True)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    with use_telemetry(tel):
+        out = ops.spmm(_SPARSE, x)
+        assert _op_counts(tel) == {"op.Spmm.fwd_s": 1}
+        out.backward(np.ones((5, 3)))
+    assert _op_counts(tel) == {"op.Spmm.fwd_s": 1, "op.Spmm.bwd_s": 1}
+
+
+def test_metric_names_drop_the_leading_underscore():
+    class Doubler(Function):
+        def forward(self, x):
+            return 2.0 * x
+
+        def backward(self, grad):
+            return 2.0 * grad
+
+    tel = Telemetry(enabled=True)
+    with use_telemetry(tel):
+        _Square()(Tensor(np.ones(2), requires_grad=True)).backward(np.ones(2))
+        Doubler()(Tensor(np.ones(2)))
+    assert _op_counts(tel) == {
+        "op.Square.fwd_s": 1, "op.Square.bwd_s": 1, "op.Doubler.fwd_s": 1,
+    }
+
+
+def test_default_session_records_nothing():
+    assert get_telemetry() is NULL_TELEMETRY
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    ops.spmm(_SPARSE, x).backward(np.ones((5, 3)))
+    assert x.grad is not None
+    assert NULL_TELEMETRY.registry.histograms == {}
+
+
+def test_no_grad_call_still_times_its_forward():
+    tel = Telemetry(enabled=True)
+    with use_telemetry(tel), no_grad():
+        out = _Square()(Tensor(np.ones(3), requires_grad=True))
+    assert not out.requires_grad
+    assert _op_counts(tel) == {"op.Square.fwd_s": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,7 @@ def test_run_rejects_zero_splits(capsys):
     (["--horizon", "0"], "horizon and episodes must be >= 1"),
     (["--max-halo-frac", "2"], "max_halo_frac must be in [0, 1], got 2.0"),
     (["--churn", "--churn-events", "0"], "events_per_step"),
+    (["--lam", "nan"], "lam must be finite"),
 ])
 def test_run_config_errors_are_one_line(flags, message, capsys):
     """``RareConfig`` validation errors reach the user as one ``error:``
@@ -228,6 +229,18 @@ def test_run_config_errors_are_one_line(flags, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["info", "run", "rewire"])
+@pytest.mark.parametrize("scale", ["0", "1.5"])
+def test_bad_scale_is_one_line(command, scale, capsys):
+    """A ``--scale`` outside (0, 1] used to end in a traceback."""
+    assert main([command, "--dataset", "texas", "--scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load dataset 'texas': ")
+    assert "scale must be in (0, 1]" in captured.err
     assert captured.err.count("\n") == 1
 
 
