@@ -9,7 +9,7 @@ test:
 # symbol of the gated packages must carry a docstring.  Mirrored in the
 # tier-1 suite (tests/gnn/test_docstrings.py) and run as a CI step.
 doclint:
-	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl src/repro/core src/repro/entropy src/repro/nn
+	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl src/repro/core src/repro/entropy src/repro/nn src/repro/graph
 
 # Fast sanity run (< 90 s): the CSR scaling benchmark at small N (asserts
 # the >= 5x speedup contract) plus small-N passes of both incremental

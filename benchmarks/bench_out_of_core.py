@@ -122,6 +122,7 @@ def run_pipeline(bundle_dir: str, mmap_arrays: bool) -> dict:
     from repro.gnn import GCN
     from repro.gnn.incremental import IncrementalEvaluator
     from repro.graph import ScreenStateLoader, load_graph_bundle
+    from repro.nn import masked_metrics
 
     rss_baseline = peak_rss_bytes()
     t0 = time.perf_counter()
@@ -145,7 +146,8 @@ def run_pipeline(bundle_dir: str, mmap_arrays: bool) -> dict:
     )
     evaluator = IncrementalEvaluator(model, graph)
     mask = np.arange(graph.num_nodes) % 5 < 3
-    acc, loss, logits = evaluator.evaluate(rewired, mask, return_logits=True)
+    logits = evaluator.predict_logits(rewired)
+    acc, loss = masked_metrics(logits, rewired.labels, mask)
     # A few single-edit probes keep the halo path honest (small dirty
     # sets, scattered CSR pages) on top of the bulk rewire above.
     probe_metrics = []

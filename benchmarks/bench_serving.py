@@ -43,7 +43,7 @@ import pytest
 
 from repro.bench import format_table, save_results
 from repro.core.lru import LRUCache
-from repro.gnn.incremental import _masked_metrics
+from repro.nn import masked_metrics
 from repro.serve import RewiringServer, ServeClient, ServeConfig
 from repro.serve.session import SessionSpec, build_artifact
 from repro.telemetry import Telemetry, use_telemetry
@@ -74,7 +74,7 @@ def verify_byte_identical(spec: dict, pool, width: int = 6) -> None:
 
     Scores ``width`` pool candidates through the artifact's batched path
     (one stacked forward) and through per-graph forwards reduced with
-    the same :func:`_masked_metrics`; both accuracy and loss must match
+    the same :func:`repro.nn.masked_metrics`; both accuracy and loss must match
     byte for byte (``docs/equivalence-policy.md``).
     """
     artifact = build_artifact(SessionSpec.from_wire(spec), max_batch=width)
@@ -86,8 +86,8 @@ def verify_byte_identical(spec: dict, pool, width: int = 6) -> None:
     batched = artifact.score_blocks(graphs)
     labels = artifact.graph.labels
     for graph, got in zip(graphs, batched):
-        logits = artifact.stack.stacked_logits([graph])[0]
-        want = _masked_metrics(logits, labels, artifact.train_idx)
+        logits = artifact.model.predict_logits(graph)
+        want = masked_metrics(logits, labels, artifact.train_idx)
         assert got == want, (
             f"batched score {got} != direct score {want} "
             "(byte-identity broken)"

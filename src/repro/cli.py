@@ -107,17 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "GNN forward (the episode budget rounds up to a "
                           "multiple)")
     run.add_argument("--incremental-reward", action="store_true",
-                     help="score per-step rewards through the incremental "
-                          "engine: delta-patched propagation matrices and "
-                          "halo-restricted GNN re-evaluation — supported "
+                     help="score graphs the env scores one at a time "
+                          "(every step at --num-envs 1) through the "
+                          "incremental engine: delta-patched propagation "
+                          "matrices and halo-restricted GNN "
+                          "re-evaluation — supported "
                           "for gcn, graphsage, gat, h2gcn and mixhop "
                           "(equal to the dense evaluation at float64 "
                           "resolution; plan-less backbones fall back "
                           "transparently)")
-    run.add_argument("--max-halo-frac", type=float, default=0.5,
-                     help="halo size (fraction of nodes) above which an "
-                          "incremental step falls back to the dense "
-                          "evaluation (default 0.5)")
     run.add_argument("--splits", type=int, default=1)
     run.add_argument("--churn", nargs="?", const="drift", default=None,
                      choices=["drift", "burst", "hubs"], metavar="REGIME",
@@ -258,7 +256,6 @@ def _run_config(args) -> RareConfig:
         rl_algorithm=args.rl,
         num_envs=args.num_envs,
         incremental_reward=args.incremental_reward,
-        max_halo_frac=args.max_halo_frac,
         screening=args.screening,
         num_workers=args.num_workers,
         stream=stream_cfg,
@@ -326,6 +323,10 @@ def _sidecar_matches(args, config: RareConfig) -> bool:
 
 
 def cmd_rewire(args) -> int:
+    for flag, value in (("--k", args.k), ("--d", args.d)):
+        if value < 0:
+            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
+            return 2
     try:
         # The entropy recipe of ``repro run`` (RareConfig defaults), so a
         # bundle sidecar written by either command serves the other.

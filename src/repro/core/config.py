@@ -56,29 +56,24 @@ class RareConfig:
     reward: str = "acc_loss"
     """``"acc_loss"`` (Eq. 11) or ``"auc"`` (Table V reward ablation)."""
     incremental_reward: bool = False
-    """Score per-step rewards through the incremental engine
-    (:mod:`repro.gnn.incremental`): cached propagation matrices are
-    delta-patched instead of rebuilt and the GNN re-evaluates only the
-    rewire's halo — a per-backbone row set derived from the receptive
-    field (2-hop for GCN/GraphSAGE/GAT, ``2K``-reach for H2GCN's K
-    rounds, 4-hop for MixHop) — against cached base-graph logits.  Equal
-    to the dense evaluation at float64 resolution (byte-identical off the
-    halo; see ``docs/equivalence-policy.md``).  ``False`` (default) keeps
-    the full-graph evaluation as the reference twin; backbones without an
-    incremental plan fall back to it transparently."""
-    max_halo_frac: float = 0.5
-    """Halo size (as a fraction of the nodes) above which the incremental
-    engine falls back to the dense evaluation for a step: row slicing
-    stops paying off once most of the graph is dirty.  Plans with a
-    state-reusing dense path (GAT) still evaluate from the cached
-    per-model-version state on fallback."""
+    """Score the graphs the env scores alone (every step at
+    ``num_envs = 1``, base-graph and co-training re-scores at any width)
+    through the incremental engine (:mod:`repro.gnn.incremental`): cached
+    propagation matrices are delta-patched and the GNN re-evaluates only
+    the rewire's halo (derived from the backbone's receptive field)
+    against cached base-graph logits.  Equal to the dense evaluation at
+    float64 resolution (byte-identical off the halo; see
+    ``docs/equivalence-policy.md``).  Batches of ``num_envs > 1`` graphs
+    always take one dense stacked forward.  ``False`` (default) keeps the
+    full-graph evaluation as the reference twin; plan-less backbones fall
+    back to it transparently."""
 
     rewire_memo_entries: int = 64
     """Bound of the per-env ``(k, d)`` -> Graph rewire memo
     (:class:`repro.core.lru.LRUCache`).  Each entry pins a Graph plus its
     cached propagation matrices; the env scales the bound by
-    ``num_envs``, and the serving layer reuses the same knob for its
-    per-session caches."""
+    ``num_envs``.  (The serving layer's per-session memos are bounded by
+    ``ServeConfig.memo_entries`` instead.)"""
 
     # --- co-training loop (Algorithm 1) --------------------------------
     episodes: int = 6
@@ -117,17 +112,6 @@ class RareConfig:
     have ``ceil(episodes / num_envs)`` entries)."""
 
     # --- execution substrate -------------------------------------------
-    telemetry: str | None = None
-    """Observability session for the run (:mod:`repro.telemetry`).
-    ``None`` (default) keeps telemetry fully off — every instrumentation
-    point is a single attribute check and no state is recorded.  ``"on"``
-    (or ``"memory"``) records spans and metrics in memory, available
-    afterwards through the session's ``report()``/``snapshot()``.  Any
-    other string is a path: the run additionally streams a JSONL event
-    log there (schema in ``docs/observability.md``; render it with
-    ``repro stats <path>``).  When the caller already entered a session
-    via :func:`repro.telemetry.use_telemetry`, that ambient session wins
-    and this field is ignored."""
     storage: str = "ram"
     """Where the entropy screen reads the graph from.  ``"ram"``
     (default) builds the screen state in memory — the historical path.
@@ -178,17 +162,6 @@ class RareConfig:
             raise ValueError(
                 f"rewire_memo_entries must be >= 1, got "
                 f"{self.rewire_memo_entries}"
-            )
-        if not 0.0 <= self.max_halo_frac <= 1.0:
-            raise ValueError(
-                f"max_halo_frac must be in [0, 1], got {self.max_halo_frac}"
-            )
-        if self.telemetry is not None and (
-            not isinstance(self.telemetry, str) or not self.telemetry
-        ):
-            raise ValueError(
-                "telemetry must be None, 'on'/'memory', 'off' or a JSONL "
-                f"path string, got {self.telemetry!r}"
             )
         if self.storage not in ("ram", "stream"):
             raise ValueError(

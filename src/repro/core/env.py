@@ -30,13 +30,14 @@ path.  Per batched step:
   memoised in one cross-episode ``(k, d)`` LRU, so any episode revisiting
   a state gets the exact same :class:`Graph` object (and its cached
   propagation matrices) free.
-* **Reward evaluation** — at ``B = 1`` through :func:`reward_metrics`; at
-  ``B > 1`` one GNN forward over a block-diagonal stacked graph
-  (:class:`~repro.rl.vector.stacked.StackedGraphBuilder`) scores every
-  episode, and per-episode accuracy and cross-entropy fall out of segment
-  reductions on the stacked logits.  With ``config.incremental_reward``
-  both paths re-evaluate only the rewires' halos against cached base
-  logits (:mod:`repro.gnn.incremental`).
+* **Reward evaluation** — one scoring path at every width: one GNN
+  forward over a block-diagonal stacked graph
+  (:class:`~repro.rl.vector.stacked.StackedGraphBuilder`; one graph is
+  its own stack) scores every episode, and each block is reduced by
+  :func:`repro.nn.masked_metrics`.  With ``config.incremental_reward``
+  a graph scored alone (``B = 1`` steps, base-graph and co-training
+  re-scores) goes through the halo engine instead
+  (:mod:`repro.gnn.incremental`).
 * **Autoreset** — gym-style: finished episodes restart immediately, the
   terminal observation and an episode summary ride along in the
   per-episode ``info`` dicts (the :class:`~repro.rl.vector.VecEnv`
@@ -45,9 +46,9 @@ path.  Per batched step:
 Batch semantics where episodes interact: all episodes are scored under the
 model state at the start of the step; record topologies (Algorithm 1 lines
 10-13) are then processed in episode order, each co-training burst bumping
-an internal model version.  The stacked forward may differ from
-per-episode forwards in the last ulp (BLAS blocking over the larger
-matrices; see ``docs/equivalence-policy.md``).
+an internal model version.  With incremental reward off, each slot's
+reward is bitwise what a ``num_envs = 1`` env scores for the same
+episode (``docs/equivalence-policy.md``).
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..entropy import EntropySequences
-from ..gnn import GNNBackbone, IncrementalEvaluator, Trainer, evaluate
+from ..gnn import GNNBackbone, IncrementalEvaluator, Trainer
 from ..graph import Graph, Split, homophily_ratio
-from ..nn import macro_auc
+from ..nn import macro_auc, masked_metrics
 from ..rl import MultiDiscreteSpace, VecEnv
 from ..rl.vector.stacked import StackedGraphBuilder
 from ..telemetry import get_telemetry
@@ -69,35 +70,6 @@ from .rewire import clamp_state_batch, rewire_graph, state_bounds
 
 #: Features per node row in the observation.
 OBS_DIM = 6
-
-
-def reward_metrics(
-    model: GNNBackbone,
-    graph: Graph,
-    mask: np.ndarray,
-    reward: str,
-    evaluator: IncrementalEvaluator | None = None,
-) -> Tuple[float, float]:
-    """Eval-mode ``(score, loss)`` for the reward (Alg. 1 line 9).
-
-    The per-episode scorer of :class:`TopologyEnv` (every reward at
-    ``num_envs = 1``; base-graph and co-training re-scores at any width):
-    routed through the incremental ``evaluator`` when one is bound (a
-    single halo/cached evaluation also yields the logits the AUC reward
-    needs), through the dense :func:`~repro.gnn.evaluate` otherwise.
-    """
-    if evaluator is not None:
-        if reward == "auc":
-            _, loss, logits = evaluator.evaluate(
-                graph, mask, return_logits=True
-            )
-            return macro_auc(logits, graph.labels, mask), loss
-        return evaluator.evaluate(graph, mask)
-    acc, loss = evaluate(model, graph, mask)
-    if reward == "auc":
-        logits = model.predict_logits(graph)
-        return macro_auc(logits, graph.labels, mask), loss
-    return acc, loss
 
 
 def observation_template(
@@ -237,9 +209,6 @@ class TopologyEnv(VecEnv):
         if train.dtype == bool:
             train = np.flatnonzero(train)
         self._train_idx = train.astype(np.int64)
-        self._train_labels = (
-            graph.labels[self._train_idx] if graph.labels is not None else None
-        )
 
         # --- cross-episode (k, d) -> Graph rewire memo ----------------
         # Per-instance hit/miss/eviction counters behind
@@ -255,12 +224,12 @@ class TopologyEnv(VecEnv):
         )
         self.rewire_memo_stats = self._rewire_cache.stats
 
-        # --- incremental reward engine --------------------------------
-        # One evaluator over the delta root (the base graph, or the graph
-        # it was derived from: rewire deltas collapse to the root) for
-        # per-episode scoring; the stacked builder keeps per-width
-        # evaluators for the batched forward.  Plan-less backbones fall
-        # back inside the evaluator, so there is no backbone gate here.
+        # --- reward scoring -------------------------------------------
+        # One stacked builder for the env's lifetime (it reads nothing
+        # churn changes); with incremental reward on, one evaluator over
+        # the delta root (rewire deltas collapse to it) scores the graphs
+        # scored alone.  Plan-less backbones fall back inside it.
+        self._stack = StackedGraphBuilder(graph, model, max_width=B)
         self._inc: Optional[IncrementalEvaluator] = None
         self._bind_root(graph.delta.base if graph.delta is not None else graph)
 
@@ -268,7 +237,7 @@ class TopologyEnv(VecEnv):
         # With ``config.stream`` set, every step first folds one batch of
         # external add/remove edge events into the shared base topology.
         # The churn engine keeps ``base_graph = root + one collapsed
-        # delta`` so the incremental evaluators stay bound to the same
+        # delta`` so the incremental evaluator stays bound to the same
         # root as the agent's own rewires; the online evaluator keeps
         # sliding-window metrics of the drifting base.
         self._stream = None
@@ -298,17 +267,10 @@ class TopologyEnv(VecEnv):
         self.reset()
 
     def _bind_root(self, root: Graph) -> None:
-        """(Re)build the root-addressed reward engines: the per-episode
-        incremental evaluator and the stacked-graph builder."""
+        """(Re)bind the incremental evaluator, when one is configured, to
+        the delta root ``root``."""
         if self.config.incremental_reward:
-            self._inc = IncrementalEvaluator(
-                self.model, root, max_halo_frac=self.config.max_halo_frac
-            )
-        self._stack = StackedGraphBuilder(
-            root, self.model, max_width=self.num_envs,
-            incremental=self._inc is not None,
-            max_halo_frac=self.config.max_halo_frac,
-        )
+            self._inc = IncrementalEvaluator(self.model, root)
 
     # ------------------------------------------------------------------
     # Seeding
@@ -335,14 +297,32 @@ class TopologyEnv(VecEnv):
     # ------------------------------------------------------------------
     # Reward metrics
     # ------------------------------------------------------------------
-    def _metrics(self, graph: Graph) -> Tuple[float, float]:
-        """Eval-mode (score, loss) of one episode graph on the training
-        nodes (Alg. 1 line 9)."""
+    def _scores(self, graphs: List[Graph]) -> Tuple[np.ndarray, np.ndarray]:
+        """Eval-mode ``(scores, losses)`` of ``graphs`` on the training
+        nodes (Alg. 1 line 9), one entry per graph.
+
+        The env's one scorer: a graph scored alone goes to the
+        incremental evaluator when one is bound, everything else to one
+        stacked forward.  Each graph's logits are reduced by
+        :func:`~repro.nn.masked_metrics`; the AUC reward reads the same
+        logits.
+        """
         with self._tel.span("env.reward", hist="rl.reward_s"):
-            return reward_metrics(
-                self.model, graph, self.split.train, self.config.reward,
-                self._inc,
-            )
+            if self._inc is not None and len(graphs) == 1:
+                logits = self._inc.predict_logits(graphs[0])[None]
+            else:
+                logits = self._stack.stacked_logits(graphs)
+            scores = np.empty(len(graphs))
+            losses = np.empty(len(graphs))
+            for b, graph in enumerate(graphs):
+                scores[b], losses[b] = masked_metrics(
+                    logits[b], graph.labels, self._train_idx
+                )
+                if self.config.reward == "auc":
+                    scores[b] = macro_auc(
+                        logits[b], graph.labels, self._train_idx
+                    )
+            return scores, losses
 
     def _base_metrics(self) -> Tuple[float, float]:
         """Metrics of the base graph under the current model, memoised per
@@ -350,47 +330,10 @@ class TopologyEnv(VecEnv):
         never otherwise)."""
         cache = self._base_metrics_cache
         if cache is None or cache[0] != self._model_version:
-            score, loss = self._metrics(self.base_graph)
-            self._base_metrics_cache = (self._model_version, score, loss)
-            return score, loss
+            scores, losses = self._scores([self.base_graph])
+            cache = (self._model_version, float(scores[0]), float(losses[0]))
+            self._base_metrics_cache = cache
         return cache[1], cache[2]
-
-    def _stacked_metrics(
-        self, graphs: List[Graph]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(scores, losses) of every episode from one stacked forward."""
-        per_env = self._stack.stacked_logits(graphs)
-        B = self.num_envs
-        sub = per_env[:, self._train_idx, :]  # (B, M, C)
-        y = self._train_labels
-        m = self._train_idx.shape[0]
-        if m == 0:
-            return np.zeros(B), np.zeros(B)
-        shifted = sub - sub.max(axis=-1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        log_probs = shifted - log_z
-        losses = -log_probs[:, np.arange(m), y].mean(axis=1)
-        if self.config.reward == "auc":
-            scores = np.array(
-                [
-                    macro_auc(per_env[b], self.base_graph.labels, self._train_idx)
-                    for b in range(B)
-                ]
-            )
-        else:
-            scores = (sub.argmax(axis=-1) == y[None, :]).mean(axis=1)
-        return scores.astype(np.float64), losses.astype(np.float64)
-
-    def _batch_metrics(
-        self, graphs: List[Graph]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(scores, losses) of every episode: :func:`reward_metrics` at
-        ``B = 1``, one stacked forward above."""
-        if self.num_envs == 1:
-            score, loss = self._metrics(graphs[0])
-            return np.array([score]), np.array([loss])
-        with self._tel.span("env.reward", hist="rl.reward_s"):
-            return self._stacked_metrics(graphs)
 
     # ------------------------------------------------------------------
     # Rewiring (shared memo)
@@ -435,8 +378,8 @@ class TopologyEnv(VecEnv):
         the seeded generator (one batch per batched step: all episodes
         share the drifting base), apply them as one collapsed delta and
         feed the net inserted/deleted keys to the online evaluator.  A
-        rebase promotes a fresh bitwise-verified root, so the
-        root-addressed reward engines are re-bound to it; the rewire memo
+        rebase promotes a fresh bitwise-verified root, so the incremental
+        evaluator is re-bound to it; the rewire memo
         needs no flush because its keys carry the stream version.  The
         clamp bounds are refreshed every churn step (degrees moved) and the
         memoised base metrics are dropped so autoresets re-score the
@@ -546,7 +489,7 @@ class TopologyEnv(VecEnv):
         graphs = [self._rewired(self.k[b], self.d[b]) for b in range(B)]
         self.current_graphs = graphs
 
-        scores, losses = self._batch_metrics(graphs)
+        scores, losses = self._scores(graphs)
         # Eq. 11, one vector expression over all episodes.
         rewards = (scores - self.prev_score) + self.config.lambda_r * (
             self.prev_loss - losses
@@ -571,8 +514,8 @@ class TopologyEnv(VecEnv):
                     self._model_version += 1
                     if self._inc is not None:
                         self._inc.invalidate()
-                    self._stack.invalidate()
-                    scores[b], losses[b] = self._metrics(graphs[b])
+                    score, loss = self._scores([graphs[b]])
+                    scores[b], losses[b] = score[0], loss[0]
 
         self.prev_score = scores
         self.prev_loss = losses

@@ -24,7 +24,7 @@ from ..graph.storage import (
 )
 from ..nn import bind_dropout_rng
 from ..rl import NodePolicy, build_agent
-from ..telemetry import get_telemetry, telemetry_from_spec, use_telemetry
+from ..telemetry import get_telemetry
 from .config import RareConfig
 from .env import OBS_DIM, TopologyEnv
 
@@ -214,32 +214,17 @@ class GraphRARE:
         (:func:`repro.nn.bind_dropout_rng`), so the run depends on the
         model's weights alone.
 
-        Observability: if a telemetry session is already ambient
-        (:func:`repro.telemetry.use_telemetry`) the run records into it;
-        otherwise ``RareConfig.telemetry`` may open one for the duration
-        of this call (closed — and its JSONL stream flushed — before
-        returning).  Under an enabled session every tensor op's forward
-        and backward is timed into ``op.<Name>.fwd_s`` / ``.bwd_s``
+        Observability: the run records into the ambient telemetry
+        session (enter one with :func:`repro.telemetry.use_telemetry`).
+        Under an enabled session every tensor op's forward and backward
+        is timed into ``op.<Name>.fwd_s`` / ``.bwd_s``
         (:class:`repro.tensor.Function`).
         """
-        tel = get_telemetry()
-        opened = False
-        if not tel.enabled and self.config.telemetry:
-            tel = telemetry_from_spec(
-                self.config.telemetry,
-                run=f"GraphRARE.fit[{self.backbone_name}]",
+        with get_telemetry().span("rare.fit", backbone=self.backbone_name):
+            return self._fit(
+                graph, split, sequences, shuffle_sequences,
+                train_baseline, initial_model,
             )
-            opened = tel.enabled
-        try:
-            with use_telemetry(tel):
-                with tel.span("rare.fit", backbone=self.backbone_name):
-                    return self._fit(
-                        graph, split, sequences, shuffle_sequences,
-                        train_baseline, initial_model,
-                    )
-        finally:
-            if opened:
-                tel.close()
 
     def _fit(
         self,

@@ -83,6 +83,7 @@ from ..graph import Graph
 from ..graph.graph import _member_sorted
 from ..graph.normalize import gcn_norm, row_norm, two_hop_adjacency
 from ..graph.storage import MmapReleaser
+from ..nn import masked_metrics
 from ..telemetry import SIZE_BUCKETS, Counter, StatsView, get_telemetry
 from ..tensor import Tensor, no_grad, ops
 from .base import GNNBackbone, cached_matrix, features_tensor
@@ -1823,7 +1824,7 @@ def supports_incremental(model: GNNBackbone) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The evaluator the RL envs call per reward step
+# The evaluator behind the topology env's width-1 rewards
 # ---------------------------------------------------------------------------
 #: Histogram boundaries for the halo-fraction distribution (0..1 in 5%
 #: steps — the same axis ``max_halo_frac`` thresholds on).
@@ -1847,6 +1848,8 @@ class IncrementalEvaluator:
     (``dense_from_state``; GAT re-normalises from cached attention
     ingredients instead of recomputing them each step) and delta-patching
     known propagation caches otherwise (:data:`_FALLBACK_MATRIX_KEYS`).
+    ``max_halo_frac`` (default 0.5) is that oversize threshold; tests
+    and examples set it to 0 or 1 to force a path.
     ``stats`` counts which path each call took; it is a read-only
     :class:`~repro.telemetry.StatsView` over per-evaluator telemetry
     counters, and under an enabled telemetry session every path is also
@@ -2016,48 +2019,11 @@ class IncrementalEvaluator:
             )
             return out
 
-    def evaluate(
-        self, graph: Graph, mask: np.ndarray, return_logits: bool = False
-    ):
+    def evaluate(self, graph: Graph, mask: np.ndarray) -> Tuple[float, float]:
         """Eval-mode ``(accuracy, loss)`` on ``mask``.
 
-        The twin of :func:`repro.gnn.trainer.evaluate`, computed from the
-        incrementally patched logits through :func:`_masked_metrics` — the
-        same float operations in the same order, without the autograd
-        bookkeeping.  ``return_logits`` appends the full-graph logits to
-        the tuple so callers needing both (the AUC reward) pay for one
-        evaluation only.
+        The twin of :func:`repro.gnn.trainer.evaluate`: the same
+        :func:`repro.nn.masked_metrics` reduction, applied to the
+        incrementally patched logits of :meth:`predict_logits`.
         """
-        logits = self.predict_logits(graph)
-        acc, loss = _masked_metrics(logits, graph.labels, mask)
-        if return_logits:
-            return acc, loss, logits
-        return acc, loss
-
-
-def _masked_metrics(
-    logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
-) -> Tuple[float, float]:
-    """``(accuracy, cross-entropy)`` on ``mask`` from plain logits.
-
-    Bitwise twin of ``evaluate``'s ``cross_entropy`` + ``accuracy`` pair:
-    identical reductions in identical order (max-shifted log-softmax, sum
-    along the class axis, pairwise sum then ``* (1/m)`` mean), minus the
-    Tensor graph construction — the per-step fixed cost the reward loop
-    does not need.
-    """
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        mask = np.flatnonzero(mask)
-    picked_logits = logits[mask]
-    targets = np.asarray(labels, dtype=np.int64)[mask]
-    m = targets.shape[0]
-    if m == 0:
-        return 0.0, 0.0
-    shifted = picked_logits - picked_logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-    picked = log_probs[np.arange(m), targets]
-    loss = -(picked.sum() * (1.0 / m))
-    acc = float((picked_logits.argmax(axis=-1) == targets).mean())
-    return acc, float(loss)
+        return masked_metrics(self.predict_logits(graph), graph.labels, mask)

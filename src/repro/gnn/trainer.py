@@ -17,12 +17,12 @@ from ..nn import (
     Adam,
     EarlyStopping,
     LRScheduler,
-    accuracy,
     classification_report,
     cross_entropy,
     cross_entropy_label_smoothing,
+    masked_metrics,
 )
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor
 from .base import GNNBackbone, features_tensor
 
 
@@ -40,25 +40,17 @@ class TrainResult:
 def evaluate(model: GNNBackbone, graph: Graph, mask: np.ndarray, *more_masks):
     """Eval-mode ``(accuracy, loss)`` of ``model`` on the nodes in ``mask``.
 
-    This is the no-backward evaluation step of Algorithm 1 (line 9) that
-    feeds the DRL reward.  Passing further masks scores all of them from
-    the same single forward and returns a list of ``(accuracy, loss)``
-    pairs, one per mask in order — each bitwise what a separate call
-    would return.
+    This is the no-backward evaluation step of Algorithm 1 (line 9): one
+    :meth:`~repro.gnn.GNNBackbone.predict_logits` forward reduced by
+    :func:`repro.nn.masked_metrics`.  Passing further masks scores all of
+    them from the same single forward and returns a list of
+    ``(accuracy, loss)`` pairs, one per mask in order — each bitwise what
+    a separate call would return.
     """
-    was_training = model.training
-    model.eval()
-    with no_grad():
-        logits = model(graph, features_tensor(graph, model))
-        scores = [
-            (
-                accuracy(logits.data, graph.labels, m),
-                float(cross_entropy(logits, graph.labels, m).item()),
-            )
-            for m in (mask, *more_masks)
-        ]
-    if was_training:
-        model.train()
+    logits = model.predict_logits(graph)
+    scores = [
+        masked_metrics(logits, graph.labels, m) for m in (mask, *more_masks)
+    ]
     return scores if more_masks else scores[0]
 
 

@@ -68,6 +68,7 @@ def connected_components(graph: Graph) -> np.ndarray:
 
 
 def num_connected_components(graph: Graph) -> int:
+    """Number of connected components (isolated nodes count as one each)."""
     return int(connected_components(graph).max()) + 1
 
 

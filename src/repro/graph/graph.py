@@ -65,6 +65,7 @@ class GraphDelta:
 
     @property
     def is_empty(self) -> bool:
+        """Whether the delta edits nothing (the graph equals its base)."""
         return self.num_edits == 0
 
     def edit_pairs(self) -> np.ndarray:
@@ -298,17 +299,22 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
+        """Number of undirected edges (each ``u < v`` pair once)."""
         return int(self._edge_keys.shape[0])
 
     @property
     def num_features(self) -> int:
+        """Feature width (0 for a featureless graph)."""
         return 0 if self.features is None else self.features.shape[1]
 
     @property
     def num_classes(self) -> int:
+        """Label count, ``max(label) + 1`` (0 for an unlabelled graph)."""
         return 0 if self.labels is None else int(self.labels.max()) + 1
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether the undirected edge ``{u, v}`` is present (``False``
+        for out-of-range ids)."""
         u, v = (u, v) if u < v else (v, u)
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             return False

@@ -120,6 +120,8 @@ class MmapReleaser:
         self._calls = 0
 
     def step(self) -> None:
+        """Count one block; every ``every``-th call releases the
+        per-block ``gather`` arrays' pages."""
         if not self.every:
             return
         self._calls += 1
@@ -131,6 +133,8 @@ class MmapReleaser:
             tel.count("storage.page_releases", n)
 
     def flush(self) -> None:
+        """Release the pages of every tracked array, persistent ones
+        included (the end of a shard)."""
         n = advise_dontneed(*self.gather, *self.persistent)
         tel = get_telemetry()
         if tel.enabled:
@@ -214,9 +218,11 @@ class GraphBundle:
         return cls(path, meta)
 
     def array_path(self, name: str) -> str:
+        """Path of the stored ``name.npy`` file (present or not)."""
         return os.path.join(self.path, f"{name}.npy")
 
     def has(self, name: str) -> bool:
+        """Whether the bundle's metadata lists array ``name``."""
         return name in self.meta["arrays"]
 
     def load(self, name: str, mmap_arrays: bool = True) -> np.ndarray:
@@ -393,6 +399,7 @@ class MemmapGraph(Graph):
         return self._deg
 
     def neighbors(self, v: int) -> np.ndarray:
+        """Neighbour ids of node ``v`` from the stored CSR (int64 copy)."""
         lo, hi = int(self._bundle_indptr[v]), int(self._bundle_indptr[v + 1])
         return np.asarray(self._bundle_indices[lo:hi], dtype=np.int64)
 
@@ -418,6 +425,8 @@ class MemmapGraph(Graph):
         return local, indices
 
     def edge_key_slice(self, lo: int, hi: int) -> np.ndarray:
+        """Canonical edge keys whose smaller endpoint lies in rows
+        ``[lo, hi)``, read straight from the stored key array."""
         i0, i1 = self.edge_key_range(lo, hi)
         keys = np.asarray(self._edge_keys[i0:i1])
         tel = get_telemetry()

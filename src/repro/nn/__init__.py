@@ -14,6 +14,7 @@ from .loss import (
     cross_entropy,
     cross_entropy_label_smoothing,
     macro_auc,
+    masked_metrics,
     mse_loss,
 )
 from .module import Module, Parameter
@@ -47,5 +48,6 @@ __all__ = [
     "cross_entropy",
     "get_activation",
     "macro_auc",
+    "masked_metrics",
     "mse_loss",
 ]

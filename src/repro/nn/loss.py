@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,37 @@ def accuracy(
     if len(targets) == 0:
         return 0.0
     return float((logits.argmax(axis=-1) == targets).mean())
+
+
+def masked_metrics(
+    logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
+) -> Tuple[float, float]:
+    """``(accuracy, cross-entropy)`` on ``mask`` from plain logits.
+
+    The one reducer behind every eval-mode score: the trainer's
+    ``evaluate``, the topology env's rewards and the serving layer's
+    batched scores.  Bitwise twin of the Tensor-op
+    :func:`cross_entropy` + :func:`accuracy` pair: identical reductions
+    in identical order (max-shifted log-softmax, sum along the class
+    axis, pairwise sum then ``* (1/m)`` mean), without building an
+    autograd graph.  An empty ``mask`` gives ``(0.0, 0.0)``, the
+    convention of both twins.
+    """
+    mask = np.asarray(mask)
+    if mask.dtype == bool:
+        mask = np.flatnonzero(mask)
+    picked_logits = logits[mask]
+    targets = np.asarray(labels, dtype=np.int64)[mask]
+    m = targets.shape[0]
+    if m == 0:
+        return 0.0, 0.0
+    shifted = picked_logits - picked_logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_z
+    picked = log_probs[np.arange(m), targets]
+    loss = -(picked.sum() * (1.0 / m))
+    acc = float((picked_logits.argmax(axis=-1) == targets).mean())
+    return acc, float(loss)
 
 
 def macro_auc(

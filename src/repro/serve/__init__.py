@@ -22,8 +22,8 @@ load, entropy build and model warm-up per question:
   ``docs/serving.md``).
 * **Graceful degradation** — a bounded intake queue sheds load with a
   ``retry_after_ms`` hint instead of growing without bound; per-request
-  deadlines are honoured even mid-batch; oversized halos fall back to
-  dense evaluation inside the incremental engine.
+  deadlines are honoured even mid-batch; malformed frames get a
+  ``bad_request`` error and the connection keeps serving.
 
 Run it with ``python -m repro serve`` and talk to it with
 :class:`~repro.serve.client.ServeClient` (newline-delimited JSON over

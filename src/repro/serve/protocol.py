@@ -131,7 +131,12 @@ def encode_array(values: np.ndarray) -> Dict[str, str]:
 
 
 def decode_array(field: Any) -> np.ndarray:
-    """An int64 vector from either wire form (list or ``{"b64": ...}``)."""
+    """An int64 vector from either wire form (list or ``{"b64": ...}``).
+
+    A list must hold integers within int64 (``1.5`` or ``2**70`` is a
+    :class:`BadRequestError`, never truncated or wrapped); a compact
+    blob must hold a whole number of int64 values.
+    """
     if isinstance(field, dict):
         blob = field.get("b64")
         if not isinstance(blob, str):
@@ -142,13 +147,24 @@ def decode_array(field: Any) -> np.ndarray:
             raw = base64.b64decode(blob, validate=True)
         except Exception as exc:
             raise BadRequestError(f"invalid base64 array: {exc}") from exc
+        if len(raw) % 8:
+            raise BadRequestError(
+                f"compact array holds {len(raw)} bytes, not a whole "
+                "number of int64 values"
+            )
         return np.frombuffer(raw, dtype="<i8").astype(np.int64)
     try:
-        return np.asarray(field, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
+        values = np.asarray(field)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadRequestError(
             f"array field must be an integer list or {{'b64': ...}}: {exc}"
         ) from exc
+    if values.size and values.dtype.kind != "i":
+        raise BadRequestError(
+            "array field must hold integers within int64, got "
+            f"{values.dtype} values"
+        )
+    return values.astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -160,10 +176,11 @@ def encode_line(obj: Dict[str, Any]) -> bytes:
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one frame; raises :class:`BadRequestError` on junk."""
+    """Parse one frame; raises :class:`BadRequestError` on junk (bad
+    JSON, bytes that are not UTF-8, nesting too deep to parse)."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise BadRequestError(f"invalid JSON frame: {exc}") from exc
     if not isinstance(obj, dict):
         raise BadRequestError(

@@ -23,6 +23,7 @@ server in-process with plain ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Dict, Optional, Tuple
 
 from ..stream import EdgeEvent, validate_events
@@ -218,13 +219,25 @@ class RewiringServer:
         k, d = session.artifact.clamp(
             decode_array(frame["k"]), decode_array(frame["d"])
         )
-        deadline_ms = frame.get(
-            "deadline_ms", self.config.default_deadline_ms
-        )
         future = self.batcher.submit(
-            op, session, k, d, deadline_ms=deadline_ms
+            op, session, k, d, deadline_ms=self._deadline_ms(frame)
         )
         return await future
+
+    def _deadline_ms(self, frame: Dict[str, Any]) -> Optional[float]:
+        """The frame's ``deadline_ms`` (the configured default when
+        absent, ``None`` for no deadline); anything but a finite number
+        is a :class:`BadRequestError`."""
+        value = frame.get("deadline_ms", self.config.default_deadline_ms)
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            raise BadRequestError(
+                f"deadline_ms must be a finite number, got {value!r}"
+            )
+        return value
 
     async def _op_churn(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Fold external edge events into the session's artifact.
@@ -258,12 +271,9 @@ class RewiringServer:
             validate_events(events, session.artifact.graph.num_nodes)
         except ValueError as exc:
             raise BadRequestError(str(exc)) from exc
-        deadline_ms = frame.get(
-            "deadline_ms", self.config.default_deadline_ms
-        )
         future = self.batcher.submit(
             "churn", session, None, None,
-            deadline_ms=deadline_ms, events=events,
+            deadline_ms=self._deadline_ms(frame), events=events,
         )
         return await future
 

@@ -21,6 +21,7 @@ what is per-tenant:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -30,9 +31,10 @@ from ..core import RareConfig
 from ..core.lru import LRUCache
 from ..core.rewire import clamp_state, rewire_graph
 from ..entropy import RelativeEntropy, build_entropy_sequences
-from ..gnn import Trainer, build_backbone
-from ..gnn.incremental import _masked_metrics
+from ..datasets import dataset_names
+from ..gnn import BACKBONES, Trainer, build_backbone
 from ..graph import Graph, geom_gcn_splits
+from ..nn import masked_metrics
 from ..rl.vector.stacked import StackedGraphBuilder
 from ..telemetry import Telemetry, get_telemetry, use_telemetry
 from .protocol import BadRequestError, UnknownSessionError
@@ -52,7 +54,8 @@ class SessionSpec:
 
     Frozen (hashable) on purpose — the spec *is* the artifact-dedup key,
     so two sessions opened with equal specs share one
-    :class:`GraphArtifact`.
+    :class:`GraphArtifact`.  Values are validated on construction
+    (``ValueError``), so a bad spec fails before any artifact build.
     """
 
     dataset: str = "cornell"
@@ -73,17 +76,48 @@ class SessionSpec:
     warmup_epochs: int = 8
     """Training epochs baked into the artifact so scores are informative
     from the first request (the co-training warm start's counterpart)."""
-    incremental: bool = False
-    """Score through halo-restricted incremental evaluation instead of
-    dense stacked forwards.  Dense (default) is the byte-identical
-    reference; incremental is ulp-level on edit halos (see
-    ``docs/serving.md``)."""
-    max_halo_frac: float = 0.5
+
+    def __post_init__(self) -> None:
+        names = dataset_names()
+        if not (self.dataset == "synthetic"
+                or str(self.dataset).lower() in names):
+            raise ValueError(
+                f"unknown dataset {self.dataset!r}; choose from "
+                f"{['synthetic', *names]}"
+            )
+        if self.backbone not in BACKBONES:
+            raise ValueError(
+                f"unknown backbone {self.backbone!r}; choose from "
+                f"{sorted(BACKBONES)}"
+            )
+        for name, low in (
+            ("seed", 0), ("num_nodes", 1), ("num_features", 1),
+            ("hidden", 1), ("k_max", 0), ("d_max", 0), ("warmup_epochs", 0),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}"
+                )
+        if not 0 < self.scale <= 1:
+            raise ValueError(f"scale must be in (0, 1], got {self.scale!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(
+                f"lam must be finite and non-negative, got {self.lam!r}"
+            )
 
     @classmethod
     def from_wire(cls, spec: Optional[Dict]) -> "SessionSpec":
-        """Build from the ``open_session`` request's ``spec`` object."""
-        spec = spec or {}
+        """Build from the ``open_session`` request's ``spec`` object;
+        anything but a JSON object of known, valid fields is a
+        :class:`~repro.serve.protocol.BadRequestError`."""
+        if spec is None:
+            spec = {}
+        if not isinstance(spec, dict):
+            raise BadRequestError(
+                f"invalid spec: must be a JSON object, got "
+                f"{type(spec).__name__}"
+            )
         unknown = set(spec) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise BadRequestError(
@@ -91,7 +125,7 @@ class SessionSpec:
             )
         try:
             return cls(**spec)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise BadRequestError(f"invalid spec: {exc}") from exc
 
 
@@ -172,12 +206,13 @@ class GraphArtifact:
 
         The first churn lazily wraps :attr:`graph` in a
         :class:`~repro.stream.StreamingGraph`; every batch then lands as
-        one collapsed delta against the artifact's root, so the stacked
-        builder's root-bound state stays valid until a rebase promotes a
-        fresh bitwise-verified root — at which point the builder is
-        rebuilt against it.  :attr:`version` tracks the stream's version,
-        which bumps on every *effective* batch: a fully no-op batch
-        leaves the graph, the version and every memoised rewire valid.
+        one collapsed delta against the artifact's root, and a rebase
+        promotes a fresh bitwise-verified root.  The stacked builder
+        reads only the node count, features and labels, which churn never
+        changes, so it survives both.  :attr:`version` tracks the
+        stream's version, which bumps on every *effective* batch: a fully
+        no-op batch leaves the graph, the version and every memoised
+        rewire valid.
         """
         from ..stream import StreamingGraph
 
@@ -186,14 +221,6 @@ class GraphArtifact:
         report = self._stream.apply(events)
         self.graph = self._stream.current
         self.version = self._stream.version
-        if report.rebased:
-            self.stack = StackedGraphBuilder(
-                self._stream.root, self.model,
-                max_width=self.stack.max_width,
-                incremental=self.spec.incremental,
-                max_halo_frac=self.spec.max_halo_frac,
-                cache_limit=self.stack.cache_limit,
-            )
         return {
             "applied": report.applied,
             "added": int(report.added_keys.shape[0]),
@@ -211,15 +238,14 @@ class GraphArtifact:
 
         The graphs are stacked block-diagonally and scored in a single
         GNN forward; each block's full-node logits are then sliced out
-        and reduced with :func:`repro.gnn.incremental._masked_metrics` —
-        the bitwise twin of the dense ``evaluate`` path — so a batched
-        score equals the unbatched score byte for byte (dense artifacts;
-        incremental ones are ulp-level on edit halos).
+        and reduced with :func:`repro.nn.masked_metrics` — the reducer
+        of the dense ``evaluate`` path — so a batched score equals the
+        unbatched score byte for byte.
         """
         per_block = self.stack.stacked_logits(graphs)
         labels = self.graph.labels
         return [
-            _masked_metrics(per_block[b], labels, self.train_idx)
+            masked_metrics(per_block[b], labels, self.train_idx)
             for b in range(len(graphs))
         ]
 
@@ -272,11 +298,7 @@ def build_artifact(spec: SessionSpec, max_batch: int = 16) -> GraphArtifact:
         if spec.warmup_epochs > 0:
             trainer.fit(graph, split, epochs=spec.warmup_epochs,
                         patience=max(2, spec.warmup_epochs // 2))
-        stack = StackedGraphBuilder(
-            graph, model, max_width=max_batch,
-            incremental=spec.incremental,
-            max_halo_frac=spec.max_halo_frac,
-        )
+        stack = StackedGraphBuilder(graph, model, max_width=max_batch)
         return GraphArtifact(
             spec, graph, sequences, model, trainer, split, stack
         )
@@ -310,7 +332,6 @@ class GraphSession:
             "num_edges": graph.num_edges,
             "k_max": self.artifact.spec.k_max,
             "d_max": self.artifact.spec.d_max,
-            "incremental": self.artifact.spec.incremental,
         }
 
 

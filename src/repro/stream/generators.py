@@ -175,7 +175,7 @@ class HubStream(ChurnStream):
     Hubs (the top ``hub_frac`` of nodes by start-graph degree, at least
     one) concentrate the dirty-row set, so edit halos saturate and the
     dirty fraction climbs fastest — the regime that exercises the
-    rebase fallback and the incremental engine's ``max_halo_frac``
+    rebase fallback and the incremental evaluator's oversize-halo
     dense fallback.
     """
 

@@ -18,9 +18,9 @@ Quick tour::
     tel.close()                  # flush the final metric snapshot
     print(tel.report())          # human-readable tree + quantiles
 
-Pipelines opt in through ``RareConfig.telemetry`` / the CLI's
-``--telemetry[=PATH]``; ``repro stats run.jsonl`` validates and renders
-a persisted stream.  Naming conventions, the JSONL schema and the
+Pipelines opt in by running under :func:`use_telemetry` (the CLI's
+``--telemetry[=PATH]`` does so through :func:`telemetry_from_spec`);
+``repro stats run.jsonl`` validates and renders a persisted stream.  Naming conventions, the JSONL schema and the
 overhead policy are documented in ``docs/observability.md``.
 """
 

@@ -339,8 +339,7 @@ def telemetry_from_spec(
     ``None``, ``""`` or ``"off"`` — the shared disabled default;
     ``"on"``/``"memory"`` — an enabled in-memory session; any other
     string — an enabled session streaming JSONL to that path.  This is
-    the one interpretation behind ``RareConfig.telemetry`` and the CLI's
-    ``--telemetry[=PATH]``.
+    the one interpretation behind the CLI's ``--telemetry[=PATH]``.
 
     Examples
     --------

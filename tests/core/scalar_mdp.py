@@ -2,17 +2,19 @@
 ``TopologyEnv`` at ``num_envs = 1``.
 
 One episode at a time, written only from the public pieces — the Eq. 10
-clamp, the rewire, the Eq. 11 reward through ``reward_metrics``,
+clamp, the rewire, the Eq. 11 reward from ``predict_logits`` (the
+model's, or the incremental evaluator's) reduced by ``masked_metrics``,
 Algorithm 1's co-training on a record score, live churn folded in before
 each step, a fresh episode after the horizon.  No memo, no batching, no
-autoreset bookkeeping: what the env must reproduce bit for bit.
+autoreset bookkeeping, none of the env's scoring code: what the env must
+reproduce bit for bit.
 """
 
 import numpy as np
 
 from repro.core import build_observation, clamp_state, rewire_graph
-from repro.core.env import reward_metrics
 from repro.gnn import IncrementalEvaluator
+from repro.nn import macro_auc, masked_metrics
 
 
 def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
@@ -23,8 +25,7 @@ def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
     n = graph.num_nodes
     inc = stream = churn = None
     if config.incremental_reward:
-        inc = IncrementalEvaluator(model, graph,
-                                   max_halo_frac=config.max_halo_frac)
+        inc = IncrementalEvaluator(model, graph)
     if config.stream is not None:
         from repro.stream import StreamingGraph, make_stream
 
@@ -34,7 +35,12 @@ def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
         )
 
     def metrics(g):
-        return reward_metrics(model, g, split.train, config.reward, inc)
+        scorer = model if inc is None else inc
+        logits = scorer.predict_logits(g)
+        acc, loss = masked_metrics(logits, g.labels, split.train)
+        if config.reward == "auc":
+            return macro_auc(logits, g.labels, split.train), loss
+        return acc, loss
 
     base = graph
     k = d = np.zeros(n, dtype=np.int64)
@@ -43,9 +49,7 @@ def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
         if stream is not None:
             report = stream.apply(churn.take(config.stream.events_per_step))
             if report.rebased and inc is not None:
-                inc = IncrementalEvaluator(
-                    model, stream.root, max_halo_frac=config.max_halo_frac
-                )
+                inc = IncrementalEvaluator(model, stream.root)
             base = stream.current
         k, d = clamp_state(k + action[:n] - 1, d + action[n:] - 1, base,
                            sequences, config.k_max, config.d_max)

@@ -123,7 +123,7 @@ def test_reward_is_delta_metric():
 def test_auc_reward_variant():
     env, graph = make_env(reward="auc")
     env.reset()
-    score, loss = env._metrics(graph)
+    (score,), (loss,) = env._scores([graph])
     assert 0.0 <= score <= 1.0
 
 

@@ -117,13 +117,6 @@ def test_config_validation():
         RareConfig(num_workers=0)
     cfg = RareConfig(screening="on", num_workers=4)
     assert cfg.screening == "on" and cfg.num_workers == 4
-    with pytest.raises(ValueError):
-        RareConfig(telemetry="")
-    with pytest.raises(ValueError):
-        RareConfig(telemetry=7)
-    assert RareConfig(telemetry="on").telemetry == "on"
-    assert RareConfig(telemetry="run.jsonl").telemetry == "run.jsonl"
-    assert RareConfig().telemetry is None
 
 
 def test_add_only_and_remove_only_configs(heterophilic):
@@ -138,16 +131,22 @@ def test_add_only_and_remove_only_configs(heterophilic):
 
 
 def test_fit_with_telemetry_emits_valid_jsonl(heterophilic, tmp_path):
-    from repro.telemetry import get_telemetry, validate_lines
+    from repro.telemetry import (
+        get_telemetry,
+        telemetry_from_spec,
+        use_telemetry,
+        validate_lines,
+    )
 
     graph, split = heterophilic
     path = str(tmp_path / "fit.jsonl")
-    rare = GraphRARE(
-        "gcn", tiny_config(episodes=1, horizon=2, telemetry=path)
-    )
-    result = rare.fit(graph, split, train_baseline=True)
+    rare = GraphRARE("gcn", tiny_config(episodes=1, horizon=2))
+    tel = telemetry_from_spec(path)
+    with use_telemetry(tel):
+        result = rare.fit(graph, split, train_baseline=True)
+    tel.close()
     assert 0.0 <= result.test_acc <= 1.0
-    # The session opened from the config is closed again after fit.
+    # Leaving the scope restores the disabled default session.
     assert not get_telemetry().enabled
 
     events, errors = validate_lines(open(path).read().splitlines())

@@ -2,13 +2,16 @@
 
 The contract under test: with ``num_envs > 1`` every slot replays exactly
 the episode a ``num_envs = 1`` env produces under the same actions — the
-observations bitwise, the stacked reward evaluation to floating-point
-noise (rtol 1e-9) — and the core batching hooks (clamp, observation
-template) agree with their per-episode forms exactly.  At
+observations bitwise, the rewards bitwise with incremental reward off
+(rtol 1e-9 with it on, the halo class) — and the core batching hooks
+(clamp, observation template, one-graph stacks) agree with their
+per-episode forms exactly.  At
 ``num_envs = 1`` the env's step stream is bitwise a scalar statement of
 the MDP (the oracle in ``scalar_mdp.py``); whole fits are pinned by
 ``test_golden_fit.py``.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import Trainer, build_backbone
 from repro.graph import geom_gcn_splits, random_split
+from repro.rl.vector.stacked import StackedGraphBuilder
+from repro.telemetry import Telemetry, use_telemetry
 
 from .scalar_mdp import assert_matches_oracle
 
@@ -116,11 +121,14 @@ def test_b1_auc_reward_variant_matches():
 # B > 1 against B = 1
 # ---------------------------------------------------------------------------
 def test_stacked_rewards_match_loop_evaluation():
-    """The stacked B > 1 forward (incremental on) scores every episode like
-    a per-episode B = 1 env does, to rtol 1e-9, for both rewards."""
+    """The stacked B > 1 forward scores every episode like a per-episode
+    B = 1 env does, for both rewards: exactly with incremental reward off,
+    to rtol 1e-9 with it on (the B = 1 env then scores through halos)."""
     B = 4
-    for reward in ("acc_loss", "auc"):
-        parts = dict(reward=reward, incremental_reward=True)
+    for reward, incremental in itertools.product(
+        ("acc_loss", "auc"), (False, True)
+    ):
+        parts = dict(reward=reward, incremental_reward=incremental)
         venv = TopologyEnv(*make_parts(num_envs=B, **parts), co_train=False,
                            seed=0)
         singles = [
@@ -137,8 +145,11 @@ def test_stacked_rewards_match_loop_evaluation():
                 obs_s, rew_s, done_s, _ = env.step(actions[b:b + 1])
                 np.testing.assert_array_equal(obs_s[0], obs_v[b])
                 assert done_s[0] == done_v[b]
-                np.testing.assert_allclose(rew_s[0], rew_v[b], rtol=1e-9,
-                                           atol=1e-12)
+                if incremental:
+                    np.testing.assert_allclose(rew_s[0], rew_v[b],
+                                               rtol=1e-9, atol=1e-12)
+                else:
+                    assert rew_s[0] == rew_v[b]
 
 
 def test_batched_episodes_match_independent_sequential_envs():
@@ -159,7 +170,48 @@ def test_batched_episodes_match_independent_sequential_envs():
         for b, env in enumerate(seq_envs):
             obs_s, rew_s, _, _ = env.step(actions[b:b + 1])
             np.testing.assert_array_equal(obs_s[0], obs_v[b])
-            assert rew_s[0] == pytest.approx(rew_v[b], rel=1e-9, abs=1e-12)
+            assert rew_s[0] == rew_v[b]  # bitwise: one reducer at any width
+
+
+def test_one_graph_is_its_own_stack():
+    """A width-1 stack is the graph itself, scored by the plain forward."""
+    graph, _, model, *_ = make_parts()
+    stack = StackedGraphBuilder(graph, model, max_width=3)
+    assert stack.stacked_graph([graph]) is graph
+    assert stack.stacked_logits([graph])[0].tobytes() == (
+        model.predict_logits(graph).tobytes()
+    )
+    # Width 1 learns no block-diagonal seeding; the first wider batch does.
+    assert stack._seed_keys is None
+    stack.stacked_logits([graph, graph])
+    assert stack._seed_keys == ("gcn_norm",)
+
+
+def test_batched_steps_leave_the_evaluator_alone():
+    """At ``num_envs > 1`` the batch goes to one stacked forward: with
+    co-training off, a step that ends no episode never calls the
+    incremental evaluator (it scores only graphs scored alone), nor any
+    other halo evaluation."""
+    tel = Telemetry(enabled=True)
+
+    def halo_counters():
+        return {
+            name: value for name, value in tel.snapshot()["counters"].items()
+            if name.startswith("incremental.")
+        }
+
+    with use_telemetry(tel):
+        venv = TopologyEnv(
+            *make_parts(num_envs=3, incremental_reward=True),
+            co_train=False, seed=0,
+        )
+        before, counters = dict(venv._inc.stats), halo_counters()
+        assert before["base_hits"] == 1  # the reset's base-graph score
+        for _ in range(venv.config.horizon - 1):
+            _, _, dones, _ = venv.step(venv.sample_actions())
+            assert not dones.any()
+            assert dict(venv._inc.stats) == before
+            assert halo_counters() == counters
 
 
 def test_autoreset_and_episode_infos():

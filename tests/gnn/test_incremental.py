@@ -32,7 +32,7 @@ from repro.gnn import (
     patched_two_hop,
     supports_incremental,
 )
-from repro.gnn.incremental import _PLANS, _masked_metrics
+from repro.gnn.incremental import _PLANS
 from repro.graph import (
     Graph,
     gcn_norm,
@@ -40,7 +40,7 @@ from repro.graph import (
     row_norm,
     two_hop_adjacency,
 )
-from repro.nn import accuracy, cross_entropy
+from repro.nn import accuracy, cross_entropy, masked_metrics
 from repro.tensor import Tensor
 
 N = 36
@@ -275,11 +275,11 @@ def test_masked_metrics_is_bitwise_twin_of_evaluate_ops(world):
     rng = np.random.default_rng(11)
     logits = rng.standard_normal((N, graph.num_classes))
     for mask in (split.train, np.flatnonzero(split.train)[:5]):
-        acc, loss = _masked_metrics(logits, graph.labels, mask)
+        acc, loss = masked_metrics(logits, graph.labels, mask)
         assert loss == cross_entropy(Tensor(logits), graph.labels, mask).item()
         assert acc == accuracy(logits, graph.labels, mask)
     # Empty selection mirrors cross_entropy's zero-loss convention.
-    assert _masked_metrics(logits, graph.labels, np.empty(0, np.int64)) == (
+    assert masked_metrics(logits, graph.labels, np.empty(0, np.int64)) == (
         0.0, 0.0,
     )
 
@@ -469,6 +469,9 @@ def test_derived_base_graph_keeps_the_halo_path():
 
 
 def test_vec_env_incremental_parity_and_stacked_delta():
+    """At ``num_envs = 3`` with co-training on, incremental reward (the
+    graphs scored alone go through the evaluator, batches through one
+    dense stacked forward) keeps the dense env's rewards to 1e-9."""
     graph, sequences, split = _env_world()
     rewards = {}
     for flag in (False, True):
@@ -484,16 +487,6 @@ def test_vec_env_incremental_parity_and_stacked_delta():
             _, r, _, _ = venv.step(venv.sample_actions())
             collected.append(r.copy())
         rewards[flag] = np.array(collected)
-        if flag:
-            # The stacked graph carries the block-diagonal delta union.
-            stacked = venv._stack.stacked_graph(venv.current_graphs)
-            assert stacked.delta is not None
-            assert stacked.delta.base is venv._stack.stacked_base(3)
-            total = venv._stack.incremental_for(3).stats
-            assert (
-                total["base_hits"] + total["halo_evals"] + total["full_evals"]
-                > 0
-            )
     np.testing.assert_allclose(
         rewards[False], rewards[True], rtol=0.0, atol=1e-9
     )

@@ -9,7 +9,7 @@ here (``docs/equivalence-policy.md``, "Sparse-feature input"):
   are float64-allclose to the dense path;
 * every exactness contract that compares two evaluations of the *same*
   operand stays bitwise — halo vs dense eval off the halo, the env's
-  ``num_envs = 1`` rewards vs direct ``reward_metrics`` scoring,
+  ``num_envs = 1`` rewards vs direct ``evaluate`` scoring,
   out-of-core vs in-RAM base states;
 * narrow or dense features, and GraphSAGE / MixHop, never see the CSR
   operand; a fit converts its features once.
@@ -20,13 +20,13 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import GraphRARE, RareConfig, TopologyEnv, rewire_graph
-from repro.core.env import reward_metrics
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import (
     GCN,
     IncrementalEvaluator,
     Trainer,
     build_backbone,
+    evaluate,
     features_tensor,
     resolve_halo_plan,
 )
@@ -240,13 +240,13 @@ def _env_parts(world):
 
 
 def test_vec_env_b1_bitwise_vs_sequential(world):
-    """At ``num_envs = 1`` the env scores each step through
-    ``reward_metrics`` on the CSR operand: its per-step score, loss and
-    reward are bitwise those of scoring the rewired graphs one by one."""
+    """At ``num_envs = 1`` the env scores each step on the CSR operand:
+    its per-step score, loss and reward are bitwise those of
+    ``evaluate`` on the rewired graphs one by one."""
     env = TopologyEnv(*_env_parts(world), co_train=False)
     assert sp.isspmatrix_csr(features_tensor(env.base_graph, env.model))
     g, seqs, split = world
-    prev = reward_metrics(env.model, g, split.train, "acc_loss")
+    prev = evaluate(env.model, g, split.train)
     rng = np.random.default_rng(3)
     k = np.zeros(g.num_nodes, dtype=np.int64)
     d = np.zeros(g.num_nodes, dtype=np.int64)
@@ -255,7 +255,7 @@ def test_vec_env_b1_bitwise_vs_sequential(world):
         _, reward, _, info = env.step(action)
         k, d = env.k[0].copy(), env.d[0].copy()
         graph = rewire_graph(g, seqs, k, d)
-        score, loss = reward_metrics(env.model, graph, split.train, "acc_loss")
+        score, loss = evaluate(env.model, graph, split.train)
         assert (info[0]["train_score"], info[0]["train_loss"]) == (score, loss)
         assert reward[0] == (score - prev[0]) + (prev[1] - loss)
         prev = (score, loss)

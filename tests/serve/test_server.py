@@ -2,11 +2,13 @@
 batched-vs-direct bitwise equality, deadlines and lifecycle."""
 
 import asyncio
+import base64
+import json
 
 import numpy as np
 import pytest
 
-from repro.gnn.incremental import _masked_metrics
+from repro.nn import masked_metrics
 from repro.serve.client import ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import (
@@ -49,8 +51,8 @@ def _direct_scores(server, session_id, candidates):
     for k, d in candidates:
         k, d = artifact.clamp(k, d)
         graph = artifact.rewired(k, d, session.memo)
-        logits = artifact.stack.stacked_logits([graph])[0]
-        out.append(_masked_metrics(logits, labels, artifact.train_idx))
+        logits = artifact.model.predict_logits(graph)
+        out.append(masked_metrics(logits, labels, artifact.train_idx))
     return out
 
 
@@ -241,3 +243,68 @@ def test_rewire_then_score_hits_session_memo():
     assert second["cached"] is True
     assert second["memo"]["hits"] >= 1
     assert stats["telemetry"]["counters"]["serve.requests"] >= 5
+
+
+def _frame(obj) -> bytes:
+    return json.dumps(obj).encode() + b"\n"
+
+
+#: Malformed requests, each as ``(session_id, num_nodes) -> wire line``.
+#: Every one used to answer ``internal`` or be accepted.
+MALFORMED = {
+    "b64-not-whole-int64": lambda sid, n: _frame({
+        "op": "score", "session": sid, "d": [0] * n,
+        "k": {"b64": base64.b64encode(bytes(8 * n - 3)).decode()},
+    }),
+    "int-beyond-int64": lambda sid, n: _frame({
+        "op": "score", "session": sid, "k": [2**70] + [0] * (n - 1),
+        "d": [0] * n,
+    }),
+    "float-count": lambda sid, n: _frame({
+        "op": "score", "session": sid, "k": [1.5] + [0] * (n - 1),
+        "d": [0] * n,
+    }),
+    "not-utf8": lambda sid, n: b'{"op": "ping", "note": "\xff"}\n',
+    "spec-not-object": lambda sid, n: _frame(
+        {"op": "open_session", "spec": 5}
+    ),
+    "spec-negative-k-max": lambda sid, n: _frame(
+        {"op": "open_session", "spec": {**SPEC, "k_max": -1}}
+    ),
+    "spec-zero-scale": lambda sid, n: _frame(
+        {"op": "open_session", "spec": {**SPEC, "scale": 0}}
+    ),
+    "spec-unknown-dataset": lambda sid, n: _frame(
+        {"op": "open_session", "spec": {**SPEC, "dataset": "bogus"}}
+    ),
+    "deadline-not-number": lambda sid, n: _frame({
+        "op": "score", "session": sid, "k": [0] * n, "d": [0] * n,
+        "deadline_ms": "soon",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_frames_are_bad_requests(case):
+    """A malformed frame gets a ``bad_request`` envelope and the
+    connection keeps serving."""
+
+    async def run():
+        server, client = await _serving(config())
+        info = await client.open_session(SPEC)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.address[1]
+        )
+        writer.write(MALFORMED[case](info["session"], info["num_nodes"]))
+        answer = json.loads(await reader.readline())
+        writer.write(_frame({"id": 7, "op": "ping"}))
+        pong = json.loads(await reader.readline())
+        writer.close()
+        await client.close()
+        await server.stop()
+        return answer, pong
+
+    answer, pong = asyncio.run(run())
+    assert answer["ok"] is False
+    assert answer["error"]["code"] == "bad_request", answer
+    assert pong == {"id": 7, "ok": True, "result": {"pong": True}}

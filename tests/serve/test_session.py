@@ -26,11 +26,26 @@ def artifact():
 def test_spec_from_wire_rejects_unknown_fields():
     with pytest.raises(BadRequestError, match="unknown spec field"):
         SessionSpec.from_wire({"dataset": "synthetic", "warp_factor": 9})
+    # Artifacts have no incremental mode: its fields are unknown too.
+    for field in ({"incremental": True}, {"max_halo_frac": 0.5}):
+        with pytest.raises(BadRequestError, match="unknown spec field"):
+            SessionSpec.from_wire(field)
 
 
 def test_spec_from_wire_rejects_non_mapping():
     with pytest.raises(BadRequestError, match="invalid spec"):
         SessionSpec.from_wire(["dataset"])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dataset", "bogus"), ("backbone", "transformer"), ("scale", 0),
+    ("scale", 1.5), ("num_nodes", 0), ("hidden", -1), ("k_max", -1),
+    ("d_max", 2.5), ("warmup_epochs", -1), ("lam", float("nan")),
+    ("lam", -1.0), ("seed", "7"),
+])
+def test_spec_values_are_validated(field, value):
+    with pytest.raises(BadRequestError, match="invalid spec"):
+        SessionSpec.from_wire({"dataset": "synthetic", field: value})
 
 
 def test_spec_is_the_artifact_key():

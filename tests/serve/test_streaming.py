@@ -14,8 +14,9 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.gnn.incremental import _masked_metrics
+from repro.core import rewire_graph
 from repro.graph import Graph
+from repro.nn import masked_metrics
 from repro.serve.client import ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import BadRequestError, OverloadedError
@@ -50,7 +51,7 @@ def _fresh_ground_truth(server, session_id):
         g.num_nodes, g.edge_array(), features=g.features, labels=g.labels
     )
     logits = artifact.model.predict_logits(fresh)
-    return _masked_metrics(logits, g.labels, artifact.train_idx)
+    return masked_metrics(logits, g.labels, artifact.train_idx)
 
 
 def _effective_events(server, session_id, count, seed=0):
@@ -182,6 +183,56 @@ def test_concurrent_churn_and_scores_in_one_batch_are_ordered():
     for served in (score_a, score_b):
         assert served["acc"] == acc
         assert served["loss"] == loss
+
+
+def test_rebase_keeps_the_stack_and_batched_scores_bitwise():
+    """A rebase leaves the artifact's stacked builder in place (it reads
+    nothing churn changes), and batched scores after it still equal a
+    from-scratch evaluation of each rewired graph byte for byte."""
+
+    async def run():
+        server, client = await _serving(config(max_wait_ms=20.0))
+        info = await client.open_session(SPEC)
+        sid, n = info["session"], info["num_nodes"]
+        artifact = server.sessions.get(sid).artifact
+        stack = artifact.stack
+        rebased = False
+        for round_no in range(10):
+            report = await client.churn(
+                sid, _effective_events(server, sid, 12, seed=round_no)
+            )
+            rebased = rebased or report["rebased"]
+        rng = np.random.default_rng(2)
+        candidates = [
+            (rng.integers(0, 3, n), rng.integers(0, 3, n)) for _ in range(6)
+        ]
+        served = await asyncio.gather(*[
+            client.score(sid, k, d) for k, d in candidates
+        ])
+        truth = []
+        for k, d in candidates:
+            rewired = rewire_graph(
+                artifact.graph, artifact.sequences, *artifact.clamp(k, d)
+            )
+            fresh = Graph(
+                n, rewired.edge_array(),
+                features=rewired.features, labels=rewired.labels,
+            )
+            truth.append(masked_metrics(
+                artifact.model.predict_logits(fresh), fresh.labels,
+                artifact.train_idx,
+            ))
+        await client.close()
+        await server.stop()
+        return rebased, artifact.stack is stack, served, truth
+
+    rebased, same_stack, served, truth = asyncio.run(run())
+    assert rebased
+    assert same_stack
+    assert max(r["batch_width"] for r in served) > 1
+    for got, (acc, loss) in zip(served, truth):
+        assert got["acc"] == acc
+        assert got["loss"] == loss
 
 
 # ---------------------------------------------------------------------------

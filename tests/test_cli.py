@@ -217,7 +217,7 @@ def test_run_rejects_zero_splits(capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--num-envs", "0"], "num_envs must be >= 1, got 0"),
     (["--horizon", "0"], "horizon and episodes must be >= 1"),
-    (["--max-halo-frac", "2"], "max_halo_frac must be in [0, 1], got 2.0"),
+    (["--k-max", "-1"], "k_max and d_max must be non-negative"),
     (["--churn", "--churn-events", "0"], "events_per_step"),
     (["--lam", "nan"], "lam must be finite"),
 ])
@@ -230,6 +230,15 @@ def test_run_config_errors_are_one_line(flags, message, capsys):
     assert captured.err.startswith("error: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--k", "-1"), ("--d", "-2")])
+def test_rewire_rejects_negative_counts(flag, value, capsys):
+    """A negative ``--k``/``--d`` used to rewire silently as 0, exit 0."""
+    assert main(["rewire", "--dataset", "texas", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 0, got {value}\n"
 
 
 @pytest.mark.parametrize("command", ["info", "run", "rewire"])
