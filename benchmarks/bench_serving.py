@@ -14,9 +14,12 @@ would be refining).  Two server configurations face the same load:
   one computation, and the surviving unique graphs are scored in one
   block-diagonal stacked forward.
 
-Both modes share every cache (session rewire memo, per-graph propagation
-blocks), so the speedup isolates what the batcher adds: request
-coalescing plus stacked-forward amortisation of per-dispatch overhead.
+Both modes share the session rewire memo.  A width-1 forward memoises
+its graph's propagation matrix on that graph; a stacked forward builds
+the fused graph's own matrix (one pass over its sorted edge keys) and
+caches nothing on its members.  The speedup measures what the batcher
+adds: request coalescing plus stacked-forward amortisation of
+per-dispatch overhead.
 The acceptance contract — batched >= 3x serial throughput at 64
 clients — is asserted by the CLI run and the ``slow``-marked pytest
 wrapper; ``BENCH_SKIP_CONTRACT=1`` reports without gating, as in the

@@ -864,12 +864,12 @@ class PropagationRowSource:
         elif self.key == "gcn_norm":
             data = self._scale[np.repeat(rows, lengths)] * self._scale[cols]
         else:  # row_norm
-            # The materialised ``row_norm`` (one ``diag @ csr`` product)
-            # stores each row's columns in *reverse*-sorted order — the
-            # linked-list traversal of scipy's csr matmul — and spmm
-            # accumulates in stored order, so the served rows replicate
-            # that order to keep downstream products bitwise identical.
-            # (``gcn_norm``'s two products reverse twice, back to sorted.)
+            # The materialised ``row_norm`` stores each row's columns in
+            # *reverse*-sorted order (the order of the ``diag @ csr``
+            # product it is byte-equal to; docs/equivalence-policy.md,
+            # "Propagation matrices") and spmm accumulates in stored
+            # order, so the served rows replicate that order to keep
+            # downstream products bitwise identical.
             if cols.size:
                 offsets = np.empty(rows.size, dtype=np.int64)
                 offsets[0] = 0

@@ -130,6 +130,39 @@ def _collapsed_delta(base: "Graph", keys: np.ndarray) -> GraphDelta:
     )
 
 
+def csr_layout(
+    keys: np.ndarray,
+    num_nodes: int,
+    self_loops: bool = False,
+    descending: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices, counts)`` of ``A`` (``A + I`` with
+    ``self_loops``) from sorted canonical edge keys, in one int64 sort.
+
+    ``counts`` holds each row's entry count.  Columns ascend within a
+    row, or descend with ``descending``.  All three are int64;
+    ``scipy.sparse.csr_matrix`` narrows the index arrays to int32 when
+    they fit, as its own constructions do.
+    """
+    n = np.int64(num_nodes)
+    u = keys // n
+    v = keys - u * n
+    nodes = np.arange(n if self_loops else 0, dtype=np.int64)
+    rows = np.concatenate([u, v, nodes])
+    cols = np.concatenate([v, u, nodes])
+    if descending:  # sort on mirrored columns, then mirror back
+        cols = (n - 1) - cols
+    pairs = np.sort(rows * n + cols)
+    rows = pairs // n
+    cols = pairs - rows * n
+    if descending:
+        cols = (n - 1) - cols
+    counts = np.bincount(rows, minlength=num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, cols, counts
+
+
 def canonical_edge(u: int, v: int) -> Edge:
     """Return the undirected edge ``{u, v}`` in sorted-tuple form."""
     return (u, v) if u < v else (v, u)
@@ -329,14 +362,10 @@ class Graph:
         """Symmetric binary adjacency matrix ``A`` (no self-loops)."""
         if self._adj is None:
             n = self.num_nodes
-            if self.num_edges:
-                ea = self.edge_array()
-                rows = np.concatenate([ea[:, 0], ea[:, 1]])
-                cols = np.concatenate([ea[:, 1], ea[:, 0]])
-                data = np.ones(rows.shape[0])
-                self._adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-            else:
-                self._adj = sp.csr_matrix((n, n))
+            indptr, indices, _ = csr_layout(self._edge_keys, n)
+            self._adj = sp.csr_matrix(
+                (np.ones(indices.shape[0]), indices, indptr), shape=(n, n)
+            )
         return self._adj
 
     def degrees(self) -> np.ndarray:

@@ -18,8 +18,12 @@ def homophily_ratio(graph: Graph) -> float:
         raise ValueError("homophily ratio requires node labels")
     if graph.num_edges == 0:
         return 0.0
-    edges = graph.edge_array()
-    same = graph.labels[edges[:, 0]] == graph.labels[edges[:, 1]]
+    # Endpoints straight from the keys: no (E, 2) array is cached on the
+    # graph, which may be a memoised rewire.
+    keys = graph.edge_keys()
+    n = np.int64(graph.num_nodes)
+    u = keys // n
+    same = graph.labels[u] == graph.labels[keys - u * n]
     return float(same.mean())
 
 

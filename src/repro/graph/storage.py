@@ -337,11 +337,67 @@ def load_graph_bundle(
     arrays are lazily paged from disk; ``False`` loads every array into
     RAM and returns it wrapped in the same class (the "materialised twin"
     the out-of-core benchmark compares against — byte-identical data,
-    identical code paths).
+    identical code paths).  Arrays whose dtype or shape contradicts the
+    manifest or ``num_nodes``, CSR lengths that disagree with the edge
+    count, and negative labels raise one ``ValueError`` line naming the
+    array.
     """
     if bundle is None:
         bundle = GraphBundle.open(path)
     return MemmapGraph._from_bundle(bundle, mmap_arrays=mmap_arrays)
+
+
+def _check_bundle_arrays(meta: Dict, arrays: Dict[str, np.ndarray]) -> None:
+    """Reject arrays that contradict the manifest, ``num_nodes`` or each
+    other, with one ``ValueError`` line naming the array.
+
+    Reads headers, lengths and ``indptr[-1]``; only the sign check of the
+    labels reads a whole array (``N`` values).
+    """
+    n, e = int(meta["num_nodes"]), int(meta["num_edges"])
+    for name, arr in arrays.items():
+        listed = meta["arrays"][name]
+        dtype, shape = listed.get("dtype"), tuple(listed.get("shape", ()))
+        if str(arr.dtype) != dtype or arr.shape != shape:
+            raise ValueError(
+                f"bundle array {name!r} is {arr.dtype} {arr.shape}, but the "
+                f"manifest lists {dtype} {shape}"
+            )
+    for name, shape in (
+        ("edge_keys", (e,)), ("indptr", (n + 1,)), ("indices", (2 * e,)),
+    ):
+        arr = arrays[name]
+        if arr.dtype != np.int64 or arr.shape != shape:
+            raise ValueError(
+                f"bundle array {name!r} is {arr.dtype} {arr.shape}; "
+                f"num_nodes={n} and num_edges={e} need int64 {shape}"
+            )
+    nnz = int(arrays["indptr"][-1])
+    if nnz != 2 * e:
+        raise ValueError(
+            f"bundle array 'indptr' ends at {nnz}, but num_edges={e} "
+            f"stores {2 * e} neighbour entries"
+        )
+    features = arrays.get("features")
+    if features is not None and (features.ndim != 2 or features.shape[0] != n):
+        raise ValueError(
+            f"bundle array 'features' has shape {features.shape}; "
+            f"num_nodes={n} needs {n} rows"
+        )
+    labels = arrays.get("labels")
+    if labels is not None:
+        if labels.dtype.kind not in "iu" or labels.shape != (n,):
+            raise ValueError(
+                f"bundle array 'labels' is {labels.dtype} {labels.shape}; "
+                f"num_nodes={n} needs integer ({n},)"
+            )
+        negative = np.flatnonzero(np.asarray(labels) < 0)
+        if negative.shape[0]:
+            first = int(negative[0])
+            raise ValueError(
+                f"bundle array 'labels' holds {negative.shape[0]} negative "
+                f"labels, first {int(labels[first])} at node {first}"
+            )
 
 
 class MemmapGraph(Graph):
@@ -367,19 +423,23 @@ class MemmapGraph(Graph):
     def _from_bundle(
         cls, bundle: GraphBundle, mmap_arrays: bool = True
     ) -> "MemmapGraph":
+        arrays = {
+            name: bundle.load(name, mmap_arrays)
+            for name in ("edge_keys", "indptr", "indices")
+        }
+        for name in ("features", "labels"):
+            if bundle.has(name):
+                arrays[name] = bundle.load(name, mmap_arrays)
+        _check_bundle_arrays(bundle.meta, arrays)
         g = cls.__new__(cls)
         g.num_nodes = int(bundle.meta["num_nodes"])
-        g._edge_keys = bundle.load("edge_keys", mmap_arrays)
-        g.features = (
-            bundle.load("features", mmap_arrays) if bundle.has("features") else None
-        )
-        g.labels = (
-            bundle.load("labels", mmap_arrays) if bundle.has("labels") else None
-        )
+        g._edge_keys = arrays["edge_keys"]
+        g.features = arrays.get("features")
+        g.labels = arrays.get("labels")
         g._init_derived()
         g.bundle = bundle
-        g._bundle_indptr = bundle.load("indptr", mmap_arrays)
-        g._bundle_indices = bundle.load("indices", mmap_arrays)
+        g._bundle_indptr = arrays["indptr"]
+        g._bundle_indices = arrays["indices"]
         return g
 
     @property

@@ -135,9 +135,9 @@ class GraphArtifact:
     All heavy members are built once in :func:`build_artifact`; after
     construction the artifact mutates only under ``churn`` (live edge
     events fold into :attr:`graph` and bump :attr:`version`, see
-    ``docs/streaming.md``) and through the stacked builder's internal
-    caches — both only ever touched from the server's single scoring
-    thread, so no locking is needed.
+    ``docs/streaming.md``) and through the stacked builder's per-width
+    feature tiles — both only ever touched from the server's single
+    scoring thread, so no locking is needed.
     """
 
     def __init__(

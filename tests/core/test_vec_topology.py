@@ -29,10 +29,11 @@ from repro.core import (
 from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import Trainer, build_backbone
-from repro.graph import geom_gcn_splits, random_split
+from repro.graph import Graph, geom_gcn_splits, random_split
 from repro.rl.vector.stacked import StackedGraphBuilder
 from repro.telemetry import Telemetry, use_telemetry
 
+from ..propagation_oracle import assert_untouched
 from .scalar_mdp import assert_matches_oracle
 
 
@@ -181,10 +182,38 @@ def test_one_graph_is_its_own_stack():
     assert stack.stacked_logits([graph])[0].tobytes() == (
         model.predict_logits(graph).tobytes()
     )
-    # Width 1 learns no block-diagonal seeding; the first wider batch does.
-    assert stack._seed_keys is None
-    stack.stacked_logits([graph, graph])
-    assert stack._seed_keys == ("gcn_norm",)
+    # A wider batch builds the stacked graph's own matrices and derives
+    # nothing on its members.
+    member = Graph._from_keys(
+        graph.num_nodes, graph.edge_keys(), graph.features, graph.labels
+    )
+    stack.stacked_logits([member, member])
+    assert_untouched(member)
+
+
+def test_tiled_arrays_are_views_of_one_tiling():
+    """Every width reads a leading view of one ``max_width`` tiling, and a
+    width keeps one array object (the CSR feature memo's key)."""
+    graph, _, model, *_ = make_parts()
+    stack = StackedGraphBuilder(graph, model, max_width=4)
+    two, three = stack.tiled_arrays(2), stack.tiled_arrays(3)
+    full = stack.tiled_arrays(4)
+    for a, b, whole in zip(two, three, full):
+        assert np.shares_memory(a, whole) and np.shares_memory(b, whole)
+    np.testing.assert_array_equal(two[0], np.tile(graph.features, (2, 1)))
+    np.testing.assert_array_equal(three[1], np.tile(graph.labels, 3))
+    again = stack.tiled_arrays(2)
+    assert again[0] is two[0] and again[1] is two[1]
+
+
+def test_env_steps_pin_nothing_on_memoised_graphs():
+    """A batched env step (stacked forward, step infos) leaves no matrix,
+    adjacency or edge array on the memoised rewires it scored."""
+    venv = TopologyEnv(*make_parts(num_envs=3), co_train=False, seed=0)
+    venv.reset()
+    venv.step(venv.sample_actions())
+    for graph in venv.current_graphs:
+        assert_untouched(graph)
 
 
 def test_batched_steps_leave_the_evaluator_alone():

@@ -126,6 +126,62 @@ def test_bundle_load_unknown_array_raises(bundle_dir):
         GraphBundle.open(path).load("nonexistent")
 
 
+def _edit_manifest(path, edit):
+    meta_path = os.path.join(path, BUNDLE_META)
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    edit(meta)
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+
+
+def _resave(path, name, edit):
+    array_path = os.path.join(path, f"{name}.npy")
+    np.save(array_path, edit(np.load(array_path)))
+
+
+#: Hand edits that each used to load without error, and the array the
+#: rejection must name.
+BUNDLE_CORRUPTIONS = {
+    "num_nodes_plus_5": (
+        "indptr",
+        lambda p: _edit_manifest(
+            p, lambda m: m.update(num_nodes=m["num_nodes"] + 5)
+        ),
+    ),
+    "indptr_10_short": (
+        "indptr", lambda p: _resave(p, "indptr", lambda a: a[:-10])
+    ),
+    "labels_3_short": (
+        "labels", lambda p: _resave(p, "labels", lambda a: a[:-3])
+    ),
+    "labels_negative": (
+        "labels", lambda p: _resave(p, "labels", lambda a: np.full_like(a, -1))
+    ),
+    "edge_keys_float64": (
+        "edge_keys",
+        lambda p: _resave(p, "edge_keys", lambda a: a.astype(np.float64)),
+    ),
+    "edge_keys_twice": (
+        "edge_keys", lambda p: _resave(p, "edge_keys", lambda a: np.repeat(a, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(BUNDLE_CORRUPTIONS))
+def test_bundle_contradicting_its_manifest_is_rejected(tmp_path, corruption):
+    from repro.datasets import load_dataset
+
+    array, corrupt = BUNDLE_CORRUPTIONS[corruption]
+    path = str(tmp_path / "bundle")
+    save_graph_bundle(load_dataset("texas", scale=0.5, seed=0), path)
+    corrupt(path)
+    for mmap_arrays in (True, False):
+        with pytest.raises(ValueError, match=f"bundle array '{array}'") as info:
+            load_graph_bundle(path, mmap_arrays=mmap_arrays)
+        assert "\n" not in str(info.value)
+
+
 def test_materialized_nbytes_accounts_derived(bundle_dir):
     g, path = bundle_dir
     bundle = GraphBundle.open(path)

@@ -12,6 +12,8 @@ from repro.serve.session import (
     build_artifact,
 )
 
+from ..propagation_oracle import assert_untouched
+
 SPEC = SessionSpec(
     dataset="synthetic", num_nodes=120, num_features=8,
     warmup_epochs=1, k_max=2, d_max=2,
@@ -85,6 +87,25 @@ def test_rewire_memo_returns_shared_objects(artifact):
     second = artifact.rewired(k, d, memo)
     assert first is second
     assert memo.stats["hits"] == 1
+
+
+def test_score_blocks_pins_nothing_on_memoised_graphs(artifact):
+    """A batched score leaves a memoised rewire holding only its keys
+    and delta: no propagation matrix, adjacency or edge array."""
+    n = artifact.graph.num_nodes
+    memo = LRUCache(8)
+    rng = np.random.default_rng(2)
+    graphs = [
+        artifact.rewired(
+            *artifact.clamp(rng.integers(0, 3, size=n),
+                            rng.integers(0, 3, size=n)),
+            memo,
+        )
+        for _ in range(3)
+    ]
+    assert len(artifact.score_blocks(graphs)) == 3
+    for graph in graphs:
+        assert_untouched(graph)
 
 
 def test_artifacts_shared_across_sessions():

@@ -198,6 +198,17 @@ def test_run_graph_bundle_streams(tmp_path, capsys):
     assert "mean over 1 split" in capsys.readouterr().out
 
 
+def test_run_rejects_a_bundle_contradicting_its_manifest(tmp_path, capsys):
+    _, path = _make_bundle(tmp_path)
+    labels = str(tmp_path / "bundle" / "labels.npy")
+    np.save(labels, np.full_like(np.load(labels), -1))
+    assert main(["run", "--graph-bundle", path, "--episodes", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load graph bundle")
+    assert "'labels'" in captured.err and captured.err.count("\n") == 1
+
+
 def test_dataset_and_bundle_flags_are_exclusive(tmp_path, capsys):
     _, path = _make_bundle(tmp_path)
     assert main(["rewire", "--dataset", "texas", "--graph-bundle", path]) == 2
