@@ -13,14 +13,16 @@ doclint:
 
 # Fast sanity run (< 90 s): the CSR scaling benchmark at small N (asserts
 # the >= 5x speedup contract) plus small-N passes of both incremental
-# reward engines (equivalence checked; the speed contracts are pinned to
-# N=5k, so the small runs report without gating).  All respect
+# reward engines and of the two entropy engines (equivalence and exact
+# top-k recall checked; those speed contracts are pinned to N=5k and
+# N=20k, so the small runs report without gating).  All respect
 # BENCH_SKIP_CONTRACT=1 on noisy shared runners.
 bench-smoke:
 	$(PY) benchmarks/bench_scaling_rewire.py --sizes 1000 5000 --steps 5
 	$(PY) benchmarks/bench_incremental_reward.py --nodes 1500 --edits 2 --steps 6 --repeats 2
 	$(PY) benchmarks/bench_halo_backbones.py --nodes 1500 --edits 2 --steps 4 --repeats 2
 	$(PY) benchmarks/bench_telemetry_overhead.py --steps 32 --iterations 50000
+	$(PY) benchmarks/bench_entropy_screening.py --sizes 1500
 	$(PY) benchmarks/bench_out_of_core.py --n 3000
 	$(PY) benchmarks/bench_streaming.py --nodes 800 --events 4 --steps 40 --repeats 2
 

@@ -2,13 +2,17 @@
 
 Builds the full entropy sequences (remote + neighbour rankings) on
 synthetic planted-partition graphs and compares the two engines behind
-``build_entropy_sequences``:
+``build_entropy_sequences``, each called directly:
 
-* ``screening="off"`` — the dense length-sorted tiled kernel scoring all
+* ``_build_sorted`` — the dense length-sorted tiled kernel scoring all
   ``N^2`` pairs (the pre-screening fast path);
-* ``screening="on"`` — the certified screen-then-rescore engine
+* ``_build_screened`` — the certified screen-then-rescore engine
   (``H <= H_f + lam * hs_max`` evaluated in feature-logit space, exact
   rescoring of the surviving superset only).
+
+The 32-wide features fail the wide-sparse rule, so from
+``SCREEN_AUTO_MIN`` nodes ``build_entropy_sequences`` itself would pick
+the screen.
 
 Every run verifies *exact top-k recall*: the screened rankings must match
 the dense builder's identically at every position whose score is strictly
@@ -42,12 +46,12 @@ import pytest
 
 from repro.bench import format_table, save_results
 from repro.datasets import planted_partition_graph
-from repro.entropy import (
-    RelativeEntropy,
-    assert_rankings_match,
-    build_entropy_sequences,
+from repro.entropy import RelativeEntropy, assert_rankings_match
+from repro.entropy.sequence import (
+    _build_from_rows,
+    _build_screened,
+    _build_sorted,
 )
-from repro.entropy.sequence import _build_from_rows
 from repro.telemetry import Telemetry, use_telemetry
 
 #: The acceptance contract from the screening-engine issue.
@@ -86,15 +90,11 @@ def bench_one_size(n: int, mc: int = 16, seed: int = 0, verify: bool = True):
     t_screen = np.inf
     for _ in range(2):
         start = time.perf_counter()
-        screened = build_entropy_sequences(
-            graph, entropy, max_candidates=mc, screening="on"
-        )
+        screened = _build_screened(graph, entropy, mc)
         t_screen = min(t_screen, time.perf_counter() - start)
 
     start = time.perf_counter()
-    dense = build_entropy_sequences(
-        graph, entropy, max_candidates=mc, screening="off"
-    )
+    dense = _build_sorted(graph, entropy, mc)
     t_dense = time.perf_counter() - start
 
     out = {
@@ -114,7 +114,7 @@ def bench_one_size(n: int, mc: int = 16, seed: int = 0, verify: bool = True):
             graph, lam=1.0, max_profile_len=64, structural_mode="kl"
         )
         start = time.perf_counter()
-        build_entropy_sequences(graph, kl, max_candidates=mc, screening="off")
+        _build_sorted(graph, kl, mc)
         out["kl_sorted_s"] = time.perf_counter() - start
         start = time.perf_counter()
         _build_from_rows(graph, kl.rows, mc, block_size=256)

@@ -133,8 +133,7 @@ def run_pipeline(bundle_dir: str, mmap_arrays: bool) -> dict:
         block_rows=SCREEN_BLOCK_ROWS, mmap_arrays=mmap_arrays,
     )
     seqs = build_entropy_sequences(
-        graph, None, max_candidates=MAX_CANDIDATES, screening="on",
-        state_loader=loader,
+        graph, None, max_candidates=MAX_CANDIDATES, state_loader=loader,
     )
     k = np.minimum(2, (seqs.remote >= 0).sum(axis=1))
     d = np.minimum(1, graph.degrees())

@@ -30,13 +30,8 @@ from typing import List, Optional
 import numpy as np
 
 from .core import GraphRARE, RareConfig, analyze_rewiring, rewire_graph
-from .core.framework import (
-    bundle_state_loader,
-    check_entropy_sidecar,
-    relative_entropy,
-)
+from .core.framework import check_entropy_sidecar, entropy_sequences
 from .datasets import dataset_names, load_dataset
-from .entropy import build_entropy_sequences
 from .graph import degree_statistics, geom_gcn_splits, homophily_ratio, save_graph
 from .telemetry import (
     report_from_events,
@@ -65,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run from an on-disk graph bundle "
                                 "(repro.graph.save_graph_bundle) instead "
                                 "of --dataset: arrays stay memory-mapped "
-                                "and the entropy screen streams shard "
-                                "state from the bundle (storage='stream')")
+                                "and the entropy screen streams its state "
+                                "from the bundle's entropy sidecar "
+                                "(written on first use)")
 
     def add_telemetry_arg(p):
         p.add_argument("--telemetry", nargs="?", const="on", default=None,
@@ -77,15 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "additionally streams a JSONL event log "
                             "(render it later with 'repro stats PATH')")
 
-    def add_entropy_engine_args(p):
-        p.add_argument("--screening", default="auto",
-                       choices=["auto", "on", "off"],
-                       help="entropy candidate engine: certified "
-                            "screen-then-rescore (on), dense tiled kernel "
-                            "(off), or size-based auto (default)")
+    def add_num_workers_arg(p):
         p.add_argument("--num-workers", type=int, default=1,
-                       help="worker-pool width for the sharded entropy "
-                            "build (results are byte-identical for every "
+                       help="threads for the sharded entropy build "
+                            "(results are byte-identical for every "
                             "worker count)")
 
     info = sub.add_parser("info", help="print dataset statistics")
@@ -129,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--churn-seed", type=int, default=0,
                      help="seed of the synthetic churn stream (default 0; "
                           "needs --churn)")
-    add_entropy_engine_args(run)
+    add_num_workers_arg(run)
     add_telemetry_arg(run)
 
     rewire = sub.add_parser("rewire", help="static entropy-guided rewiring")
@@ -138,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     rewire.add_argument("--d", type=int, default=1)
     rewire.add_argument("--lam", type=float, default=1.0)
     rewire.add_argument("--out", default=None, help="save rewired graph (.npz)")
-    add_entropy_engine_args(rewire)
+    add_num_workers_arg(rewire)
     add_telemetry_arg(rewire)
 
     serve = sub.add_parser(
@@ -246,7 +237,6 @@ def _run_config(args) -> RareConfig:
             seed=args.churn_seed,
         )
     return RareConfig(
-        storage="stream" if args.graph_bundle else "ram",
         lam=args.lam,
         k_max=args.k_max,
         d_max=args.d_max,
@@ -256,7 +246,6 @@ def _run_config(args) -> RareConfig:
         rl_algorithm=args.rl,
         num_envs=args.num_envs,
         incremental_reward=args.incremental_reward,
-        screening=args.screening,
         num_workers=args.num_workers,
         stream=stream_cfg,
         seed=args.seed,
@@ -330,7 +319,10 @@ def cmd_rewire(args) -> int:
     try:
         # The entropy recipe of ``repro run`` (RareConfig defaults), so a
         # bundle sidecar written by either command serves the other.
-        config = RareConfig(lam=args.lam, max_candidates=max(8, args.k))
+        config = RareConfig(
+            lam=args.lam, max_candidates=max(8, args.k),
+            num_workers=args.num_workers,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -342,19 +334,7 @@ def cmd_rewire(args) -> int:
     )
     with use_telemetry(tel):
         with tel.span("rewire.entropy"):
-            if args.graph_bundle:
-                sequences = build_entropy_sequences(
-                    graph, None, max_candidates=config.max_candidates,
-                    screening="on", num_workers=args.num_workers,
-                    state_loader=bundle_state_loader(graph, config, None),
-                )
-            else:
-                sequences = build_entropy_sequences(
-                    graph, relative_entropy(graph, config, None),
-                    max_candidates=config.max_candidates,
-                    screening=args.screening,
-                    num_workers=args.num_workers,
-                )
+            sequences = entropy_sequences(graph, config, None)
         k = np.minimum(args.k, (sequences.remote >= 0).sum(axis=1))
         d = np.minimum(args.d, graph.degrees())
         with tel.span("rewire.apply"):
@@ -373,16 +353,20 @@ def cmd_serve(args) -> int:
 
     from .serve import RewiringServer, ServeConfig
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        unix_path=args.unix,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue,
-        max_sessions=args.max_sessions,
-        memo_entries=args.memo_entries,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            unix_path=args.unix,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue=args.max_queue,
+            max_sessions=args.max_sessions,
+            memo_entries=args.memo_entries,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # A service's ``stats`` op is a first-class feature, so metrics
     # default ON here (in-memory; the disabled-path budget is moot for
     # a process that exists to be observed).  ``--telemetry off`` still

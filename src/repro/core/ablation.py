@@ -18,32 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..entropy import EntropySequences, RelativeEntropy, build_entropy_sequences
+from ..entropy import EntropySequences
 from ..gnn import Trainer, build_backbone
 from ..graph import Graph, Split
 from .config import RareConfig
+from .framework import entropy_sequences
 from .rewire import clamp_state, rewire_graph
-
-
-def _sequences_for(
-    graph: Graph, config: RareConfig, rng: np.random.Generator
-) -> EntropySequences:
-    entropy = RelativeEntropy.from_graph(
-        graph,
-        lam=config.lam,
-        embedding=config.embedding,
-        max_profile_len=config.max_profile_len,
-        rng=rng,
-        structural_mode=config.structural_mode,
-    )
-    return build_entropy_sequences(
-        graph,
-        entropy,
-        max_candidates=config.max_candidates,
-        rng=rng,
-        screening=config.screening,
-        num_workers=config.num_workers,
-    )
 
 
 def _train_on_rewired(
@@ -96,7 +76,7 @@ def fixed_kd(
     config = config or RareConfig(max_candidates=max(16, k))
     rng = np.random.default_rng(config.seed)
     if sequences is None:
-        sequences = _sequences_for(graph, config, rng)
+        sequences = entropy_sequences(graph, config, rng)
     n = graph.num_nodes
     return _train_on_rewired(
         graph, split, backbone, config,
@@ -120,7 +100,7 @@ def random_kd(
     config = config or RareConfig(max_candidates=max(16, max_value))
     rng = np.random.default_rng(config.seed)
     if sequences is None:
-        sequences = _sequences_for(graph, config, rng)
+        sequences = entropy_sequences(graph, config, rng)
     n = graph.num_nodes
     k = rng.integers(0, max_value + 1, size=n)
     d = rng.integers(0, max_value + 1, size=n)
@@ -143,7 +123,7 @@ def fixed_kd_grid(
     """
     config = config or RareConfig(max_candidates=max(16, *k_values))
     rng = np.random.default_rng(config.seed)
-    sequences = _sequences_for(graph, config, rng)
+    sequences = entropy_sequences(graph, config, rng)
     grid = np.zeros((len(k_values), len(d_values)))
     for i, k in enumerate(k_values):
         for j, d in enumerate(d_values):

@@ -30,15 +30,11 @@ class RareConfig:
     """Remote candidates retained per node in the entropy sequence."""
     max_profile_len: int | None = 64
     """Truncation of degree profiles (Eq. 5) on heavy-tailed graphs."""
-    screening: str = "auto"
-    """Candidate engine for the entropy-sequence build: ``"off"`` scores
-    every pair with the dense tiled kernel, ``"on"`` the certified
-    screen-then-rescore engine (same rankings away from exact value ties,
-    an order of magnitude faster at large N), ``"auto"`` switches the
-    screen on from :data:`repro.entropy.SCREEN_AUTO_MIN` nodes."""
     num_workers: int = 1
-    """Worker-pool width for the sharded entropy build; every worker count
-    returns byte-identical sequences (row-range merge)."""
+    """Thread-pool width for the sharded entropy build; every worker count
+    returns byte-identical sequences (row-range merge).  The build picks
+    its engine and storage from the graph
+    (:func:`repro.core.framework.entropy_sequences`)."""
 
     # --- topology optimisation (Sec. IV-B) ----------------------------
     k_max: int = 8
@@ -112,17 +108,6 @@ class RareConfig:
     have ``ceil(episodes / num_envs)`` entries)."""
 
     # --- execution substrate -------------------------------------------
-    storage: str = "ram"
-    """Where the entropy screen reads the graph from.  ``"ram"``
-    (default) builds the screen state in memory — the historical path.
-    ``"stream"`` requires a bundle-backed graph
-    (:func:`repro.graph.storage.load_graph_bundle`): shard workers
-    stream their row ranges straight from the bundle's entropy sidecar
-    (written on first use) instead of receiving pickled arrays, so peak
-    RSS tracks one shard's working set rather than the graph.  Outputs
-    are byte-identical between the two modes for every worker count and
-    executor."""
-
     stream: "StreamConfig | None" = None  # noqa: F821 - lazy import below
     """Live edge churn (:mod:`repro.stream`).  ``None`` (default) keeps
     the classical static-graph setting.  A
@@ -150,10 +135,6 @@ class RareConfig:
             )
         if self.reward not in ("acc_loss", "auc"):
             raise ValueError(f"unknown reward {self.reward!r}")
-        if self.screening not in ("auto", "on", "off"):
-            raise ValueError(
-                f"screening must be 'auto', 'on' or 'off', got {self.screening!r}"
-            )
         if self.num_workers < 1:
             raise ValueError(
                 f"num_workers must be >= 1, got {self.num_workers}"
@@ -162,10 +143,6 @@ class RareConfig:
             raise ValueError(
                 f"rewire_memo_entries must be >= 1, got "
                 f"{self.rewire_memo_entries}"
-            )
-        if self.storage not in ("ram", "stream"):
-            raise ValueError(
-                f"storage must be 'ram' or 'stream', got {self.storage!r}"
             )
         from ..rl import AGENTS
 

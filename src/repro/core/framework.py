@@ -60,7 +60,7 @@ def check_entropy_sidecar(path: str, config: RareConfig) -> None:
 
     A sidecar that does not record every :data:`ENTROPY_RECIPE` field
     (one written before they were all recorded) counts as a mismatch.  No
-    sidecar is no mismatch: :func:`bundle_state_loader` writes one.
+    sidecar is no mismatch: :func:`entropy_sequences` writes one.
     """
     if not has_entropy_sidecar(path):
         return
@@ -75,31 +75,52 @@ def check_entropy_sidecar(path: str, config: RareConfig) -> None:
         )
 
 
-def bundle_state_loader(
-    graph: Graph, config: RareConfig, rng: Optional[np.random.Generator]
-) -> ScreenStateLoader:
-    """The streamed-screening state of a bundle-backed graph.
+def entropy_sequences(
+    graph: Graph,
+    config: RareConfig,
+    rng: Optional[np.random.Generator],
+    shuffle: bool = False,
+) -> EntropySequences:
+    """The entropy sequences of ``graph`` under ``config`` (Algorithm 1,
+    lines 1-6): the one path from a :class:`RareConfig` to
+    :class:`~repro.entropy.EntropySequences`.
 
-    The one sidecar recipe behind ``storage="stream"`` and both
-    ``repro run`` and ``repro rewire --graph-bundle``: the bundle's entropy
-    sidecar is written on first use (one in-RAM :func:`relative_entropy`
-    build, persisted next to the graph arrays with its recipe) and checked
-    against the config on every reuse (:func:`check_entropy_sidecar`), so
-    a stale sidecar can never silently change the sequences.
+    A bundle-backed graph (``graph.bundle``, set by
+    :func:`repro.graph.load_graph_bundle`) streams the screened engine's
+    state from the bundle's entropy sidecar.  The sidecar is written on
+    first use (one in-RAM :func:`relative_entropy` build, persisted next
+    to the graph arrays with its recipe) and checked against the config
+    on every reuse (:func:`check_entropy_sidecar`), so a stale sidecar can
+    never silently change the sequences.  Every other graph, and the
+    ``shuffle`` ablation (GCN-RA) on any graph, builds its entropy in
+    RAM; :func:`~repro.entropy.build_entropy_sequences` then picks the
+    engine from the graph's size and embedding.
     """
     bundle = getattr(graph, "bundle", None)
-    if bundle is None:
-        raise ValueError(
-            "storage='stream' needs a bundle-backed graph; load one "
-            "with repro.graph.load_graph_bundle (CLI: --graph-bundle)"
+    if bundle is not None and not shuffle:
+        check_entropy_sidecar(bundle.path, config)
+        if not has_entropy_sidecar(bundle.path):
+            save_entropy_sidecar(
+                bundle.path, relative_entropy(graph, config, rng),
+                recipe=_recipe(config),
+            )
+        return build_entropy_sequences(
+            graph,
+            None,
+            max_candidates=config.max_candidates,
+            num_workers=config.num_workers,
+            state_loader=ScreenStateLoader(
+                bundle.path, max_candidates=config.max_candidates
+            ),
         )
-    check_entropy_sidecar(bundle.path, config)
-    if not has_entropy_sidecar(bundle.path):
-        save_entropy_sidecar(
-            bundle.path, relative_entropy(graph, config, rng),
-            recipe=_recipe(config),
-        )
-    return ScreenStateLoader(bundle.path, max_candidates=config.max_candidates)
+    return build_entropy_sequences(
+        graph,
+        relative_entropy(graph, config, rng),
+        max_candidates=config.max_candidates,
+        rng=rng,
+        shuffle=shuffle,
+        num_workers=config.num_workers,
+    )
 
 
 @dataclass
@@ -157,27 +178,7 @@ class GraphRARE:
         ``entropy_seconds`` reported on :class:`RareResult`.
         """
         with get_telemetry().timed_span("rare.entropy") as span:
-            if self.config.storage == "stream":
-                sequences = build_entropy_sequences(
-                    graph,
-                    None,
-                    max_candidates=self.config.max_candidates,
-                    rng=rng,
-                    shuffle=shuffle,
-                    screening="on",
-                    num_workers=self.config.num_workers,
-                    state_loader=bundle_state_loader(graph, self.config, rng),
-                )
-            else:
-                sequences = build_entropy_sequences(
-                    graph,
-                    relative_entropy(graph, self.config, rng),
-                    max_candidates=self.config.max_candidates,
-                    rng=rng,
-                    shuffle=shuffle,
-                    screening=self.config.screening,
-                    num_workers=self.config.num_workers,
-                )
+            sequences = entropy_sequences(graph, self.config, rng, shuffle)
         return sequences, span.duration
 
     def _build_model(self, graph: Graph, rng: np.random.Generator) -> GNNBackbone:

@@ -76,8 +76,7 @@ class GramBlocks:
     other ``Z`` goes through the BLAS GEMM, bit for bit the plain
     ``Z[start:stop] @ Z.T``.  ``perm`` reorders the rows (and so the
     columns) of ``Z`` first; the rule is decided on ``Z`` itself, so a
-    permuted view reuses its memoised CSR.  Instances pickle, so a
-    process pool can ship one to its workers.
+    permuted view reuses its memoised CSR.
 
     Examples
     --------

@@ -35,9 +35,8 @@ The engine executes as row-range shards: an :class:`EntropyShardPlan`
 splits ``[0, N)`` into contiguous node ranges balanced by adjacency volume
 (the same ranges map to contiguous slices of the graph's sorted int64
 edge-key arrays), and :func:`run_sharded` runs one worker per shard on a
-``concurrent.futures`` thread or process pool.  Results are merged by row
-range, so the output is byte-identical for any worker count or executor —
-the first concrete step of the dataset-sharding roadmap item.
+thread pool.  Results are merged by row range, so the output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,9 +51,11 @@ from ..graph import Graph
 from ..telemetry import SIZE_BUCKETS, Telemetry, get_telemetry, use_telemetry
 from .relative_entropy import RelativeEntropy
 
-#: ``build_entropy_sequences(screening="auto")`` turns the screen on at this
-#: many nodes; below it the dense tiled builder is already fast and the
-#: screen's fixed overhead is not worth paying.
+#: ``build_entropy_sequences`` screens from this many nodes, unless the
+#: embedding passes the wide-sparse rule (then the dense builder's CSR Gram
+#: beats the screen's dense per-pair rescore); below it the dense tiled
+#: builder is already fast and the screen's fixed overhead is not worth
+#: paying.
 SCREEN_AUTO_MIN = 4096
 
 #: Default over-decomposition of the screened build.  Deliberately a fixed
@@ -162,41 +163,16 @@ class EntropyShardPlan:
         return [graph.edge_key_range(r0, r1) for r0, r1 in self.ranges()]
 
 
-_POOL_WORKER: Optional[Callable] = None
-_POOL_STATE = None
-
-
-def _pool_init(worker: Callable, state, state_loader: Optional[Callable] = None) -> None:
-    """Process-pool initializer: receives the shared state once per worker
-    process (pickled through ``initargs``) instead of once per task.
-
-    When ``state_loader`` is given instead of ``state``, the worker
-    process *builds* its state by calling it — the streaming path, where
-    only a bundle path crosses the process boundary and the arrays are
-    memmapped locally (:class:`repro.graph.storage.ScreenStateLoader`).
-    """
-    global _POOL_WORKER, _POOL_STATE
-    _POOL_WORKER = worker
-    _POOL_STATE = state_loader() if state_loader is not None else state
-
-
-def _pool_run(task):
-    return _POOL_WORKER((_POOL_STATE, *task))
-
-
 class _TracedWorker:
     """Telemetry-capture shim wrapped around a shard worker.
 
-    Pool workers — threads and processes alike — start with no active
-    telemetry context (the session rides a ``ContextVar`` that executors
-    do not propagate), so when the dispatching session is enabled each
-    task instead runs under a fresh worker-local session and returns
-    ``(result, snapshot)``.  ``run_sharded`` absorbs the snapshots back
-    into the parent *positionally*, making the merged spans and metrics
-    deterministic for every worker count and executor flavour.
-    Instances are picklable whenever the wrapped worker is (the shard
-    workers are module-level functions), so the shim also rides through
-    the process-pool initializer.
+    Pool threads start with no active telemetry context (the session
+    rides a ``ContextVar``, which a new thread does not inherit), so when
+    the dispatching session is enabled each task instead runs under a fresh
+    worker-local session and returns ``(result, snapshot)``.
+    ``run_sharded`` absorbs the snapshots back into the parent
+    *positionally*, making the merged spans and metrics deterministic for
+    every worker count.
     """
 
     def __init__(self, worker: Callable) -> None:
@@ -214,75 +190,37 @@ def run_sharded(
     worker: Callable,
     tasks: Sequence,
     num_workers: int = 1,
-    executor: str = "thread",
     state=None,
-    state_loader: Optional[Callable] = None,
 ) -> list:
-    """Run ``worker`` over ``tasks`` on a worker pool; results keep task
+    """Run ``worker`` over ``tasks`` on a thread pool; results keep task
     order (the merge is positional, so parallel runs are deterministic).
 
-    ``executor`` is ``"thread"`` (workers share read-only numpy state; BLAS
-    and the elementwise kernels release the GIL) or ``"process"``
-    (``ProcessPoolExecutor``; task payloads must be picklable).  With one
-    worker or one task the pool is skipped entirely.
-
-    ``state`` is an optional shared payload prepended to every task tuple
-    before it reaches ``worker``.  On a process pool it is shipped once per
-    worker via the pool initializer rather than pickled into each task —
-    the screen/sorted states hold the full ``O(N * M)`` profile arrays, so
-    per-task serialisation would dwarf the sharded compute at large ``N``.
-
-    ``state_loader`` is the out-of-core alternative to ``state``: a small
-    picklable zero-argument callable (typically a
-    :class:`repro.graph.storage.ScreenStateLoader` holding a bundle path)
-    that *builds* the shared state.  On a process pool each worker calls
-    it inside the pool initializer, so no array ever crosses the process
-    boundary; on a thread pool or a serial run it is called once here and
-    the result shared.  Exactly one of ``state``/``state_loader`` may be
-    given.
+    Workers share read-only numpy state; BLAS and the elementwise kernels
+    release the GIL.  With one worker or one task the pool is skipped
+    entirely.  ``state`` is an optional shared payload prepended to every
+    task tuple before it reaches ``worker``.
 
     When a telemetry session is active (``repro.telemetry``), each task
     runs under a worker-local capture (one ``entropy.shard`` span plus
     whatever the worker records) whose snapshot is merged back here in
     task order — the observability stream, like the results, is
-    byte-for-byte independent of ``num_workers`` and ``executor``.
+    byte-for-byte independent of ``num_workers``.
     """
-    if executor not in ("thread", "process"):
-        raise ValueError(
-            f"executor must be 'thread' or 'process', got {executor!r}"
-        )
-    if state is not None and state_loader is not None:
-        raise ValueError("pass either state or state_loader, not both")
     tasks = list(tasks)
+    if state is not None:
+        tasks = [(state, *t) for t in tasks]
     tel = get_telemetry()
     if tel.enabled:
         worker = _TracedWorker(worker)
-    pooled = num_workers > 1 and len(tasks) > 1
-    if pooled and executor == "process" and (
-        state is not None or state_loader is not None
-    ):
-        from concurrent.futures import ProcessPoolExecutor
+    if num_workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=min(num_workers, len(tasks)),
-            initializer=_pool_init,
-            initargs=(worker, state, state_loader),
+        with ThreadPoolExecutor(
+            max_workers=min(num_workers, len(tasks))
         ) as pool:
-            results = list(pool.map(_pool_run, tasks))
+            results = list(pool.map(worker, tasks))
     else:
-        if state_loader is not None:
-            state = state_loader()
-        if state is not None:
-            tasks = [(state, *t) for t in tasks]
-        if not pooled:
-            results = [worker(t) for t in tasks]
-        else:
-            if executor == "thread":
-                from concurrent.futures import ThreadPoolExecutor as Pool
-            else:
-                from concurrent.futures import ProcessPoolExecutor as Pool
-            with Pool(max_workers=min(num_workers, len(tasks))) as pool:
-                results = list(pool.map(worker, tasks))
+        results = [worker(t) for t in tasks]
     if tel.enabled:
         merged = []
         for result, snapshot in results:
@@ -463,8 +401,7 @@ def feature_logit_threshold(
 # ---------------------------------------------------------------------------
 @dataclass
 class ScreenState:
-    """Read-only state shared by every screening shard worker (picklable,
-    so the same payload drives thread and process pools)."""
+    """Read-only state shared by every screening shard worker."""
 
     Z32: np.ndarray
     scorer: PairEntropyScorer

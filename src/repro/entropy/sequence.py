@@ -19,8 +19,9 @@ so last-bit differences between kernels do not reorder mathematically
 equal neighbours.
 
 The default builder is fully vectorised and comes in two engines, both
-executed as row-range shards on an optional worker pool (see
-:mod:`repro.entropy.screening`):
+executed as row-range shards on an optional thread pool (see
+:mod:`repro.entropy.screening`).  :func:`build_entropy_sequences` picks
+the engine from its input:
 
 * the *dense* engine scores every pair with a length-sorted tiled
   structural kernel — nodes are processed in descending profile-length
@@ -32,8 +33,9 @@ executed as row-range shards on an optional worker pool (see
   reduces to two GEMMs over clamped log-profiles).  The feature term
   comes from :class:`~repro.entropy.feature_entropy.GramBlocks`: a CSR
   product on wide sparse embeddings, the BLAS GEMM otherwise;
-* the *screened* engine (default from ``SCREEN_AUTO_MIN`` nodes) prunes
-  the ``O(N^2 L)`` structural work with the certified bound
+* the *screened* engine (from ``SCREEN_AUTO_MIN`` nodes on embeddings
+  that fail the wide-sparse rule, and for every bundle-backed build)
+  prunes the ``O(N^2 L)`` structural work with the certified bound
   ``H <= H_f + lam * hs_max`` evaluated in feature-logit space, then
   rescores only the surviving superset exactly — identical rankings away
   from exact value ties at a fraction of the cost.
@@ -65,6 +67,7 @@ import numpy as np
 
 from ..graph import Graph
 from ..telemetry import get_telemetry
+from ..tensor.sparse import sparse_features
 from .feature_entropy import GramBlocks
 from .relative_entropy import RelativeEntropy
 from .screening import (
@@ -312,9 +315,8 @@ def _build_from_rows(graph: Graph, rows_fn, max_candidates: int,
 class _SortedState:
     """Length-sorted tiled-kernel state shared by every dense shard worker.
 
-    Everything is a plain array or a :class:`GramBlocks` (picklable), so
-    the same payload drives thread and process pools; workers only read
-    it.
+    Everything is a plain array or a :class:`GramBlocks`; workers only
+    read it.
     """
 
     mode: str
@@ -535,12 +537,11 @@ def _build_sorted(
     entropy: RelativeEntropy,
     max_candidates: int,
     num_workers: int = 1,
-    executor: str = "thread",
     block_size: int = 64,
     tile_size: int = 1024,
 ) -> EntropySequences:
     """Dense fast path: length-sorted tiled structural kernel (JS or
-    symmetrised KL), executed as sorted-row-range shards on a worker pool.
+    symmetrised KL), executed as sorted-row-range shards on a thread pool.
 
     Nodes are processed in descending nonzero-profile-length order so every
     (row block, column tile) pair can truncate the divergence at
@@ -555,9 +556,7 @@ def _build_sorted(
     mc = max_candidates
     state = _sorted_state(graph, entropy, mc, block_size, tile_size)
     tasks = _sorted_shard_ranges(n, num_workers, block_size)
-    results = run_sharded(
-        _sorted_shard, tasks, num_workers, executor, state=state
-    )
+    results = run_sharded(_sorted_shard, tasks, num_workers, state=state)
 
     remote = np.full((n, mc), -1, dtype=np.int64)
     remote_scores = np.full((n, mc), -np.inf)
@@ -582,7 +581,6 @@ def _build_screened(
     entropy: Optional[RelativeEntropy],
     max_candidates: int,
     num_workers: int = 1,
-    executor: str = "thread",
     shard_plan: Optional[EntropyShardPlan] = None,
     screen_size: Optional[int] = None,
     state_loader=None,
@@ -591,17 +589,18 @@ def _build_screened(
 
     See :mod:`repro.entropy.screening` for the engine; rankings are
     identical to the dense builders away from exact value ties.  With
-    ``state_loader`` (out-of-core builds) the per-worker screening state
-    is assembled from a stored bundle instead of ``entropy``, which may
+    ``state_loader`` (out-of-core builds) the screening state is
+    assembled once from a stored bundle instead of ``entropy``, which may
     then be ``None`` — the sidecar already holds the same arrays, so the
     results are byte-identical either way.
     """
     n = graph.num_nodes
-    state = None
     if state_loader is None:
         state = build_screen_state(
             graph, entropy, max_candidates, screen_size=screen_size
         )
+    else:
+        state = state_loader()
     if shard_plan is None:
         # Fixed over-decomposition: the plan must not depend on num_workers
         # or results would differ across worker counts (see the constant).
@@ -612,12 +611,7 @@ def _build_screened(
             f"got graph with N={n}"
         )
     results = run_sharded(
-        screen_shard,
-        shard_plan.ranges(),
-        num_workers,
-        executor,
-        state=state,
-        state_loader=state_loader,
+        screen_shard, shard_plan.ranges(), num_workers, state=state
     )
 
     mc = max_candidates
@@ -631,11 +625,7 @@ def _build_screened(
         nbr_id_parts.append(nbr_ids)
         nbr_score_parts.append(nbr_scores)
 
-    indptr = (
-        state.indptr
-        if state is not None
-        else np.asarray(graph.csr_neighbors()[0], dtype=np.int64)
-    )
+    indptr = np.asarray(state.indptr, dtype=np.int64)
     flat_ids = (
         np.concatenate(nbr_id_parts) if indptr[-1] else np.empty(0, dtype=np.int64)
     )
@@ -658,63 +648,56 @@ def build_entropy_sequences(
     shuffle: bool = False,
     block_size: int = 256,
     H: Optional[np.ndarray] = None,
-    screening: str = "auto",
     num_workers: int = 1,
-    executor: str = "thread",
     shard_plan: Optional[EntropyShardPlan] = None,
     state_loader=None,
 ) -> EntropySequences:
     """Rank every node's remote candidates and one-hop neighbours.
 
-    ``shuffle=True`` randomises both rankings — the paper's "GraphRARE
-    without relative entropy" ablation (Table V, GCN-RA); that path keeps
-    the per-node loop so seeded draws match the reference exactly.
+    The engine follows from the input, and the ``entropy.sequences``
+    span records it as ``engine``:
 
-    ``H`` optionally supplies precomputed entropy rows (``(N, N)``); when
-    given, blocks are sliced from it instead of recomputed — the hook the
-    equivalence tests use to feed bit-identical inputs to both builders.
+    * ``state_loader`` given (a bundle-backed build) — ``screened-streamed``;
+    * ``shuffle=True`` — ``reference``: both rankings randomised, the
+      paper's "GraphRARE without relative entropy" ablation (Table V,
+      GCN-RA); it keeps the per-node loop so seeded draws match the
+      reference exactly;
+    * ``H`` given — ``provided_rows``: blocks of ``block_size`` rows are
+      sliced from the precomputed ``(N, N)`` entropy rows, the hook the
+      equivalence tests use to feed bit-identical inputs to both builders;
+    * at least :data:`~repro.entropy.screening.SCREEN_AUTO_MIN` nodes and
+      an embedding that fails the wide-sparse rule
+      (:func:`repro.tensor.sparse.sparse_features`) — ``screened``: a
+      cheap feature-logit screen bounds ``H <= H_f + lam * hs_max`` and
+      only certified survivors reach the exact kernel;
+    * otherwise ``sorted``, the dense length-sorted tiled kernel over all
+      ``N^2`` pairs.  Its feature term is a CSR product on wide, sparse
+      embeddings, where the screen's per-pair rescore would gather two
+      dense embedding rows for every survivor and lose.
 
-    ``screening`` selects the candidate engine: ``"off"`` runs the dense
-    length-sorted tiled kernel over all ``N^2`` pairs, ``"on"`` the
-    screen-then-rescore engine (a cheap feature-logit screen bounds
-    ``H <= H_f + lam * hs_max`` and only certified survivors reach the
-    exact kernel — same rankings away from exact value ties, an order of
-    magnitude faster at large ``N``), and ``"auto"`` (default) switches
-    the screen on from ``SCREEN_AUTO_MIN`` nodes.  Both engines shard the
-    build and run the shards on ``num_workers`` pool workers (``executor``
-    is ``"thread"`` or ``"process"``); results merge by range, so every
-    worker count returns byte-identical sequences.  ``shard_plan``
-    overrides the screened engine's row-range plan (the dense engine
-    derives its own block-aligned sorted-order ranges).
+    Both engines give the same rankings away from exact value ties.  They
+    shard the build and run the shards on ``num_workers`` threads;
+    results merge by range, so every worker count returns byte-identical
+    sequences.  ``shard_plan`` overrides the screened engine's row-range
+    plan (the dense engine derives its own block-aligned sorted-order
+    ranges).
 
-    ``block_size`` tunes the generic blocked builder (the ``H``-provided
-    path).  The sorted fast path ignores it: its row-block and column-tile
-    sizes are fixed to keep the tiled structural kernel's scratch buffers
-    cache-resident.
-
-    ``state_loader`` activates the out-of-core screened build: a
-    picklable zero-argument callable (usually a
-    :class:`repro.graph.storage.ScreenStateLoader`) that assembles each
-    worker's screening state from a stored bundle.  ``entropy`` may then
-    be ``None`` — the bundle's entropy sidecar holds the byte-exact same
-    arrays, so the sequences are identical to an in-RAM build with the
-    same engine parameters.  Requires the screened engine
-    (``screening`` must not be ``"off"``).
+    ``state_loader`` is a zero-argument callable (usually a
+    :class:`repro.graph.storage.ScreenStateLoader`) that assembles the
+    screening state from a stored bundle.  ``entropy`` may then be
+    ``None`` — the bundle's entropy sidecar holds the byte-exact same
+    arrays, so the sequences are identical to an in-RAM screened build.
     """
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
-    if screening not in ("auto", "on", "off"):
-        raise ValueError(
-            f"screening must be 'auto', 'on' or 'off', got {screening!r}"
-        )
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     tel = get_telemetry()
     if state_loader is not None:
-        if screening == "off" or shuffle or H is not None:
+        if shuffle or H is not None:
             raise ValueError(
-                "state_loader requires the screened engine "
-                "(screening='on'/'auto' without shuffle or provided rows)"
+                "state_loader streams the screened engine; it takes "
+                "neither shuffle nor provided rows"
             )
         with tel.span(
             "entropy.sequences", engine="screened-streamed", workers=num_workers
@@ -724,7 +707,6 @@ def build_entropy_sequences(
                 entropy,
                 max_candidates,
                 num_workers=num_workers,
-                executor=executor,
                 shard_plan=shard_plan,
                 state_loader=state_loader,
             )
@@ -738,9 +720,7 @@ def build_entropy_sequences(
             return _build_from_rows(
                 graph, lambda s, e: H[s:e], max_candidates, block_size
             )
-    if screening == "on" or (
-        screening == "auto" and graph.num_nodes >= SCREEN_AUTO_MIN
-    ):
+    if graph.num_nodes >= SCREEN_AUTO_MIN and sparse_features(entropy.Z) is None:
         with tel.span(
             "entropy.sequences", engine="screened", workers=num_workers
         ):
@@ -749,16 +729,11 @@ def build_entropy_sequences(
                 entropy,
                 max_candidates,
                 num_workers=num_workers,
-                executor=executor,
                 shard_plan=shard_plan,
             )
     with tel.span("entropy.sequences", engine="sorted", workers=num_workers):
         return _build_sorted(
-            graph,
-            entropy,
-            max_candidates,
-            num_workers=num_workers,
-            executor=executor,
+            graph, entropy, max_candidates, num_workers=num_workers
         )
 
 

@@ -184,6 +184,53 @@ def _edges_to_array(edges: Iterable[Edge]) -> np.ndarray:
     return arr
 
 
+def checked_features(
+    features: Optional[np.ndarray], num_nodes: int
+) -> Optional[np.ndarray]:
+    """``features`` as a float64 ``(N, d)`` matrix of finite entries, or
+    one ``ValueError`` line naming what is wrong (``None`` passes)."""
+    if features is None:
+        return None
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(
+            f"features must be a 2-D (N, d) matrix, got shape {features.shape}"
+        )
+    if features.shape[0] != num_nodes:
+        raise ValueError(
+            f"features have {features.shape[0]} rows for N={num_nodes}"
+        )
+    bad = ~np.isfinite(features)
+    if bad.any():
+        first = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(
+            f"features must be finite: {int(bad.sum())} non-finite "
+            f"entries, first in row {first}"
+        )
+    return features
+
+
+def checked_labels(
+    labels: Optional[np.ndarray], num_nodes: int
+) -> Optional[np.ndarray]:
+    """``labels`` as ``N`` non-negative int64 class ids, or one
+    ``ValueError`` line naming what is wrong (``None`` passes)."""
+    if labels is None:
+        return None
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (num_nodes,):
+        raise ValueError(f"labels shape {labels.shape} != ({num_nodes},)")
+    negative = labels < 0
+    if negative.any():
+        first = int(np.flatnonzero(negative)[0])
+        raise ValueError(
+            f"labels must be non-negative class ids: "
+            f"{int(negative.sum())} negative, first {labels[first]} "
+            f"at node {first}"
+        )
+    return labels
+
+
 class Graph:
     """An attributed, undirected graph.
 
@@ -230,40 +277,8 @@ class Graph:
             keys = np.empty(0, dtype=np.int64)
         self._edge_keys = keys
 
-        if features is not None:
-            features = np.asarray(features, dtype=np.float64)
-            if features.ndim != 2:
-                raise ValueError(
-                    f"features must be a 2-D (N, d) matrix, got shape "
-                    f"{features.shape}"
-                )
-            if features.shape[0] != num_nodes:
-                raise ValueError(
-                    f"features have {features.shape[0]} rows for N={num_nodes}"
-                )
-            bad = ~np.isfinite(features)
-            if bad.any():
-                first = int(np.flatnonzero(bad.any(axis=1))[0])
-                raise ValueError(
-                    f"features must be finite: {int(bad.sum())} non-finite "
-                    f"entries, first in row {first}"
-                )
-        self.features = features
-
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != (num_nodes,):
-                raise ValueError(f"labels shape {labels.shape} != ({num_nodes},)")
-            negative = labels < 0
-            if negative.any():
-                first = int(np.flatnonzero(negative)[0])
-                raise ValueError(
-                    f"labels must be non-negative class ids: "
-                    f"{int(negative.sum())} negative, first {labels[first]} "
-                    f"at node {first}"
-                )
-        self.labels = labels
-
+        self.features = checked_features(features, self.num_nodes)
+        self.labels = checked_labels(labels, self.num_nodes)
         self._init_derived()
 
     def _init_derived(self) -> None:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, checked_features, checked_labels
 
 #: Newest ``.npz`` layout version this build writes and understands.
 FORMAT_VERSION = 2
@@ -58,6 +58,10 @@ def load_graph(path: str) -> Graph:
 
     Understands every layout up to :data:`FORMAT_VERSION`; files written
     by a newer build raise ``ValueError`` rather than loading garbage.
+    The arrays are checked as they enter: edge keys must be an integer,
+    1-D, strictly increasing vector of canonical keys (``u < v < N``), and
+    features and labels pass the checks of :class:`Graph`.  A failure is
+    one ``ValueError`` line naming the array.
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
@@ -70,13 +74,45 @@ def load_graph(path: str) -> Graph:
                 "upgrade the library or re-export the graph"
             )
         num_nodes = int(data["num_nodes"][0])
+        if num_nodes <= 0:
+            raise ValueError(
+                f"graph file {path!r}: num_nodes must be positive, got "
+                f"{num_nodes}"
+            )
         features = data["features"] if "features" in data else None
         labels = data["labels"] if "labels" in data else None
         if version >= 2:
-            keys = np.asarray(data["edge_keys"], dtype=np.int64)
+            keys = _checked_keys(data["edge_keys"], num_nodes, path)
         else:
             keys = _keys_from_pairs(data["edges"], num_nodes, path)
+    try:
+        features = checked_features(features, num_nodes)
+        labels = checked_labels(labels, num_nodes)
+    except ValueError as exc:
+        raise ValueError(f"graph file {path!r}: {exc}") from None
     return Graph._from_keys(num_nodes, keys, features=features, labels=labels)
+
+
+def _checked_keys(keys: np.ndarray, num_nodes: int, path: str) -> np.ndarray:
+    """The stored ``edge_keys`` as int64, if they are what
+    :meth:`Graph.edge_keys` holds: a 1-D, strictly increasing vector of
+    canonical keys ``u * N + v`` with ``0 <= u < v < N``."""
+    where = f"graph file {path!r}: edge_keys"
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise ValueError(f"{where} must be integers, got {keys.dtype}")
+    if keys.ndim != 1:
+        raise ValueError(f"{where} must be 1-D, got shape {keys.shape}")
+    keys = keys.astype(np.int64, copy=False)
+    if keys.shape[0]:
+        if (np.diff(keys) <= 0).any():
+            raise ValueError(f"{where} must be strictly increasing")
+        u, v = np.divmod(keys, np.int64(num_nodes))
+        if keys[0] < 0 or (u >= v).any():
+            raise ValueError(
+                f"{where} must be canonical keys u * N + v with "
+                f"0 <= u < v < N={num_nodes}"
+            )
+    return keys
 
 
 def _keys_from_pairs(

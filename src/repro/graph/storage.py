@@ -15,10 +15,10 @@ pages it touches:
   telemetry so accidental re-materialisation is visible.
 * The *entropy sidecar* (``entropy/`` inside the bundle) persists the
   screen-then-rescore engine's read-only state — embeddings, degree
-  profiles and the scorer's folded suffix arrays — so shard workers can
-  assemble a :class:`~repro.entropy.screening.ScreenState` from a path
-  instead of receiving pickled arrays (:class:`ScreenStateLoader`, the
-  payload for ``run_sharded(..., state_loader=...)``).
+  profiles and the scorer's folded suffix arrays — so a bundle-backed
+  build assembles its :class:`~repro.entropy.screening.ScreenState` from
+  memmaps instead of computing it (:class:`ScreenStateLoader`, the
+  ``state_loader`` of :func:`~repro.entropy.build_entropy_sequences`).
 * :func:`advise_dontneed` drops the clean file-backed pages of a memmap
   back to the page cache, which is what bounds a streaming run's peak RSS
   to its working set instead of the bundle size.
@@ -699,14 +699,14 @@ def _open_sidecar(
 
 @dataclass
 class ScreenStateLoader:
-    """Picklable recipe that builds a shard worker's screening state.
+    """Recipe that builds the screened engine's state from a bundle path.
 
-    This is the payload for ``run_sharded(..., state_loader=...)``: a
-    process-pool worker receives the *bundle path* through the pool
-    initializer, opens the memmaps locally and assembles the
-    :class:`~repro.entropy.screening.ScreenState` itself — no array is
-    ever pickled.  The loader also attaches a :class:`MmapReleaser` so
-    the shard worker can drop gathered pages as it streams
+    This is the ``state_loader`` of
+    :func:`~repro.entropy.build_entropy_sequences`: the build calls it
+    once, it opens the bundle's arrays as memmaps and assembles the
+    :class:`~repro.entropy.screening.ScreenState` that every shard thread
+    then reads.  The loader also attaches a :class:`MmapReleaser` so the
+    shard workers can drop gathered pages as they stream
     (``release_every`` blocks; ``0`` disables releasing, e.g. for the
     materialised twin).
 

@@ -15,11 +15,11 @@ state.  Enabled, it collects:
 
 Sessions are scoped with :func:`use_telemetry` (a ``ContextVar``, like
 :func:`repro.tensor.no_grad`) and read with :func:`get_telemetry`.
-Worker pools do not inherit the context variable — workers see the
+Pool threads do not inherit the context variable — workers see the
 disabled default — which is what makes the capture protocol explicit:
 ``run_sharded`` runs each shard under a fresh local session and the
-parent merges the picklable :meth:`Telemetry.export_state` snapshots
-back positionally via :meth:`Telemetry.absorb`.
+parent merges the :meth:`Telemetry.export_state` snapshots back
+positionally via :meth:`Telemetry.absorb`.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ them are plain-python and allocation-light:
 
 :class:`MetricsRegistry` names and owns the instruments;
 :meth:`MetricsRegistry.state` / :meth:`MetricsRegistry.merge_state` are
-the picklable snapshot pair the sharded entropy workers use to ship
-their metrics back to the parent (see ``run_sharded``).
+the snapshot pair the sharded entropy workers use to ship their metrics
+back to the parent (see ``run_sharded``).
 :class:`StatsView` is the read-only dict facade that keeps legacy
 ``.stats``-style attributes (``IncrementalEvaluator.stats``) working on
 top of counters.

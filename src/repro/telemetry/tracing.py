@@ -7,9 +7,9 @@ Parent/child linkage rides on a :class:`contextvars.ContextVar`, so
 nesting is automatic, per-thread, and survives ``async`` hops.  A span
 only links under an ambient parent owned by the *same* session — a
 worker-local capture that inherits a stale parent-session span (inline
-single-worker runs, fork-based process pools) records its spans as
-roots, which is exactly what lets ``run_sharded`` merge them back
-positionally (see :meth:`repro.telemetry.Telemetry.absorb`).
+single-worker runs) records its spans as roots, which is exactly what
+lets ``run_sharded`` merge them back positionally (see
+:meth:`repro.telemetry.Telemetry.absorb`).
 
 The disabled path allocates nothing: :data:`NULL_SPAN` is a single
 shared no-op object, so ``tel.span(...)`` on a disabled telemetry is one
@@ -111,9 +111,9 @@ class Span:
         if self._collector is not None:
             parent = _CURRENT_SPAN.get()
             # Only link under an ambient span owned by the SAME session:
-            # worker-local captures (inline single-worker runs, fork-based
-            # process pools) may see a leftover parent-session span whose
-            # id means nothing in this session's id space.
+            # worker-local captures (inline single-worker runs) may see a
+            # leftover parent-session span whose id means nothing in this
+            # session's id space.
             if parent is not None and parent._collector is self._collector:
                 self.parent_id = parent.span_id
             else:

@@ -112,11 +112,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RareConfig(horizon=0)
     with pytest.raises(ValueError):
-        RareConfig(screening="sometimes")
-    with pytest.raises(ValueError):
         RareConfig(num_workers=0)
-    cfg = RareConfig(screening="on", num_workers=4)
-    assert cfg.screening == "on" and cfg.num_workers == 4
+    assert RareConfig(num_workers=4).num_workers == 4
 
 
 def test_add_only_and_remove_only_configs(heterophilic):

@@ -23,6 +23,7 @@ from repro.entropy import (
 )
 from repro.entropy.feature_entropy import GramBlocks
 from repro.entropy.screening import TIE_DECIMALS
+from repro.entropy.sequence import _build_sorted
 from repro.graph import Graph
 from repro.tensor.sparse import (
     SPARSE_MAX_DENSITY,
@@ -59,7 +60,7 @@ def test_csr_gram_matches_per_row_reference(wide, mode):
     dense = np.log(np.exp(Z @ Z.T).sum())
     np.testing.assert_allclose(entropy.log_denominator, dense, rtol=1e-12)
 
-    fast = build_entropy_sequences(wide, entropy, MC, screening="off")
+    fast = _build_sorted(wide, entropy, MC)
     ref = build_entropy_sequences_reference(wide, entropy, MC)
     assert assert_rankings_match(fast, ref) > 0
     assert_neighbors_match(fast, ref)
@@ -98,7 +99,7 @@ def test_narrow_or_dense_embedding_keeps_the_gemm(shape):
     Zp = np.ascontiguousarray(Z[perm])
     np.testing.assert_array_equal(GramBlocks(Z, perm)(0, 64), Zp[:64] @ Zp.T)
 
-    fast = build_entropy_sequences(g, entropy, MC, screening="off")
+    fast = _build_sorted(g, entropy, MC)
     ref = build_entropy_sequences_reference(g, entropy, MC)
     assert_rankings_match(fast, ref)
     assert_neighbors_match(fast, ref)
@@ -115,10 +116,8 @@ def test_dense_engine_is_one_pass(monkeypatch, wide, kind):
         raise AssertionError("the dense engine built a PairEntropyScorer")
 
     monkeypatch.setattr(PairEntropyScorer, "from_entropy", classmethod(boom))
-    one = build_entropy_sequences(g, entropy, MC, screening="off")
-    three = build_entropy_sequences(
-        g, entropy, MC, screening="off", num_workers=3
-    )
+    one = _build_sorted(g, entropy, MC)
+    three = _build_sorted(g, entropy, MC, num_workers=3)
 
     H = entropy.rows(0, g.num_nodes)
     indptr, flat = one.neighbor_csr()

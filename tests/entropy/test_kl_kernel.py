@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from repro.datasets import planted_partition_graph
 from repro.entropy import (
     RelativeEntropy,
-    build_entropy_sequences,
     build_entropy_sequences_reference,
     kl_divergence_block,
     symmetric_kl_divergence_block,
     symmetric_kl_divergence_pairs,
 )
-from repro.entropy.sequence import _build_from_rows
+from repro.entropy.sequence import _build_from_rows, _build_sorted
 from repro.entropy import assert_rankings_match
 
 
@@ -69,9 +68,7 @@ def test_kl_sorted_builder_matches_reference(graph, entropy):
     """The unified tiled kernel reproduces the per-node reference rankings
     (mirrors the JS test_sequences_agree_without_shared_rows)."""
     ref = build_entropy_sequences_reference(graph, entropy, max_candidates=10)
-    fast = build_entropy_sequences(
-        graph, entropy, max_candidates=10, screening="off"
-    )
+    fast = _build_sorted(graph, entropy, 10)
     assert_rankings_match(fast, ref)
 
 
@@ -79,9 +76,7 @@ def test_kl_sorted_builder_matches_generic_blocked(graph, entropy):
     """The retired generic ``(B, N, M)`` blocked path and the sorted tiled
     kernel agree — the unification did not change the semantics."""
     generic = _build_from_rows(graph, entropy.rows, 10, block_size=32)
-    fast = build_entropy_sequences(
-        graph, entropy, max_candidates=10, screening="off"
-    )
+    fast = _build_sorted(graph, entropy, 10)
     assert_rankings_match(fast, generic)
     for a, b in zip(fast.neighbors, generic.neighbors):
         np.testing.assert_array_equal(np.sort(a), np.sort(b))
@@ -101,9 +96,7 @@ def test_kl_fast_vs_reference_property(seed, n, hom, lam, mc):
         graph, lam=lam, structural_mode="kl"
     )
     ref = build_entropy_sequences_reference(graph, entropy, max_candidates=mc)
-    fast = build_entropy_sequences(
-        graph, entropy, max_candidates=mc, screening="off"
-    )
+    fast = _build_sorted(graph, entropy, mc)
     assert_rankings_match(fast, ref)
 
 

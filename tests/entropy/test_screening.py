@@ -2,8 +2,10 @@
 
 The screened builder must match the dense builders *identically away from
 exact value ties*: scores agree to tight tolerance everywhere, ids agree
-at every strictly separated rank, and the worker-pool sharded execution is
-byte-identical for every worker count and executor.
+at every strictly separated rank, and the thread-pool sharded execution
+is byte-identical for every worker count.  The engines are called directly
+(``build_entropy_sequences`` picks one from the graph; see
+``test_engine_choice.py``).
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.entropy import (
     run_sharded,
     select_topk_flat,
 )
+from repro.entropy.sequence import _build_screened, _build_sorted
 from repro.graph import Graph
 
 
@@ -36,9 +39,7 @@ def test_screened_matches_reference(mode, lam):
     graph = planted_partition_graph(num_nodes=70, homophily=0.3, seed=5)
     entropy = make_entropy(graph, lam=lam, mode=mode)
     ref = build_entropy_sequences_reference(graph, entropy, max_candidates=9)
-    scr = build_entropy_sequences(
-        graph, entropy, max_candidates=9, screening="on"
-    )
+    scr = _build_screened(graph, entropy, 9)
     assert_rankings_match(scr, ref)
 
 
@@ -49,12 +50,8 @@ def test_screened_matches_dense(mode, num_nodes):
         num_nodes=num_nodes, homophily=0.4, seed=2
     )
     entropy = make_entropy(graph, mode=mode)
-    dense = build_entropy_sequences(
-        graph, entropy, max_candidates=12, screening="off"
-    )
-    scr = build_entropy_sequences(
-        graph, entropy, max_candidates=12, screening="on"
-    )
+    dense = _build_sorted(graph, entropy, 12)
+    scr = _build_screened(graph, entropy, 12)
     assert_rankings_match(scr, dense)
     # The screened engine scores neighbours with its exact flat scorer, the
     # dense engine reads them off its tiled block rows; the two sum in
@@ -77,28 +74,28 @@ def test_screened_matches_reference_property(seed, n, hom, lam, mc):
     graph = planted_partition_graph(num_nodes=n, homophily=hom, seed=seed)
     entropy = RelativeEntropy.from_graph(graph, lam=lam)
     ref = build_entropy_sequences_reference(graph, entropy, max_candidates=mc)
-    scr = build_entropy_sequences(
-        graph, entropy, max_candidates=mc, screening="on"
-    )
+    scr = _build_screened(graph, entropy, mc)
     assert_rankings_match(scr, ref)
 
 
-@pytest.mark.parametrize("screening", ["on", "off"])
-def test_worker_pool_byte_identical(screening):
+@pytest.mark.parametrize("screen", [True, False], ids=["on", "off"])
+def test_worker_pool_byte_identical(screen):
     graph = planted_partition_graph(num_nodes=120, homophily=0.3, seed=9)
     entropy = make_entropy(graph)
     # min_rows=1 forces real shards at this size (screened engine only;
     # the dense builder derives its own block-aligned sorted ranges).
     plan = EntropyShardPlan.build(graph, num_shards=4, min_rows=1)
-    base = build_entropy_sequences(
-        graph, entropy, max_candidates=8, screening=screening,
-        num_workers=1, shard_plan=plan,
-    )
+
+    def build(workers):
+        if screen:
+            return _build_screened(
+                graph, entropy, 8, num_workers=workers, shard_plan=plan
+            )
+        return _build_sorted(graph, entropy, 8, num_workers=workers)
+
+    base = build(1)
     for workers in (2, 3):
-        par = build_entropy_sequences(
-            graph, entropy, max_candidates=8,
-            screening=screening, num_workers=workers, shard_plan=plan,
-        )
+        par = build(workers)
         np.testing.assert_array_equal(base.remote, par.remote)
         np.testing.assert_array_equal(base.remote_scores, par.remote_scores)
         np.testing.assert_array_equal(base.flat_neighbors, par.flat_neighbors)
@@ -113,12 +110,8 @@ def test_default_plan_byte_identical_across_worker_counts(seed):
     # level (which flips rankings at near-ties) between --num-workers runs.
     graph = planted_partition_graph(num_nodes=600, homophily=0.4, seed=seed)
     entropy = make_entropy(graph)
-    base = build_entropy_sequences(
-        graph, entropy, max_candidates=8, screening="on", num_workers=1
-    )
-    par = build_entropy_sequences(
-        graph, entropy, max_candidates=8, screening="on", num_workers=4
-    )
+    base = _build_screened(graph, entropy, 8, num_workers=1)
+    par = _build_screened(graph, entropy, 8, num_workers=4)
     np.testing.assert_array_equal(base.remote, par.remote)
     np.testing.assert_array_equal(base.remote_scores, par.remote_scores)
     np.testing.assert_array_equal(base.flat_neighbors, par.flat_neighbors)
@@ -126,32 +119,18 @@ def test_default_plan_byte_identical_across_worker_counts(seed):
         np.testing.assert_array_equal(a, b)
 
 
-def test_process_executor_byte_identical():
-    graph = planted_partition_graph(num_nodes=80, homophily=0.4, seed=4)
-    entropy = make_entropy(graph)
-    # min_rows=1 forces real shards at this size so the pool actually runs.
-    plan = EntropyShardPlan.build(graph, num_shards=2, min_rows=1)
-    serial = build_entropy_sequences(
-        graph, entropy, max_candidates=6, screening="on",
-        num_workers=1, shard_plan=plan,
-    )
-    procs = build_entropy_sequences(
-        graph, entropy, max_candidates=6, screening="on",
-        num_workers=2, executor="process", shard_plan=plan,
-    )
-    np.testing.assert_array_equal(serial.remote, procs.remote)
-    np.testing.assert_array_equal(serial.remote_scores, procs.remote_scores)
-
-
 def test_invalid_engine_arguments():
     graph = planted_partition_graph(num_nodes=20, homophily=0.5, seed=0)
     entropy = make_entropy(graph)
-    with pytest.raises(ValueError, match="screening"):
-        build_entropy_sequences(graph, entropy, screening="maybe")
     with pytest.raises(ValueError, match="num_workers"):
         build_entropy_sequences(graph, entropy, num_workers=0)
-    with pytest.raises(ValueError, match="executor"):
-        run_sharded(lambda x: x, [1, 2], num_workers=2, executor="fork")
+    with pytest.raises(ValueError, match="max_candidates"):
+        build_entropy_sequences(graph, entropy, max_candidates=0)
+    # A streamed build is always the screened engine.
+    with pytest.raises(ValueError, match="state_loader"):
+        build_entropy_sequences(
+            graph, None, shuffle=True, state_loader=lambda: None
+        )
 
 
 def test_screened_near_complete_graph():
@@ -161,7 +140,7 @@ def test_screened_near_complete_graph():
               features=np.eye(5))
     entropy = make_entropy(g)
     ref = build_entropy_sequences_reference(g, entropy, max_candidates=4)
-    scr = build_entropy_sequences(g, entropy, max_candidates=4, screening="on")
+    scr = _build_screened(g, entropy, 4)
     np.testing.assert_array_equal(scr.remote, ref.remote)
     np.testing.assert_allclose(
         scr.remote_scores, ref.remote_scores, atol=1e-9
@@ -172,7 +151,7 @@ def test_screened_isolated_nodes():
     g = Graph(12, [(0, 1), (2, 3)], features=np.random.default_rng(0).random((12, 4)))
     entropy = make_entropy(g)
     ref = build_entropy_sequences_reference(g, entropy, max_candidates=5)
-    scr = build_entropy_sequences(g, entropy, max_candidates=5, screening="on")
+    scr = _build_screened(g, entropy, 5)
     assert_rankings_match(scr, ref)
 
 
@@ -180,7 +159,7 @@ def test_screened_mc_exceeds_candidates():
     g = planted_partition_graph(num_nodes=10, homophily=0.5, seed=1)
     entropy = make_entropy(g)
     ref = build_entropy_sequences_reference(g, entropy, max_candidates=30)
-    scr = build_entropy_sequences(g, entropy, max_candidates=30, screening="on")
+    scr = _build_screened(g, entropy, 30)
     assert_rankings_match(scr, ref)
 
 
@@ -225,10 +204,7 @@ def test_shard_plan_validation():
     # A mismatched plan must be rejected by the builder too, not silently
     # produce rows of -1/-inf padding outside the plan's coverage.
     with pytest.raises(ValueError, match="shard_plan built for"):
-        build_entropy_sequences(
-            other, make_entropy(other), max_candidates=4,
-            screening="on", shard_plan=plan,
-        )
+        _build_screened(other, make_entropy(other), 4, shard_plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +262,6 @@ def test_select_topk_flat_order_and_padding():
 
 def test_run_sharded_preserves_order():
     tasks = list(range(7))
-    for workers, executor in ((1, "thread"), (3, "thread")):
-        got = run_sharded(lambda x: x * x, tasks, workers, executor)
+    for workers in (1, 3):
+        got = run_sharded(lambda x: x * x, tasks, workers)
         assert got == [x * x for x in tasks]

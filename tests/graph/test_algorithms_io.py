@@ -232,3 +232,58 @@ def test_edge_list_infers_node_count(tmp_path):
     path.write_text("0 1\n1 4\n")
     loaded = load_edge_list(str(path))
     assert loaded.num_nodes == 5
+
+
+def _corrupt(arrays, case):
+    """Apply one named corruption to the arrays of a saved graph."""
+    keys, n = arrays["edge_keys"], int(arrays["num_nodes"][0])
+    if case == "labels-short":
+        arrays["labels"] = arrays["labels"][:-3]
+    elif case == "labels-negative":
+        arrays["labels"] = np.full_like(arrays["labels"], -1)
+    elif case == "features-nan":
+        arrays["features"] = arrays["features"].copy()
+        arrays["features"][2, 1] = np.nan
+    elif case == "features-short":
+        arrays["features"] = arrays["features"][:-5]
+    elif case == "keys-reversed":
+        arrays["edge_keys"] = keys[::-1]
+    elif case == "keys-twice":
+        arrays["edge_keys"] = np.repeat(keys, 2)
+    elif case == "keys-self-loop":
+        loop = np.int64(n + 1)  # the key of (1, 1)
+        arrays["edge_keys"] = np.insert(keys, np.searchsorted(keys, loop), loop)
+    elif case == "keys-float":
+        arrays["edge_keys"] = keys.astype(np.float64)
+    elif case == "keys-past-n2":
+        arrays["edge_keys"] = np.append(keys, np.int64(n) * n + 1)
+    elif case == "num-nodes-zero":
+        arrays["num_nodes"] = np.array([0])
+    return arrays
+
+
+@pytest.mark.parametrize("case, message", [
+    ("labels-short", "labels shape"),
+    ("labels-negative", "labels must be non-negative"),
+    ("features-nan", "features must be finite"),
+    ("features-short", "features have"),
+    ("keys-reversed", "edge_keys must be strictly increasing"),
+    ("keys-twice", "edge_keys must be strictly increasing"),
+    ("keys-self-loop", "edge_keys must be canonical"),
+    ("keys-float", "edge_keys must be integers"),
+    ("keys-past-n2", "edge_keys must be canonical"),
+    ("num-nodes-zero", "num_nodes must be positive"),
+])
+def test_npz_rejects_corrupt_arrays(tmp_path, case, message):
+    """Each of these used to load, and the key past N^2 only failed later
+    inside ``gcn_norm``."""
+    from repro.datasets import load_dataset
+
+    path = save_graph(
+        load_dataset("texas", scale=0.5, seed=0), str(tmp_path / "g.npz")
+    )
+    arrays = _corrupt(dict(np.load(path)), case)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message) as info:
+        load_graph(path)
+    assert "\n" not in str(info.value)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences, degree_profiles
+from repro.entropy.sequence import _build_screened
 from repro.gnn import GCN, GraphSAGE
 from repro.gnn.incremental import IncrementalEvaluator, PropagationRowSource
 from repro.graph import Graph
@@ -321,19 +322,17 @@ def test_entropy_sidecar_roundtrip(bundle_dir):
 
 
 @pytest.mark.parametrize("num_workers", [1, 2, 3])
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_streamed_screening_byte_identical(tmp_path, num_workers, executor):
+def test_streamed_screening_byte_identical(tmp_path, num_workers):
     g = small_graph(n=64, seed=3)
     path = str(tmp_path / "bundle")
     save_graph_bundle(g, path)
     entropy = RelativeEntropy.from_graph(g, lam=1.0)
     save_entropy_sidecar(path, entropy, RECIPE)
-    ref = build_entropy_sequences(g, entropy, max_candidates=6, screening="on")
+    ref = _build_screened(g, entropy, 6)
     mg = load_graph_bundle(path)
     for mmap_arrays in (True, False):
         seqs = build_entropy_sequences(
-            mg, None, max_candidates=6, screening="on",
-            num_workers=num_workers, executor=executor,
+            mg, None, max_candidates=6, num_workers=num_workers,
             state_loader=ScreenStateLoader(
                 path, max_candidates=6, mmap_arrays=mmap_arrays
             ),
@@ -351,7 +350,7 @@ def test_screen_state_loader_pickles_and_builds(bundle_dir):
     g, path = bundle_dir
     save_entropy_sidecar(path, RelativeEntropy.from_graph(g, lam=1.0), RECIPE)
     loader = ScreenStateLoader(path, max_candidates=4)
-    # The loader (not any array) is what crosses the process boundary.
+    # The loader holds a path and parameters, not arrays.
     clone = pickle.loads(pickle.dumps(loader))
     state = clone()
     assert state.num_nodes == g.num_nodes

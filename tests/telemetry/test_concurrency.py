@@ -1,11 +1,11 @@
 """Worker-pool telemetry merge: deterministic and lossless.
 
-The tentpole contract for sharded execution (``repro.entropy.screening
+The contract for sharded execution (``repro.entropy.screening
 .run_sharded``) is that the observability stream — spans, counters,
-histograms — is byte-for-byte independent of worker count and executor
-flavour.  These tests pin that down both on a synthetic worker (where
-the exact expected totals are known in closed form) and on the real
-screened sequence builder across thread AND process pools.
+histograms — is byte-for-byte independent of the worker count.  These
+tests pin that down both on a synthetic worker (where the exact expected
+totals are known in closed form) and on the real screened sequence
+builder.
 """
 
 from collections import Counter as TallyCounter
@@ -13,8 +13,9 @@ from collections import Counter as TallyCounter
 import pytest
 
 from repro.datasets import planted_partition_graph
-from repro.entropy import RelativeEntropy, build_entropy_sequences
+from repro.entropy import RelativeEntropy
 from repro.entropy.screening import run_sharded
+from repro.entropy.sequence import _build_screened
 from repro.telemetry import Telemetry, get_telemetry, use_telemetry
 
 
@@ -31,24 +32,19 @@ def _counting_worker(task):
 TASKS = [(0, 7), (7, 19), (19, 20), (20, 52)]
 
 
-def _run_pool(num_workers, executor):
+def _run_pool(num_workers):
     tel = Telemetry(enabled=True)
     with use_telemetry(tel):
         with tel.span("build"):
             results = run_sharded(
-                _counting_worker, TASKS, num_workers=num_workers,
-                executor=executor,
+                _counting_worker, TASKS, num_workers=num_workers
             )
     return results, tel
 
 
-@pytest.mark.parametrize(
-    "num_workers,executor",
-    [(1, "thread"), (2, "thread"), (4, "thread"),
-     (2, "process"), (4, "process")],
-)
-def test_pool_merge_is_lossless(num_workers, executor):
-    results, tel = _run_pool(num_workers, executor)
+@pytest.mark.parametrize("num_workers", [1, 2, 4])
+def test_pool_merge_is_lossless(num_workers):
+    results, tel = _run_pool(num_workers)
     assert results == [sum(range(lo, hi)) for lo, hi in TASKS]
     # Counters: every worker increment survives the merge.
     assert tel.registry.counters["test.tasks"].value == len(TASKS)
@@ -67,10 +63,8 @@ def test_pool_merge_is_lossless(num_workers, executor):
 def test_pool_merge_is_deterministic_across_flavours():
     """Counters and span structure are identical for every pool shape."""
     baseline = None
-    for num_workers, executor in [
-        (1, "thread"), (3, "thread"), (3, "process")
-    ]:
-        _, tel = _run_pool(num_workers, executor)
+    for num_workers in (1, 3, 4):
+        _, tel = _run_pool(num_workers)
         fingerprint = (
             {k: c.value for k, c in sorted(tel.registry.counters.items())},
             # Duration histograms (`_s`) hold wall-clock values; only the
@@ -82,11 +76,10 @@ def test_pool_merge_is_deterministic_across_flavours():
         if baseline is None:
             baseline = fingerprint
         else:
-            assert fingerprint == baseline, (num_workers, executor)
+            assert fingerprint == baseline, num_workers
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_screened_builder_counters_match_sequential(executor):
+def test_screened_builder_counters_match_sequential():
     """The real screened engine: pooled runs reproduce the serial stream."""
     graph = planted_partition_graph(num_nodes=90, num_features=12, seed=7)
     entropy = RelativeEntropy.from_graph(graph)
@@ -94,9 +87,8 @@ def test_screened_builder_counters_match_sequential(executor):
     def build(num_workers):
         tel = Telemetry(enabled=True)
         with use_telemetry(tel):
-            seqs = build_entropy_sequences(
-                graph, entropy, max_candidates=4, screening="on",
-                num_workers=num_workers, executor=executor,
+            seqs = _build_screened(
+                graph, entropy, 4, num_workers=num_workers
             )
         return seqs, tel
 

@@ -36,24 +36,38 @@ def test_rewire_command(capsys):
 
 def test_entropy_engine_flags_parse():
     args = build_parser().parse_args([
-        "run", "--dataset", "texas", "--screening", "on", "--num-workers", "3",
+        "run", "--dataset", "texas", "--num-workers", "3",
     ])
-    assert args.screening == "on" and args.num_workers == 3
+    assert args.num_workers == 3
     args = build_parser().parse_args(["rewire", "--dataset", "texas"])
-    assert args.screening == "auto" and args.num_workers == 1
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["run", "--dataset", "texas", "--screening", "maybe"]
-        )
+    assert args.num_workers == 1
+    # The engine follows from the graph; there is no flag to choose it.
+    for command in ("run", "rewire"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--dataset", "texas", "--screening", "on"]
+            )
 
 
-def test_rewire_with_screening_engine(capsys):
+def test_rewire_with_screening_engine(tmp_path, capsys):
+    """A bundle-backed rewire streams the screened engine on the
+    requested number of threads."""
+    from repro.telemetry import validate_lines
+
+    _, path = _make_bundle(tmp_path)
+    log = str(tmp_path / "rewire.jsonl")
     code = main([
-        "rewire", "--dataset", "texas", "--scale", "0.5",
-        "--k", "1", "--d", "1", "--screening", "on", "--num-workers", "2",
+        "rewire", "--graph-bundle", path, "--k", "1", "--d", "1",
+        "--num-workers", "2", "--telemetry", log,
     ])
     assert code == 0
     assert "homophily" in capsys.readouterr().out
+    events, _ = validate_lines(open(log).read().splitlines())
+    (span,) = [
+        e for e in events
+        if e["type"] == "span" and e["name"] == "entropy.sequences"
+    ]
+    assert span["attrs"] == {"engine": "screened-streamed", "workers": 2}
 
 
 def test_rewire_saves_graph(tmp_path, capsys):
@@ -182,7 +196,7 @@ def test_rewire_bundle_matches_dataset_rewire(tmp_path, capsys):
     assert main(["rewire", "--graph-bundle", path, "--k", "2", "--d", "1"]) == 0
     streamed = capsys.readouterr().out
     assert main(["rewire", "--dataset", "texas", "--scale", "0.5",
-                 "--k", "2", "--d", "1", "--screening", "on"]) == 0
+                 "--k", "2", "--d", "1"]) == 0
     in_ram = capsys.readouterr().out
     assert streamed == in_ram
 
@@ -322,3 +336,68 @@ def test_missing_bundle_is_one_error_line(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot load graph bundle '{missing}'")
     assert captured.err.count("\n") == 1
+
+
+def test_rewire_num_workers_error_is_one_line(capsys):
+    """``--num-workers 0`` used to end ``rewire`` in a traceback."""
+    assert main(["rewire", "--dataset", "texas", "--num-workers", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: num_workers must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-batch", "0", "max_batch must be >= 1, got 0"),
+    ("--max-queue", "0", "max_queue must be >= 1, got 0"),
+    ("--max-sessions", "0", "max_sessions must be >= 1, got 0"),
+    ("--memo-entries", "0", "memo_entries must be >= 1, got 0"),
+    ("--max-wait-ms", "-1", "max_wait_ms must be >= 0, got -1.0"),
+])
+def test_serve_config_errors_are_one_line(flag, value, message, capsys):
+    """A bad ``serve`` limit used to end in a traceback; it now exits 2
+    before any socket opens."""
+    assert main(["serve", "--port", "0", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("source", ["dataset", "bundle"])
+def test_rewire_and_fit_build_the_same_sequences(source, tmp_path, monkeypatch):
+    """``repro rewire`` and ``GraphRARE`` share one entropy recipe: the
+    same config and graph give byte-equal sequences."""
+    import repro.cli
+    from repro.core import GraphRARE, RareConfig
+    from repro.core.framework import entropy_sequences
+    from repro.datasets import load_dataset
+    from repro.graph import load_graph_bundle
+
+    built = []
+
+    def spy(graph, config, rng, shuffle=False):
+        seqs = entropy_sequences(graph, config, rng, shuffle)
+        built.append((config, seqs))
+        return seqs
+
+    monkeypatch.setattr(repro.cli, "entropy_sequences", spy)
+    if source == "bundle":
+        _, path = _make_bundle(tmp_path)
+        flags = ["--graph-bundle", path]
+    else:
+        flags = ["--dataset", "texas", "--scale", "0.5"]
+    assert main(["rewire", *flags, "--k", "2", "--d", "1"]) == 0
+    ((config, seqs),) = built
+    assert config == RareConfig(max_candidates=8)
+    graph = (
+        load_graph_bundle(path) if source == "bundle"
+        else load_dataset("texas", scale=0.5, seed=0)
+    )
+    fit_seqs, _ = GraphRARE("gcn", config)._prepare_sequences(
+        graph, np.random.default_rng(config.seed)
+    )
+    for name in ("remote", "remote_scores", "flat_neighbors", "neighbor_indptr"):
+        assert getattr(seqs, name).tobytes() == getattr(fit_seqs, name).tobytes()
+    assert (
+        np.concatenate(seqs.neighbor_scores).tobytes()
+        == np.concatenate(fit_seqs.neighbor_scores).tobytes()
+    )
