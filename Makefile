@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: test doclint bench-e2e bench-smoke bench-scaling bench-rollout bench-entropy bench-reward bench-halo bench-telemetry bench-out-of-core bench-serving bench-streaming bench-compare serve-smoke
+.PHONY: test doclint bench-e2e bench-smoke bench-scaling bench-rollout bench-entropy bench-telemetry bench-out-of-core bench-serving bench-streaming bench-compare serve-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -12,15 +12,12 @@ doclint:
 	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl src/repro/core src/repro/entropy src/repro/nn src/repro/graph
 
 # Fast sanity run (< 90 s): the CSR scaling benchmark at small N (asserts
-# the >= 5x speedup contract) plus small-N passes of both incremental
-# reward engines and of the two entropy engines (equivalence and exact
-# top-k recall checked; those speed contracts are pinned to N=5k and
-# N=20k, so the small runs report without gating).  All respect
-# BENCH_SKIP_CONTRACT=1 on noisy shared runners.
+# the >= 5x speedup contract) plus a small-N pass of the two entropy
+# engines (equivalence and exact top-k recall checked; that speed
+# contract is pinned to N=20k, so the small run reports without gating).
+# All respect BENCH_SKIP_CONTRACT=1 on noisy shared runners.
 bench-smoke:
 	$(PY) benchmarks/bench_scaling_rewire.py --sizes 1000 5000 --steps 5
-	$(PY) benchmarks/bench_incremental_reward.py --nodes 1500 --edits 2 --steps 6 --repeats 2
-	$(PY) benchmarks/bench_halo_backbones.py --nodes 1500 --edits 2 --steps 4 --repeats 2
 	$(PY) benchmarks/bench_telemetry_overhead.py --steps 32 --iterations 50000
 	$(PY) benchmarks/bench_entropy_screening.py --sizes 1500
 	$(PY) benchmarks/bench_out_of_core.py --n 3000
@@ -50,21 +47,6 @@ bench-rollout:
 # contract at N = 20k, and writes JSON into bench_results/.
 bench-entropy:
 	$(PY) benchmarks/bench_entropy_screening.py
-
-# Incremental reward engine (delta-patched propagation + halo-restricted
-# GNN re-evaluation) vs the full per-step re-evaluation at N = 5k;
-# verifies metric/logit equivalence, asserts the >= 4x speedup contract
-# on the (graphsage, 8-edit) row, and writes JSON into bench_results/.
-bench-reward:
-	$(PY) benchmarks/bench_incremental_reward.py
-
-# Halo plans for the attention/deep backbones (GAT edge-softmax resplice,
-# H2GCN/MixHop column corrections) vs dense re-evaluation at N = 5k on a
-# sparse heterophily graph; verifies metric/logit equivalence, asserts
-# the >= 3x contract on the gat AND h2gcn 4-edit rows, and writes JSON
-# into bench_results/.
-bench-halo:
-	$(PY) benchmarks/bench_halo_backbones.py
 
 # Disabled-path telemetry cost (ns per span/count/observe), derived
 # per-step overhead asserted <= 2% of a measured RL step, plus the

@@ -6,14 +6,13 @@ entropy -> rewire -> reward pipeline twice in fresh subprocesses:
 
 * **streamed** — ``load_graph_bundle(..., mmap_arrays=True)``: edge keys,
   CSR, features and entropy state stay memory-mapped; shard workers
-  stream their row ranges through :class:`ScreenStateLoader`, the reward
-  evaluator builds its base state through the halo-aware row loader
-  (``stream_base_state``) and reads only the CSR pages of each edit's
-  dirty-row closure.
+  stream their row ranges through :class:`ScreenStateLoader`.  The
+  reward is the GNN's dense eval-mode forward on the rewired graph and
+  on a few single-edge edits of the bundle graph.
 * **in-RAM** — the same bundle, the same code path, with
-  ``mmap_arrays=False``: every array fully resident, the evaluator on
-  the classic materialised ``base_state``.  This twin isolates pure
-  streaming overhead — both legs read the identical persisted state.
+  ``mmap_arrays=False``: every array fully resident.  This twin isolates
+  pure streaming overhead — both legs read the identical persisted
+  state.
 
 The acceptance contract (ISSUE 8):
 
@@ -70,7 +69,8 @@ HIDDEN = 32
 #: than the default cap: the ``(block, N)`` scratch is the screen's
 #: intrinsic working set and must fit the out-of-core RSS budget.
 SCREEN_BLOCK_ROWS = 256
-#: Single-edge reward probes after the main rewire (halo path exercise).
+#: Single-edge reward probes after the main rewire (small edits of the
+#: memmapped graph, scored densely).
 NUM_EDIT_PROBES = 4
 
 
@@ -119,8 +119,7 @@ def run_pipeline(bundle_dir: str, mmap_arrays: bool) -> dict:
     # charges the pipeline, not numpy/scipy module loading.
     from repro.core import rewire_graph
     from repro.entropy import build_entropy_sequences
-    from repro.gnn import GCN
-    from repro.gnn.incremental import IncrementalEvaluator
+    from repro.gnn import GCN, evaluate
     from repro.graph import ScreenStateLoader, load_graph_bundle
     from repro.nn import masked_metrics
 
@@ -143,19 +142,18 @@ def run_pipeline(bundle_dir: str, mmap_arrays: bool) -> dict:
         graph.num_features, graph.num_classes, hidden=HIDDEN,
         rng=np.random.default_rng(7),
     )
-    evaluator = IncrementalEvaluator(model, graph)
     mask = np.arange(graph.num_nodes) % 5 < 3
-    logits = evaluator.predict_logits(rewired)
+    logits = model.predict_logits(rewired)
     acc, loss = masked_metrics(logits, rewired.labels, mask)
-    # A few single-edit probes keep the halo path honest (small dirty
-    # sets, scattered CSR pages) on top of the bulk rewire above.
+    # A few single-edge edits of the bundle graph on top of the bulk
+    # rewire above.
     probe_metrics = []
     rng = np.random.default_rng(13)
     for _ in range(NUM_EDIT_PROBES):
         u = int(rng.integers(graph.num_nodes - 1))
         v = int(rng.integers(u + 1, graph.num_nodes))
         edited = graph.add_edges([(u, v)])
-        probe_metrics.append(evaluator.evaluate(edited, mask))
+        probe_metrics.append(evaluate(model, edited, mask))
 
     wall = time.perf_counter() - t0
     rss_peak = peak_rss_bytes()
@@ -170,8 +168,6 @@ def run_pipeline(bundle_dir: str, mmap_arrays: bool) -> dict:
         ),
         "acc": float(acc),
         "loss": float(loss),
-        "stream_states": int(evaluator.stats["stream_states"]),
-        "halo_evals": int(evaluator.stats["halo_evals"]),
         "digest_screen": _digest(
             seqs.remote, seqs.remote_scores, seqs.flat_neighbors,
             np.concatenate(seqs.neighbor_scores),
@@ -223,8 +219,6 @@ def check_contract(results: dict) -> None:
             f"streamed vs in-RAM mismatch on {key}: "
             f"{streamed[key]} != {inram[key]}"
         )
-    assert streamed["stream_states"] >= 1, "streamed leg never streamed"
-    assert inram["stream_states"] == 0, "in-RAM leg unexpectedly streamed"
     if os.environ.get("BENCH_SKIP_CONTRACT") == "1":
         return
     budget = RSS_BUDGET_FRAC * results["materialized_nbytes"]

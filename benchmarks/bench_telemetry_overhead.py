@@ -12,8 +12,7 @@ that claim executable from two directions:
   loop and reports nanoseconds per operation.
 * **derived contract** — counts the instrumentation points a single
   ``TopologyEnv.step`` crosses (one step span, one rewire span + memo
-  counter, reward spans, a handful of incremental-engine counters) with
-  a generous safety factor, plus the op-hook points per step read off
+  counter, reward and co-training spans) with a generous safety factor, plus the op-hook points per step read off
   the enabled run's ``op.*`` histogram counts, multiplies each by its
   measured no-op cost, and asserts the total is <= 2% of the *measured*
   per-step wall time.
@@ -58,9 +57,8 @@ from repro.telemetry import (
 MAX_OVERHEAD_FRAC = 0.02
 
 #: Instrumentation points one ``TopologyEnv.step`` can cross, counted
-#: with a generous margin: the step/rewire/reward/co-train spans, the
-#: memo counter, and the incremental engine's counters + histograms
-#: (two reward evaluations per step on a record step).
+#: with a generous margin: the step/rewire/reward/co-train spans and the
+#: memo counters (two reward evaluations per step on a record step).
 OPS_PER_STEP = 32
 
 

@@ -1,20 +1,10 @@
-"""Plugging a custom GNN into GraphRARE — including the halo engine.
+"""Plugging a custom GNN into GraphRARE.
 
 "The GraphRARE framework can be easily adapted to any existing GNN model"
 (Sec. IV-C).  This example defines a new backbone — a GIN-style sum
-aggregator — registers it, declares an incremental *halo plan* for it so
-``--incremental-reward`` works at full speed, and runs the framework.
-
-A halo plan (see ``docs/architecture.md`` and
-:class:`repro.gnn.HaloPlan`) answers three questions:
-
-1. ``base_state``   — what to cache once per model version,
-2. ``prepare``      — which rows a rewire's edge delta can reach,
-3. ``logits``       — how to recompute exactly those rows.
-
-Declaring is one class attribute: ``halo_plan = GINHaloPlan``.  A
-backbone that would rather always use the dense reference evaluation
-opts out with ``halo_plan = None`` (shown at the bottom).
+aggregator — registers it under a name and runs the framework.  Every
+reward is scored by the backbone's own eval-mode forward, so a new
+backbone needs nothing beyond ``forward``.
 
 Usage:  python examples/custom_backbone.py
 """
@@ -22,7 +12,7 @@ Usage:  python examples/custom_backbone.py
 import numpy as np
 
 from repro import GraphRARE, RareConfig, geom_gcn_splits, load_dataset
-from repro.gnn import GNNBackbone, HaloPlan, cached_matrix, patched_adjacency
+from repro.gnn import GNNBackbone, cached_matrix
 from repro.gnn.models import BACKBONES
 from repro.graph import Graph
 from repro.nn import MLP, Dropout
@@ -49,77 +39,6 @@ class GIN(GNNBackbone):
         return self.mlp2(ops.spmm(adj, h) + (1.0 + self.eps) * h)
 
 
-def _mlp_rows(mlp: MLP, rows: np.ndarray) -> np.ndarray:
-    """Row-local numpy twin of the example MLP (Linear-relu-Linear)."""
-    out = rows
-    for i, layer in enumerate(mlp.layers):
-        out = out @ layer.weight.data + layer.bias.data
-        if i < len(mlp.layers) - 1:
-            out = out * (out > 0)
-    return out
-
-
-class GINHaloPlan(HaloPlan):
-    """Halo plan for :class:`GIN`: a 2-round plain-adjacency halo.
-
-    The sum aggregator consumes the raw adjacency, whose dirty rows are
-    exactly the delta's touched endpoints; the ego term ``(1 + eps) h``
-    keeps a row's output dependent on itself, so the reachable set per
-    extra layer is ``rows ∪ N_new(rows)``.  Everything here uses public
-    engine helpers — ``patched_adjacency`` for the bitwise-patched
-    matrix, plain row slices for the halo-restricted products.
-    """
-
-    matrix_keys = ("adjacency",)
-
-    @staticmethod
-    def base_state(model: GIN, graph: Graph) -> dict:
-        adj = cached_matrix(graph, "adjacency", lambda g: g.adjacency())
-        x = graph.features
-        agg = np.asarray(adj @ x) + (1.0 + model.eps) * x
-        h1 = _mlp_rows(model.mlp1, agg)
-        h1 = h1 * (h1 > 0)
-        agg2 = np.asarray(adj @ h1) + (1.0 + model.eps) * h1
-        return {"adj": adj, "h1": h1, "out": _mlp_rows(model.mlp2, agg2)}
-
-    @staticmethod
-    def prepare(model: GIN, graph: Graph):
-        delta = graph.delta
-        touched = delta.touched_nodes()
-        adj_new = patched_adjacency(graph)
-        halo = np.union1d(touched, adj_new[touched].indices)
-        return touched, halo, {"adj_new": adj_new}
-
-    @staticmethod
-    def logits(model: GIN, graph: Graph, state: dict, dirty: np.ndarray,
-               halo: np.ndarray, ctx: dict) -> np.ndarray:
-        adj_new = ctx["adj_new"]
-        x = graph.features
-        # Layer 1 changes only on the dirty adjacency rows.
-        agg_rows = np.asarray(adj_new[dirty] @ x) + (1.0 + model.eps) * x[dirty]
-        h1_rows = _mlp_rows(model.mlp1, agg_rows)
-        h1_rows = h1_rows * (h1_rows > 0)
-        h1 = state["h1"].copy()
-        h1[dirty] = h1_rows
-        # Layer 2 reaches one hop further (plus the ego term).
-        agg2_rows = np.asarray(adj_new[halo] @ h1) + (1.0 + model.eps) * h1[halo]
-        out = state["out"].copy()
-        out[halo] = _mlp_rows(model.mlp2, agg2_rows)
-        return out
-
-
-# Declare the plan on the class — `supports_incremental(GIN(...))` is now
-# True and `--incremental-reward` evaluates rewires through the halo.
-GIN.halo_plan = GINHaloPlan
-
-
-class DenseGIN(GIN):
-    """The opt-out variant: always score through the dense reference
-    evaluation (the evaluator still delta-patches known matrix caches)."""
-
-    halo_plan = None
-
-
 def main() -> None:
     # Register the new backbone under a name GraphRARE can resolve.
     BACKBONES["gin"] = GIN
@@ -129,7 +48,6 @@ def main() -> None:
 
     config = RareConfig(
         k_max=5, d_max=5, max_candidates=10, episodes=4, horizon=5, seed=0,
-        incremental_reward=True,  # rewards flow through GINHaloPlan
     )
     result = GraphRARE("gin", config).fit(graph, split)
     print(f"GIN  (plain)   : {100 * result.baseline_test_acc:.1f}%")

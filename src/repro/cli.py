@@ -97,16 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "every agent; > 1 scores them with one stacked "
                           "GNN forward (the episode budget rounds up to a "
                           "multiple)")
-    run.add_argument("--incremental-reward", action="store_true",
-                     help="score graphs the env scores one at a time "
-                          "(every step at --num-envs 1) through the "
-                          "incremental engine: delta-patched propagation "
-                          "matrices and halo-restricted GNN "
-                          "re-evaluation — supported "
-                          "for gcn, graphsage, gat, h2gcn and mixhop "
-                          "(equal to the dense evaluation at float64 "
-                          "resolution; plan-less backbones fall back "
-                          "transparently)")
     run.add_argument("--splits", type=int, default=1)
     run.add_argument("--churn", nargs="?", const="drift", default=None,
                      choices=["drift", "burst", "hubs"], metavar="REGIME",
@@ -245,7 +235,6 @@ def _run_config(args) -> RareConfig:
         horizon=args.horizon,
         rl_algorithm=args.rl,
         num_envs=args.num_envs,
-        incremental_reward=args.incremental_reward,
         num_workers=args.num_workers,
         stream=stream_cfg,
         seed=args.seed,

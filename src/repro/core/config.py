@@ -52,17 +52,10 @@ class RareConfig:
     reward: str = "acc_loss"
     """``"acc_loss"`` (Eq. 11) or ``"auc"`` (Table V reward ablation)."""
     incremental_reward: bool = False
-    """Score the graphs the env scores alone (every step at
-    ``num_envs = 1``, base-graph and co-training re-scores at any width)
-    through the incremental engine (:mod:`repro.gnn.incremental`): cached
-    propagation matrices are delta-patched and the GNN re-evaluates only
-    the rewire's halo (derived from the backbone's receptive field)
-    against cached base-graph logits.  Equal to the dense evaluation at
-    float64 resolution (byte-identical off the halo; see
-    ``docs/equivalence-policy.md``).  Batches of ``num_envs > 1`` graphs
-    always take one dense stacked forward.  ``False`` (default) keeps the
-    full-graph evaluation as the reference twin; plan-less backbones fall
-    back to it transparently."""
+    """Accepted and ignored: every reward is scored by the dense forward
+    (one stacked forward per step; one graph is its own stack).  Kept
+    only because the end-to-end benchmark's ``fit-rl-vec`` workload
+    sets it; ROADMAP item 2 removes it with the next benchmark change."""
 
     rewire_memo_entries: int = 64
     """Bound of the per-env ``(k, d)`` -> Graph rewire memo

@@ -34,10 +34,7 @@ path.  Per batched step:
   forward over a block-diagonal stacked graph
   (:class:`~repro.rl.vector.stacked.StackedGraphBuilder`; one graph is
   its own stack) scores every episode, and each block is reduced by
-  :func:`repro.nn.masked_metrics`.  With ``config.incremental_reward``
-  a graph scored alone (``B = 1`` steps, base-graph and co-training
-  re-scores) goes through the halo engine instead
-  (:mod:`repro.gnn.incremental`).
+  :func:`repro.nn.masked_metrics`.
 * **Autoreset** — gym-style: finished episodes restart immediately, the
   terminal observation and an episode summary ride along in the
   per-episode ``info`` dicts (the :class:`~repro.rl.vector.VecEnv`
@@ -46,9 +43,9 @@ path.  Per batched step:
 Batch semantics where episodes interact: all episodes are scored under the
 model state at the start of the step; record topologies (Algorithm 1 lines
 10-13) are then processed in episode order, each co-training burst bumping
-an internal model version.  With incremental reward off, each slot's
-reward is bitwise what a ``num_envs = 1`` env scores for the same
-episode (``docs/equivalence-policy.md``).
+an internal model version.  Each slot's reward is bitwise what a
+``num_envs = 1`` env scores for the same episode
+(``docs/equivalence-policy.md``).
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..entropy import EntropySequences
-from ..gnn import GNNBackbone, IncrementalEvaluator, Trainer
+from ..gnn import GNNBackbone, Trainer
 from ..graph import Graph, Split, homophily_ratio
 from ..nn import macro_auc, masked_metrics
 from ..rl import MultiDiscreteSpace, VecEnv
@@ -226,20 +223,14 @@ class TopologyEnv(VecEnv):
 
         # --- reward scoring -------------------------------------------
         # One stacked builder for the env's lifetime (it reads nothing
-        # churn changes); with incremental reward on, one evaluator over
-        # the delta root (rewire deltas collapse to it) scores the graphs
-        # scored alone.  Plan-less backbones fall back inside it.
+        # churn changes).
         self._stack = StackedGraphBuilder(graph, model, max_width=B)
-        self._inc: Optional[IncrementalEvaluator] = None
-        self._bind_root(graph.delta.base if graph.delta is not None else graph)
 
         # --- live churn (docs/streaming.md) ---------------------------
         # With ``config.stream`` set, every step first folds one batch of
-        # external add/remove edge events into the shared base topology.
-        # The churn engine keeps ``base_graph = root + one collapsed
-        # delta`` so the incremental evaluator stays bound to the same
-        # root as the agent's own rewires; the online evaluator keeps
-        # sliding-window metrics of the drifting base.
+        # external add/remove edge events into the shared base topology;
+        # the online evaluator keeps sliding-window metrics of the
+        # drifting base.
         self._stream = None
         self._churn = None
         self._online = None
@@ -265,12 +256,6 @@ class TopologyEnv(VecEnv):
         self._steps_total = np.zeros(B, dtype=np.int64)
 
         self.reset()
-
-    def _bind_root(self, root: Graph) -> None:
-        """(Re)bind the incremental evaluator, when one is configured, to
-        the delta root ``root``."""
-        if self.config.incremental_reward:
-            self._inc = IncrementalEvaluator(self.model, root)
 
     # ------------------------------------------------------------------
     # Seeding
@@ -301,17 +286,13 @@ class TopologyEnv(VecEnv):
         """Eval-mode ``(scores, losses)`` of ``graphs`` on the training
         nodes (Alg. 1 line 9), one entry per graph.
 
-        The env's one scorer: a graph scored alone goes to the
-        incremental evaluator when one is bound, everything else to one
-        stacked forward.  Each graph's logits are reduced by
+        The env's one scorer: one stacked forward (one graph is its own
+        stack).  Each graph's logits are reduced by
         :func:`~repro.nn.masked_metrics`; the AUC reward reads the same
         logits.
         """
         with self._tel.span("env.reward", hist="rl.reward_s"):
-            if self._inc is not None and len(graphs) == 1:
-                logits = self._inc.predict_logits(graphs[0])[None]
-            else:
-                logits = self._stack.stacked_logits(graphs)
+            logits = self._stack.stacked_logits(graphs)
             scores = np.empty(len(graphs))
             losses = np.empty(len(graphs))
             for b, graph in enumerate(graphs):
@@ -377,13 +358,11 @@ class TopologyEnv(VecEnv):
         Streaming-mode step prologue: draw ``events_per_step`` events from
         the seeded generator (one batch per batched step: all episodes
         share the drifting base), apply them as one collapsed delta and
-        feed the net inserted/deleted keys to the online evaluator.  A
-        rebase promotes a fresh bitwise-verified root, so the incremental
-        evaluator is re-bound to it; the rewire memo
-        needs no flush because its keys carry the stream version.  The
-        clamp bounds are refreshed every churn step (degrees moved) and the
-        memoised base metrics are dropped so autoresets re-score the
-        current topology.
+        feed the net inserted/deleted keys to the online evaluator.  The
+        rewire memo needs no flush because its keys carry the stream
+        version.  The clamp bounds are refreshed every churn step (degrees
+        moved) and the memoised base metrics are dropped so autoresets
+        re-score the current topology.
         """
         report = self._stream.apply(
             self._churn.take(self.config.stream.events_per_step)
@@ -391,8 +370,6 @@ class TopologyEnv(VecEnv):
         self._online.observe(
             self._stream.current, report.added_keys, report.removed_keys
         )
-        if report.rebased:
-            self._bind_root(self._stream.root)
         self.base_graph = self._stream.current
         self._state_bounds = state_bounds(
             self.base_graph, self.sequences,
@@ -509,11 +486,9 @@ class TopologyEnv(VecEnv):
                             epochs=self.config.co_train_epochs,
                             patience=self.config.co_train_patience,
                         )
-                    # Co-training changed the weights: cached base-graph
-                    # activations are stale.
+                    # Co-training changed the weights: the memoised base
+                    # metrics are stale.
                     self._model_version += 1
-                    if self._inc is not None:
-                        self._inc.invalidate()
                     score, loss = self._scores([graphs[b]])
                     scores[b], losses[b] = score[0], loss[0]
 

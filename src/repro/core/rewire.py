@@ -142,9 +142,8 @@ def rewire_graph(
     the graph undirected.
 
     The engine knows exactly which keys it dropped and inserted, so the
-    result carries a :class:`~repro.graph.GraphDelta` against ``graph`` —
-    the hook the incremental reward engine patches propagation matrices and
-    halo-restricted GNN evaluations from.
+    result carries a :class:`~repro.graph.GraphDelta` against ``graph``
+    (the churn engine's rebase rule reads it).
     """
     k = np.asarray(k, dtype=np.int64)
     d = np.asarray(d, dtype=np.int64)

@@ -42,9 +42,9 @@ def drifting_snapshots(
     Every later snapshot is derived from the base by functional
     ``remove_edges``/``add_edges`` edits, so it carries ONE collapsed
     :class:`~repro.graph.graph.GraphDelta` against ``snapshots[0]`` —
-    the invariant the incremental evaluator and the streaming engine key
-    caches on (a snapshot with an *empty* drift step is the base graph
-    itself, and duplicate resampled edges collapse into the set).
+    the invariant the streaming engine relies on (a snapshot with an
+    *empty* drift step is the base graph itself, and duplicate resampled
+    edges collapse into the set).
     """
     if not 0.0 <= drift <= 1.0:
         raise ValueError(f"drift must be in [0, 1], got {drift}")

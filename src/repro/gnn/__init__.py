@@ -1,20 +1,7 @@
 """GNN backbones and training loops (replaces PyG/DGL layers)."""
 
 from .base import GNNBackbone, cached_matrix, features_tensor
-from .incremental import (
-    HaloPlan,
-    IncrementalEvaluator,
-    grow_halo,
-    install_propagation_caches,
-    patched_adjacency,
-    patched_gcn_norm,
-    patched_h2gcn_a2,
-    patched_row_norm,
-    patched_two_hop,
-    register_halo_plan,
-    resolve_halo_plan,
-    supports_incremental,
-)
+from .incremental import IncrementalEvaluator
 from .models import (
     BACKBONES,
     GAT,
@@ -36,7 +23,6 @@ __all__ = [
     "GNNBackbone",
     "GraphSAGE",
     "H2GCN",
-    "HaloPlan",
     "IncrementalEvaluator",
     "MLPClassifier",
     "MixHop",
@@ -46,15 +32,5 @@ __all__ = [
     "cached_matrix",
     "evaluate",
     "features_tensor",
-    "grow_halo",
-    "install_propagation_caches",
-    "patched_adjacency",
-    "patched_gcn_norm",
-    "patched_h2gcn_a2",
-    "patched_row_norm",
-    "patched_two_hop",
-    "register_halo_plan",
-    "resolve_halo_plan",
-    "supports_incremental",
     "train_backbone",
 ]

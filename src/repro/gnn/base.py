@@ -33,30 +33,12 @@ def cached_matrix(graph: Graph, key: str, builder: Callable[[Graph], sp.spmatrix
 
 
 class GNNBackbone(Module):
-    """Base class: a node classifier ``(graph, X) -> logits``.
-
-    ``halo_plan`` is the incremental-engine hook (see
-    :mod:`repro.gnn.incremental` and ``docs/architecture.md``): ``"auto"``
-    (the default) looks the class up in the engine's plan registry, a
-    :class:`~repro.gnn.incremental.HaloPlan` subclass declares a custom
-    plan for a user backbone, and ``None`` explicitly opts out — the
-    evaluator then always uses the dense full-graph forward
-    (``examples/custom_backbone.py`` demonstrates both).  The
-    declaration binds to the *exact* class — a subclass overriding
-    ``forward`` changes the receptive field, so plans are never
-    inherited; re-declare in the subclass when the forward is
-    compatible.
-    """
-
-    #: Incremental halo plan: ``"auto"`` (exact-type registry lookup), a
-    #: ``HaloPlan`` subclass, or ``None`` (dense fallback only).  Not
-    #: inherited — consulted only on the class it is declared on.
-    halo_plan = "auto"
+    """Base class: a node classifier ``(graph, X) -> logits``."""
 
     #: ``True`` declares that ``forward`` touches the raw features only
     #: through ``Dropout`` and then a first ``Linear`` — the contract
     #: under which :func:`features_tensor` may hand it a CSR operand.
-    #: Not inherited, like ``halo_plan``.
+    #: Not inherited: a subclass that overrides ``forward`` re-declares it.
     projection_first = False
 
     def __init__(self, in_features: int, num_classes: int) -> None:
@@ -90,9 +72,9 @@ def features_tensor(
     (every rewire of a graph shares its ``features`` object, so a fit
     converts once).  Only ``ops.dropout`` and ``nn.Linear`` accept that
     operand: dropout masks its nonzeros, ``Linear`` projects it through
-    ``ops.spmm``.  Every forward that starts from ``graph.features`` (training, evaluation,
-    halo base states, stacked forwards) goes through here, so a backbone
-    sees one operand type.
+    ``ops.spmm``.  Every forward that starts from ``graph.features``
+    (training, evaluation, stacked forwards) goes through here, so a
+    backbone sees one operand type.
 
     Examples
     --------

@@ -5,16 +5,6 @@ adopts the backbones unchanged: the RARE framework only alters the graph
 they run on).  All models default to two propagation layers, hidden width
 64 and dropout 0.5, matching the paper's hyper-parameter setting (Sec. V-C).
 
-Backbones that participate in the incremental reward engine
-(:mod:`repro.gnn.incremental`) additionally expose an ``eval_state`` hook:
-one instrumented eval-mode forward that returns the final logits *plus*
-the intermediate activations the backbone's halo plan patches per rewire
-(per-layer propagation products, GAT's per-node attention ingredients).
-The hook runs the exact same tensor ops as ``forward`` — its captured
-arrays are bitwise identical to a plain forward, which is what the
-engine's off-halo exactness contract builds on (see
-``docs/equivalence-policy.md``).
-
 MLP, GCN, GAT and H2GCN are declared ``projection_first``: their forward
 applies only dropout and a first ``Linear`` to the raw features, so on
 wide, sparse features they receive the CSR operand of
@@ -28,8 +18,8 @@ import numpy as np
 
 from ..graph import Graph, gcn_norm, row_norm, two_hop_adjacency
 from ..nn import MLP, Dropout, Linear
-from ..tensor import Tensor, no_grad, ops
-from .base import GNNBackbone, cached_matrix, features_tensor
+from ..tensor import Tensor, ops
+from .base import GNNBackbone, cached_matrix
 
 
 class MLPClassifier(GNNBackbone):
@@ -130,7 +120,7 @@ class GATLayer(GNNBackbone):
         self.att_dst = Linear(out_features, 1, rng, bias=False)
         self.out_features = out_features
 
-    def forward(self, graph: Graph, x: Tensor, record: dict | None = None) -> Tensor:
+    def forward(self, graph: Graph, x: Tensor) -> Tensor:
         n = graph.num_nodes
         edge_index = cached_matrix(
             graph, "edge_index_loops", _edge_index_with_self_loops
@@ -139,15 +129,11 @@ class GATLayer(GNNBackbone):
 
         h = self.linear(x)  # (n, heads*out)
         outputs = []
-        asrc_cols, adst_cols = [], []
         for head in range(self.heads):
             cols = slice(head * self.out_features, (head + 1) * self.out_features)
             head_h = _slice_cols(h, cols)
             alpha_src = self.att_src(head_h)  # (n, 1)
             alpha_dst = self.att_dst(head_h)
-            if record is not None:
-                asrc_cols.append(alpha_src.data)
-                adst_cols.append(alpha_dst.data)
             logits = ops.leaky_relu(
                 ops.gather_rows(alpha_src, src) + ops.gather_rows(alpha_dst, dst),
                 self.negative_slope,
@@ -155,13 +141,6 @@ class GATLayer(GNNBackbone):
             att = ops.segment_softmax(logits, dst, n)  # (E, 1)
             messages = ops.gather_rows(head_h, src) * att
             outputs.append(ops.scatter_add_rows(messages, dst, n))
-        if record is not None:
-            # The per-node attention ingredients the incremental engine's
-            # halo plan resplices: transformed features plus the per-head
-            # (n, heads) source/destination attention coefficients.
-            record["h"] = h.data
-            record["asrc"] = np.concatenate(asrc_cols, axis=1)
-            record["adst"] = np.concatenate(adst_cols, axis=1)
         if self.concat:
             return ops.concat(outputs, axis=1)
         total = outputs[0]
@@ -208,32 +187,6 @@ class GAT(GNNBackbone):
         h = self.dropout(h)
         return self.layer2(graph, h)
 
-    def eval_state(self, graph: Graph) -> dict:
-        """Instrumented eval-mode forward for the incremental halo plan.
-
-        Runs the exact ops of :meth:`forward` (eval mode, so dropout is the
-        identity) while capturing, per attention layer, the per-node
-        transformed features and attention coefficients, plus the post-ELU
-        layer-1 activations and the final logits.  Captured arrays are
-        bitwise identical to a plain ``predict_logits`` call.
-        """
-        was_training = self.training
-        self.eval()
-        layer1: dict = {}
-        layer2: dict = {}
-        with no_grad():
-            h = self.dropout(features_tensor(graph, self))
-            act1 = ops.elu(self.layer1(graph, h, record=layer1))
-            out = self.layer2(graph, self.dropout(act1), record=layer2)
-        if was_training:
-            self.train()
-        return {
-            "layer1": layer1,
-            "act1": act1.data,
-            "layer2": layer2,
-            "out": out.data,
-        }
-
 
 class H2GCN(GNNBackbone):
     """H2GCN (Zhu et al., NeurIPS 2020), with its three designs:
@@ -264,9 +217,6 @@ class H2GCN(GNNBackbone):
         self.dropout = Dropout(dropout, rng)
 
     def forward(self, graph: Graph, x: Tensor) -> Tensor:
-        return self._run(graph, x)
-
-    def _run(self, graph: Graph, x: Tensor, record: dict | None = None) -> Tensor:
         a1 = cached_matrix(
             graph, "h2gcn_a1", lambda g: gcn_norm(g, add_self_loops=False)
         )
@@ -281,43 +231,15 @@ class H2GCN(GNNBackbone):
             )
             reps.append(current)
         final = ops.concat(reps, axis=1)
-        out = self.classify(self.dropout(final))
-        if record is not None:
-            record["reps"] = [r.data for r in reps]
-            record["out"] = out.data
-            record["a1"] = a1
-            record["a2"] = a2
-        return out
-
-    def eval_state(self, graph: Graph) -> dict:
-        """Instrumented eval-mode forward for the incremental halo plan.
-
-        Captures every round's representation matrix (``reps[0]`` is the
-        graph-independent embedding, ``reps[r]`` the round-``r`` concat of
-        1-hop and strict-2-hop aggregations), the final logits, and the two
-        propagation matrices.  Captured arrays are bitwise identical to a
-        plain ``predict_logits`` call.
-        """
-        was_training = self.training
-        self.eval()
-        record: dict = {}
-        with no_grad():
-            self._run(graph, features_tensor(graph, self), record)
-        if was_training:
-            self.train()
-        return record
+        return self.classify(self.dropout(final))
 
 
 def _normalized_two_hop(graph: Graph):
     import scipy.sparse as sp
 
-    # Consume the incremental engine's delta-patched matrix
-    # (repro.gnn.incremental.patched_two_hop, installed under "two_hop")
-    # when available; otherwise build transiently — the raw A @ A matrix
-    # is not worth retaining next to the normalized "h2gcn_a2" cache.
-    two = graph.cache.get("two_hop")
-    if two is None:
-        two = two_hop_adjacency(graph)
+    # Built transiently: the raw A @ A matrix is not worth retaining next
+    # to the normalized "h2gcn_a2" cache.
+    two = two_hop_adjacency(graph)
     deg = np.asarray(two.sum(axis=1)).ravel()
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
@@ -345,26 +267,19 @@ class MixHop(GNNBackbone):
         self.hop_linears2 = [Linear(3 * width, num_classes, rng) for _ in range(3)]
         self.dropout = Dropout(dropout, rng)
 
-    def _mix(self, graph: Graph, h: Tensor, linears, record: list | None = None) -> Tensor:
+    def _mix(self, graph: Graph, h: Tensor, linears) -> Tensor:
         a_hat = cached_matrix(graph, "gcn_norm", gcn_norm)
         pieces = []
         propagated = h
         for power, lin in enumerate(linears):
             if power > 0:
                 propagated = ops.spmm(a_hat, propagated)
-                if record is not None:
-                    record.append(propagated.data)
             pieces.append(lin(propagated))
         return ops.concat(pieces, axis=1)
 
     def forward(self, graph: Graph, x: Tensor) -> Tensor:
-        return self._run(graph, x)
-
-    def _run(self, graph: Graph, x: Tensor, record: dict | None = None) -> Tensor:
-        props1: list | None = None if record is None else []
-        props2: list | None = None if record is None else []
-        h = ops.relu(self._mix(graph, self.dropout(x), self.hop_linears1, props1))
-        out = self._mix(graph, self.dropout(h), self.hop_linears2, props2)
+        h = ops.relu(self._mix(graph, self.dropout(x), self.hop_linears1))
+        out = self._mix(graph, self.dropout(h), self.hop_linears2)
         # Average the three output blocks into class logits.
         n_cls = self.num_classes
         blocks = [
@@ -373,31 +288,7 @@ class MixHop(GNNBackbone):
         total = blocks[0]
         for b in blocks[1:]:
             total = total + b
-        total = total * (1.0 / 3.0)
-        if record is not None:
-            record["props1"] = props1  # [Â x, Â² x]
-            record["h"] = h.data
-            record["props2"] = props2  # [Â h, Â² h]
-            record["out"] = total.data
-            record["a_hat"] = cached_matrix(graph, "gcn_norm", gcn_norm)
-        return total
-
-    def eval_state(self, graph: Graph) -> dict:
-        """Instrumented eval-mode forward for the incremental halo plan.
-
-        Captures each layer's adjacency-power propagation products
-        (``Â x``, ``Â² x``, ``Â h``, ``Â² h``), the post-ReLU hidden layer,
-        the averaged logits and the normalised adjacency.  Captured arrays
-        are bitwise identical to a plain ``predict_logits`` call.
-        """
-        was_training = self.training
-        self.eval()
-        record: dict = {}
-        with no_grad():
-            self._run(graph, features_tensor(graph, self), record)
-        if was_training:
-            self.train()
-        return record
+        return total * (1.0 / 3.0)
 
 
 BACKBONES = {

@@ -27,9 +27,9 @@ class GraphDelta:
     Functional updates (:func:`repro.core.rewire.rewire_graph`,
     :meth:`Graph.add_edges`, :meth:`Graph.remove_edges`) already know exactly
     which canonical edge keys they inserted and deleted; recording that
-    knowledge on the derived graph lets downstream consumers — the
-    incremental reward engine above all — patch cached propagation matrices
-    and re-evaluate only the edit's halo instead of rebuilding from scratch.
+    knowledge on the derived graph lets downstream consumers (the churn
+    engine's rebase rule, :class:`~repro.stream.StreamingGraph`) read an
+    edit's touched nodes without diffing key sets.
 
     ``base`` is a live reference: it keeps the root graph (and whatever is
     memoised in its ``cache``) alive for the derived graph's lifetime.
@@ -80,19 +80,6 @@ class GraphDelta:
             return np.empty(0, dtype=np.int64)
         return np.unique(self.edit_pairs().ravel())
 
-    def degree_changes(self) -> np.ndarray:
-        """Per-node signed degree difference (derived minus base)."""
-        n = self.base.num_nodes
-        change = np.zeros(n, dtype=np.int64)
-        nn = np.int64(n)
-        if self.added.shape[0]:
-            pairs = np.stack([self.added // nn, self.added % nn], axis=1)
-            change += np.bincount(pairs.ravel(), minlength=n)
-        if self.removed.shape[0]:
-            pairs = np.stack([self.removed // nn, self.removed % nn], axis=1)
-            change -= np.bincount(pairs.ravel(), minlength=n)
-        return change
-
     def __repr__(self) -> str:
         return (
             f"GraphDelta(+{self.added.shape[0]} edges, "
@@ -118,8 +105,7 @@ def _collapsed_delta(base: "Graph", keys: np.ndarray) -> GraphDelta:
     against that delta's base instead — iterative edits
     (``g = g.add_edges(...)`` in a loop) therefore never build a chain of
     back-references pinning every intermediate graph (and its
-    propagation-matrix cache) in memory, and a consumer bound to the root
-    (the incremental evaluator) stays eligible across chained edits.
+    propagation-matrix cache) in memory.
     """
     root = base.delta.base if base.delta is not None else base
     root_keys = root.edge_keys()

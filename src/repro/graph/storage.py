@@ -410,13 +410,12 @@ class MemmapGraph(Graph):
     memmapped keys, touching only the pages the access pattern needs.
     The CSR accessors are overridden to serve the *stored* ``indptr``/
     ``indices`` instead of building a scipy adjacency, and
-    :meth:`adjacency` — still needed by dense fallbacks — is a chunked
-    streaming build counted in telemetry (``storage.materialize.*``).
+    :meth:`adjacency` is a chunked streaming build counted in telemetry
+    (``storage.materialize.*``).
 
     Functional edits (:meth:`~repro.graph.Graph.add_edges` /
     ``remove_edges``) return plain in-RAM :class:`~repro.graph.Graph`
-    objects carrying a delta against this graph, which is exactly what
-    the incremental reward engine patches from.
+    objects carrying a delta against this graph.
     """
 
     @classmethod

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if not math.isfinite(self.max_wait_ms):
+            raise ValueError(
+                f"max_wait_ms must be finite, got {self.max_wait_ms}"
+            )
         if self.max_wait_ms < 0:
             raise ValueError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
@@ -63,11 +68,11 @@ class ServeConfig:
             raise ValueError(
                 f"memo_entries must be >= 1, got {self.memo_entries}"
             )
-        if (
-            self.default_deadline_ms is not None
-            and self.default_deadline_ms <= 0
+        if self.default_deadline_ms is not None and not (
+            math.isfinite(self.default_deadline_ms)
+            and self.default_deadline_ms > 0
         ):
             raise ValueError(
-                f"default_deadline_ms must be positive, got "
+                f"default_deadline_ms must be finite and positive, got "
                 f"{self.default_deadline_ms}"
             )

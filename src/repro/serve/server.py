@@ -178,6 +178,11 @@ class RewiringServer:
     async def _dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         op = frame.get("op")
         self._tel.count("serve.requests")
+        session = frame.get("session")
+        if session is not None and not isinstance(session, str):
+            raise BadRequestError(
+                f"session must be a string, got {type(session).__name__}"
+            )
         if op in ("rewire", "score"):
             return await self._op_batched(op, frame)
         if op == "churn":

@@ -5,9 +5,9 @@ The dynamic-graph workload class (the paper's future-work direction, per
 events (:mod:`~repro.stream.events`) folds into a live graph as chained
 :class:`~repro.graph.graph.GraphDelta` edits
 (:class:`~repro.stream.engine.StreamingGraph`), interleaved with the
-agent's own rewires — both delta sources collapse to one shared root, so
-propagation caches, halo plans and rewire memos stay valid until a
-dirty-fraction threshold triggers a bitwise-verified fresh rebuild.
+agent's own rewires — both delta sources collapse to one shared root
+until a dirty-fraction threshold triggers a bitwise-verified fresh
+rebuild.
 :class:`~repro.stream.online.OnlineEvaluator` maintains sliding-window
 accuracy/entropy metrics incrementally, byte-identical to full
 recomputation at every window boundary.  See ``docs/streaming.md``.

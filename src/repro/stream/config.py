@@ -27,7 +27,7 @@ class StreamConfig:
     """Synthetic event generator: ``"drift"`` (steady random add/remove
     churn), ``"burst"`` (quiet phases punctuated by event bursts focused
     on one node), or ``"hubs"`` (adversarial: every event touches a
-    top-degree hub, saturating edit halos)."""
+    top-degree hub, so the dirty fraction climbs fastest)."""
 
     events_per_step: int = 4
     """External events drained from the stream before each env step."""

@@ -1,18 +1,17 @@
 """The churn engine: a live graph fed by external events + agent rewires.
 
-:class:`StreamingGraph` owns the two-graph invariant every incremental
-consumer relies on:
+:class:`StreamingGraph` owns the two-graph invariant of a churned
+topology:
 
-* ``root`` — an immutable, delta-free graph carrying the warm caches
-  (propagation matrices, incremental-evaluator base state, halo plans);
+* ``root`` — an immutable, delta-free graph;
 * ``current`` — the live topology, always expressed as ``root`` plus ONE
   collapsed :class:`~repro.graph.graph.GraphDelta`.
 
 External event batches fold in through
 :func:`~repro.stream.events.apply_events`; agent rewires
 (:func:`~repro.core.rewire.rewire_graph` against ``current``) collapse to
-the same root by construction — both delta sources therefore keep every
-root-bound cache eligible.  When the accumulated dirty-node fraction
+the same root by construction, so one delta measures how far the live
+graph has drifted.  When the accumulated dirty-node fraction
 crosses ``rebase_threshold`` the chained representation stops paying off:
 :meth:`rebase` rebuilds ``current`` from scratch through the fully
 validated :class:`~repro.graph.Graph` constructor, verifies the rebuild
@@ -75,7 +74,7 @@ class StreamingGraph:
         self.rebase_threshold = float(rebase_threshold)
         self._tel = tel if tel is not None else get_telemetry()
         # A derived input graph is adopted as-is: its delta's base is the
-        # shared root, so caches already bound there keep working.
+        # shared root.
         self.root: Graph = (
             graph.delta.base if graph.delta is not None else graph
         )

@@ -173,10 +173,8 @@ class HubStream(ChurnStream):
     """Adversarial churn: every event is incident to a top-degree hub.
 
     Hubs (the top ``hub_frac`` of nodes by start-graph degree, at least
-    one) concentrate the dirty-row set, so edit halos saturate and the
-    dirty fraction climbs fastest — the regime that exercises the
-    rebase fallback and the incremental evaluator's oversize-halo
-    dense fallback.
+    one) concentrate the dirty-row set, so the dirty fraction climbs
+    fastest — the regime that exercises the rebase fallback.
     """
 
     def __init__(

@@ -12,12 +12,9 @@ the same exact integers; :meth:`verify` asserts that equality at any
 window boundary (the bench asserts it in-run).
 
 Model metrics (train accuracy / loss) ride along when a ``model`` and
-``mask`` are bound: evaluated densely they are a pure function of the
-edge keys and therefore also byte-identical between the chained live
-graph and its fresh twin; through an
-:class:`~repro.gnn.incremental.IncrementalEvaluator` they fall under the
-halo equivalence class of ``docs/equivalence-policy.md`` (float64
-resolution on halo rows) and are excluded from the bitwise check.
+``mask`` are bound: they are a pure function of the edge keys and
+therefore also byte-identical between the chained live graph and its
+fresh twin.
 """
 
 from __future__ import annotations
@@ -72,14 +69,12 @@ class OnlineEvaluator:
         window: int = 32,
         model=None,
         mask: Optional[np.ndarray] = None,
-        evaluator=None,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = int(window)
         self.model = model
         self.mask = mask
-        self.evaluator = evaluator
         self._n = graph.num_nodes
         self._labels = graph.labels
         self._features = graph.features
@@ -149,12 +144,9 @@ class OnlineEvaluator:
         return record
 
     def _model_record(self, graph: Graph) -> Dict[str, float]:
-        if self.evaluator is not None:
-            acc, loss = self.evaluator.evaluate(graph, self.mask)
-        else:
-            from ..gnn import evaluate
+        from ..gnn import evaluate
 
-            acc, loss = evaluate(self.model, graph, self.mask)
+        acc, loss = evaluate(self.model, graph, self.mask)
         return {"acc": float(acc), "loss": float(loss)}
 
     # ------------------------------------------------------------------
@@ -223,23 +215,11 @@ class OnlineEvaluator:
 
     def verify(self) -> Dict[str, float]:
         """Assert the window aggregates are byte-identical to the
-        full-recompute twin; returns the (verified) aggregates.
-
-        Model metrics computed through an incremental evaluator are
-        checked at the documented float64 halo resolution instead of
-        bitwise (``docs/equivalence-policy.md``).
-        """
+        full-recompute twin; returns the (verified) aggregates."""
         online = self.window_metrics()
         fresh = self.recompute_window()
         assert set(online) == set(fresh), (set(online), set(fresh))
         for name, value in online.items():
-            if self.evaluator is not None and (
-                name.startswith("acc") or name.startswith("loss")
-            ):
-                assert abs(value - fresh[name]) <= 1e-9, (
-                    name, value, fresh[name],
-                )
-                continue
             assert value == fresh[name] and np.float64(value).tobytes() == (
                 np.float64(fresh[name]).tobytes()
             ), (name, value, fresh[name])

@@ -1,8 +1,8 @@
 """Zero-dependency observability: spans, metrics, sinks and reports.
 
 The instrumentation substrate every hot layer reports through — entropy
-screening, the incremental halo engine, the rewire memos, every tensor
-op and the RL loop.  Pure stdlib (``contextvars``, ``time``,
+screening, the rewire memos, every tensor op, the RL loop and the
+rewiring service.  Pure stdlib (``contextvars``, ``time``,
 ``json``), so importing it can never cost a dependency, and **fully off
 by default**: the process-wide session is disabled, every recording
 call is a single attribute check, and disabled ``span()`` calls return

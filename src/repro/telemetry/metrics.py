@@ -42,7 +42,7 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = tuple(
     round(10.0 ** (-6 + i / 2.0), 12) for i in range(17)
 )
 
-#: Histogram boundaries for cardinalities (halo sizes, shard volumes):
+#: Histogram boundaries for cardinalities (shard volumes):
 #: powers of 4 from 1 to ~10^9.
 SIZE_BUCKETS: Tuple[float, ...] = tuple(float(4 ** i) for i in range(16))
 

@@ -2,7 +2,7 @@
 
 A ``Function`` is the single mechanism by which an operation registers
 into the autograd graph — every op in :mod:`repro.tensor.ops` is built on
-it, and user code (custom backbones, halo plans) subclasses it to add
+it, and user code (custom backbones) subclasses it to add
 differentiable ops without touching ``tensor/tensor.py`` internals.  The
 shape follows MegEngine's imperative ``Function``: **one instance per
 call**, with ``forward``/``backward`` overrides and instance attributes

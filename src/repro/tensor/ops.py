@@ -522,70 +522,6 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     return _Spmm(matrix)(x)
 
 
-class _SpmmRows(Function):
-    def __init__(self, matrix: sp.spmatrix, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.int64)
-        self._sub = matrix.tocsr()[rows]
-        self._transposed: Optional[sp.spmatrix] = None
-
-    def forward(self, x):
-        return np.asarray(self._sub @ x)
-
-    def backward(self, grad):
-        if self._transposed is None:
-            self._transposed = self._sub.T.tocsr()
-        return np.asarray(self._transposed @ grad)
-
-
-def spmm_rows(matrix: sp.spmatrix, rows: np.ndarray, x: Tensor) -> Tensor:
-    """Selected rows of ``matrix @ x`` without forming the full product.
-
-    Equivalent to ``gather_rows(spmm(matrix, x), rows)`` but only the
-    requested rows are ever multiplied — the subset-*output* companion to
-    :func:`scatter_patch_rows` for propagation models that only need a
-    node subset's outputs (e.g. masked evaluation).  The halo evaluator's
-    own stages pre-assemble delta-patched row slices and run plain
-    :func:`spmm` over them (its dirty rows carry values no existing
-    matrix holds), so this op is the caller-facing shorthand for the
-    unmodified-matrix case.  The gradient w.r.t. ``x`` is
-    ``matrix[rows].T @ grad`` (the transpose again built lazily, only
-    under backward).
-    """
-    return _SpmmRows(matrix, rows)(x)
-
-
-class _ScatterPatchRows(Function):
-    def __init__(self, rows: np.ndarray) -> None:
-        self._rows = np.asarray(rows, dtype=np.int64)
-
-    def forward(self, base, patch):
-        if patch.shape[0] != self._rows.shape[0]:
-            raise ValueError(
-                f"patch has {patch.shape[0]} rows for "
-                f"{self._rows.shape[0]} indices"
-            )
-        out = base.copy()
-        out[self._rows] = patch
-        return out
-
-    def backward(self, grad):
-        masked = grad.copy()
-        masked[self._rows] = 0.0
-        return masked, grad[self._rows]
-
-
-def scatter_patch_rows(base: Tensor, rows: np.ndarray, patch: Tensor) -> Tensor:
-    """Out-of-place row replacement: ``out[rows] = patch``, rest from ``base``.
-
-    ``rows`` must be unique (each row has one source).  Gradients split
-    accordingly: ``patch`` receives ``grad[rows]``, ``base`` receives the
-    gradient with the patched rows zeroed — together the exact adjoint of
-    the select.  This is the patch-back step of the incremental evaluator:
-    recomputed halo rows are scattered into the cached base activations.
-    """
-    return _ScatterPatchRows(rows)(base, patch)
-
-
 # ---------------------------------------------------------------------------
 # Indexing
 # ---------------------------------------------------------------------------
@@ -624,9 +560,7 @@ def scatter_add_rows(src: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
     """Sum rows of ``src`` into ``num_rows`` buckets given by ``index``.
 
     The inverse of :func:`gather_rows`: ``out[i] = sum_{j: index[j]=i} src[j]``.
-    The forward values come from :func:`segment_sum_array`, the kernel
-    gradient-free consumers call too, so the incremental engine's twin can
-    never drift from this op.
+    The forward values come from :func:`segment_sum_array`.
     """
     return _ScatterAddRows(index, num_rows)(src)
 
@@ -780,14 +714,9 @@ def segment_softmax_array(
 
     Entries sharing a segment id are normalised together; the per-segment
     max is subtracted for numerical stability.  This is the exact float
-    sequence the Tensor op runs (:class:`_SegmentSoftmax` calls it),
-    exposed for gradient-free consumers: the
-    incremental engine's halo-restricted edge-softmax re-normalisation
-    feeds it sub-edge lists gathered for the dirty destination rows only,
-    and relies on the two paths never diverging.  Per segment the
-    accumulation order equals the order in which that segment's entries
-    appear in ``data`` — gather sub-edges in the full forward's
-    per-destination order to reproduce its sums bitwise.
+    sequence the Tensor op runs (:class:`_SegmentSoftmax` calls it).  Per
+    segment the accumulation order equals the order in which that
+    segment's entries appear in ``data``.
     """
     data = np.asarray(data)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
@@ -806,8 +735,7 @@ def segment_sum_array(
     """Plain-array segment sum — the float core of :func:`scatter_add_rows`.
 
     ``out[i] = sum_{j: segment_ids[j] = i} data[j]``, accumulated in the
-    order the entries appear in ``data`` (the entry-order guarantee the
-    incremental engine's bitwise off-halo contract builds on).
+    order the entries appear in ``data``.
     """
     data = np.asarray(data)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
@@ -844,8 +772,7 @@ def segment_softmax(logits: Tensor, segment_ids: np.ndarray, num_segments: int) 
     (destination node) are normalised together.  The per-segment max used for
     numerical stability is treated as a constant, which leaves the gradient
     of the softmax unchanged.  The forward values come from
-    :func:`segment_softmax_array`, so the gradient-free twin the
-    incremental engine uses can never drift from this op.
+    :func:`segment_softmax_array`.
     """
     return _SegmentSoftmax(segment_ids, num_segments)(logits)
 

@@ -1,9 +1,10 @@
 """Golden ``RareResult`` pins: the cases, the digest, and the regenerator.
 
 Each case is one small ``GraphRARE.fit`` on a seeded planted-partition
-graph; together they cover every backbone with a halo plan, all three RL
-agents, the incremental reward, the AUC reward, live churn and batch
-widths 1, 2 and 4.  :func:`digest` reduces a result to the fields the
+graph; together they cover the five message-passing backbones, all three
+RL agents, the AUC reward, live churn and batch widths 1, 2 and 4.  The
+``-inc`` cases set ``incremental_reward``, which every fit now ignores:
+their pins equal what the dense reward gives.  :func:`digest` reduces a result to the fields the
 pins compare: the three accuracies, both curves, the per-iteration
 rewards and the sha256 of the optimised graph's edge keys.
 

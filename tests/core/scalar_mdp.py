@@ -2,8 +2,8 @@
 ``TopologyEnv`` at ``num_envs = 1``.
 
 One episode at a time, written only from the public pieces — the Eq. 10
-clamp, the rewire, the Eq. 11 reward from ``predict_logits`` (the
-model's, or the incremental evaluator's) reduced by ``masked_metrics``,
+clamp, the rewire, the Eq. 11 reward from the model's
+``predict_logits`` reduced by ``masked_metrics``,
 Algorithm 1's co-training on a record score, live churn folded in before
 each step, a fresh episode after the horizon.  No memo, no batching, no
 autoreset bookkeeping, none of the env's scoring code: what the env must
@@ -13,7 +13,6 @@ reproduce bit for bit.
 import numpy as np
 
 from repro.core import build_observation, clamp_state, rewire_graph
-from repro.gnn import IncrementalEvaluator
 from repro.nn import macro_auc, masked_metrics
 
 
@@ -23,9 +22,7 @@ def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
     the observation is the one the step ended in, ``base`` the (churned)
     base topology of the step."""
     n = graph.num_nodes
-    inc = stream = churn = None
-    if config.incremental_reward:
-        inc = IncrementalEvaluator(model, graph)
+    stream = churn = None
     if config.stream is not None:
         from repro.stream import StreamingGraph, make_stream
 
@@ -35,8 +32,7 @@ def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
         )
 
     def metrics(g):
-        scorer = model if inc is None else inc
-        logits = scorer.predict_logits(g)
+        logits = model.predict_logits(g)
         acc, loss = masked_metrics(logits, g.labels, split.train)
         if config.reward == "auc":
             return macro_auc(logits, g.labels, split.train), loss
@@ -47,9 +43,7 @@ def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
     t, best, prev = 0, 0.0, metrics(graph)
     for action in actions:
         if stream is not None:
-            report = stream.apply(churn.take(config.stream.events_per_step))
-            if report.rebased and inc is not None:
-                inc = IncrementalEvaluator(model, stream.root)
+            stream.apply(churn.take(config.stream.events_per_step))
             base = stream.current
         k, d = clamp_state(k + action[:n] - 1, d + action[n:] - 1, base,
                            sequences, config.k_max, config.d_max)
@@ -61,8 +55,6 @@ def scalar_mdp_stream(graph, sequences, model, trainer, split, config,
             if co_train:
                 trainer.fit(g, split, epochs=config.co_train_epochs,
                             patience=config.co_train_patience)
-                if inc is not None:
-                    inc.invalidate()
                 score, loss = metrics(g)
         prev, t = (score, loss), t + 1
         done = t >= config.horizon

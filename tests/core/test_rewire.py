@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import clamp_state, edit_distance, rewire_graph
 from repro.datasets import planted_partition_graph
@@ -131,3 +133,92 @@ def test_edit_distance(setup):
     out = rewire_graph(graph, seqs, np.full(n, 1), np.zeros(n, int),
                        remove_edges=False)
     assert edit_distance(graph, out) == out.num_edges - graph.num_edges
+
+
+# ---------------------------------------------------------------------------
+# GraphDelta recording
+# ---------------------------------------------------------------------------
+N = 36
+
+
+@pytest.fixture(scope="module")
+def world():
+    graph = planted_partition_graph(
+        num_nodes=N, homophily=0.4, feature_signal=0.4, num_features=12, seed=0
+    )
+    entropy = RelativeEntropy.from_graph(graph, lam=1.0)
+    sequences = build_entropy_sequences(graph, entropy, max_candidates=6)
+    return graph, sequences
+
+
+counts = st.lists(st.integers(0, 4), min_size=N, max_size=N)
+
+
+def rewired(world, ks, ds):
+    graph, seqs = world
+    k, d = clamp_state(np.array(ks), np.array(ds), graph, seqs, 6, 6)
+    return rewire_graph(graph, seqs, k, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(counts, counts)
+def test_rewire_records_exact_delta(world, ks, ds):
+    graph = world[0]
+    out = rewired(world, ks, ds)
+    delta = out.delta
+    assert delta is not None and delta.base is graph
+    np.testing.assert_array_equal(
+        delta.added, np.setdiff1d(out.edge_keys(), graph.edge_keys())
+    )
+    np.testing.assert_array_equal(
+        delta.removed, np.setdiff1d(graph.edge_keys(), out.edge_keys())
+    )
+    touched = delta.touched_nodes()
+    assert touched.shape[0] == np.unique(touched).shape[0]
+    if delta.num_edits:
+        assert set(touched) == set(delta.edit_pairs().ravel())
+
+
+def test_add_remove_edges_record_delta(world):
+    graph = world[0]
+    extra = graph.add_edges([(0, 1), (2, 3)])
+    # Only genuinely new keys land in the delta.
+    expected = np.setdiff1d(extra.edge_keys(), graph.edge_keys())
+    np.testing.assert_array_equal(extra.delta.added, expected)
+    assert extra.delta.removed.shape[0] == 0
+
+    u, v = map(int, graph.edge_array()[0])
+    fewer = graph.remove_edges([(u, v), (0, 0 + 1)])
+    assert fewer.delta.base is graph
+    assert fewer.delta.added.shape[0] == 0
+    np.testing.assert_array_equal(
+        fewer.delta.removed, np.setdiff1d(graph.edge_keys(), fewer.edge_keys())
+    )
+
+
+def test_chained_edits_collapse_to_the_root(world):
+    """Iterative add/remove chains keep ONE back-reference (the root), so
+    intermediates stay collectable."""
+    graph, seqs = world
+    g = graph
+    for i in range(4):
+        g = g.add_edges([(i, i + 10)])
+        g = g.remove_edges([(i, i + 10)])
+    assert g.delta.base is graph  # not the previous intermediate
+    np.testing.assert_array_equal(
+        g.delta.added, np.setdiff1d(g.edge_keys(), graph.edge_keys())
+    )
+    np.testing.assert_array_equal(
+        g.delta.removed, np.setdiff1d(graph.edge_keys(), g.edge_keys())
+    )
+    # Rewiring a derived graph collapses too.
+    k = np.zeros(N, dtype=np.int64)
+    k[0] = 1
+    again = rewire_graph(g, seqs, k, np.zeros(N, dtype=np.int64))
+    assert again.delta.base is graph
+
+
+def test_zero_state_rewire_has_empty_delta(world):
+    out = rewired(world, [0] * N, [0] * N)
+    assert out.delta.is_empty
+    assert out.delta.touched_nodes().shape[0] == 0

@@ -3,10 +3,9 @@
 With ``config.stream`` set, the env drains one seeded event trace at the
 step prologue, before the agents' moves.  Whole fits under churn are
 pinned bit for bit by the golden pins (``test_golden_fit.py``) and each
-``num_envs = 1`` step by the scalar MDP oracle (``scalar_mdp.py``); the
-incremental-vs-dense axis is held to the documented 1e-9 halo class of
-``docs/equivalence-policy.md``, across rebases, and the memo, online
-window and config plumbing are checked directly.
+``num_envs = 1`` step by the scalar MDP oracle (``scalar_mdp.py``), across
+rebases too; the memo, online window and config plumbing are checked
+directly.
 """
 
 import numpy as np
@@ -50,58 +49,53 @@ def make_parts(num_nodes=40, stream=None, **config_overrides):
 # ---------------------------------------------------------------------------
 # B = 1 under churn: bitwise the scalar MDP oracle
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("incremental", [False, True])
-def test_b1_churn_byte_identical(incremental):
+def test_b1_churn_byte_identical():
     """Every reward, observation, score and churned base topology of the
-    ``num_envs = 1`` env equals the scalar oracle's, with the incremental
-    evaluator on or off, co-training on."""
-    env = TopologyEnv(*make_parts(incremental_reward=incremental))
+    ``num_envs = 1`` env equals the scalar oracle's, co-training on."""
+    env = TopologyEnv(*make_parts())
     actions = np.random.default_rng(3).integers(
         0, 3, (6, 2 * env.base_graph.num_nodes)
     )  # crosses one episode boundary (horizon 4)
-    assert_matches_oracle(
-        env, make_parts(incremental_reward=incremental), actions, True
-    )
+    assert_matches_oracle(env, make_parts(), actions, True)
     assert env._stream.events_applied == 18
     env._online.verify()
 
 
 # ---------------------------------------------------------------------------
-# Rebases re-bind the root-addressed reward engines
+# Rebases
 # ---------------------------------------------------------------------------
 def test_parity_survives_rebases():
-    """Under a rebasing churn trace the incremental env keeps scoring like
-    the dense one (the documented 1e-9 class) at every batch width,
-    because a rebase re-binds the incremental evaluator to the new root
-    (the stacked builder reads nothing churn changes)."""
+    """Under a rebasing churn trace the ``num_envs = 1`` env still equals
+    the scalar oracle bit for bit, and a ``num_envs = 2`` env scores each
+    slot like it (the stacked builder reads nothing churn changes)."""
     stream = StreamConfig(
         regime="hubs", events_per_step=6, rebase_threshold=0.1, seed=2
     )
-    for num_envs in (1, 2):
-        dense, inc = (
-            TopologyEnv(
-                *make_parts(stream=stream, incremental_reward=flag,
-                            num_envs=num_envs),
-                co_train=False, seed=0,
-            )
-            for flag in (False, True)
-        )
-        for _ in range(10):
-            actions = dense.sample_actions()
-            _, rew_d, _, info_d = dense.step(actions)
-            _, rew_i, _, info_i = inc.step(actions)
-            np.testing.assert_allclose(rew_i, rew_d, rtol=1e-9, atol=1e-9)
-            assert info_d[0]["stream_version"] == info_i[0]["stream_version"]
-        # The hub regime at a 0.1 threshold actually exercised the rebase
-        # rebind path (evaluator + memo keys).
-        assert inc._stream.rebases >= 1
-        assert dense._stream.rebases == inc._stream.rebases
-        assert inc._inc.base_graph is inc._stream.root
-        np.testing.assert_array_equal(
-            dense.base_graph.edge_keys(), inc.base_graph.edge_keys()
-        )
-        dense._online.verify()
-        inc._online.verify()
+    single = TopologyEnv(*make_parts(stream=stream), co_train=False, seed=0)
+    actions = np.random.default_rng(6).integers(
+        0, 3, (10, 2 * single.base_graph.num_nodes)
+    )
+    assert_matches_oracle(single, make_parts(stream=stream), actions, False)
+    # The hub regime at a 0.1 threshold actually rebased.
+    assert single._stream.rebases >= 1
+    single._online.verify()
+
+    pair = TopologyEnv(*make_parts(stream=stream, num_envs=2),
+                       co_train=False, seed=0)
+    single = TopologyEnv(*make_parts(stream=stream), co_train=False, seed=0)
+    pair.reset()
+    single.reset()
+    for step in range(10):
+        both = np.concatenate([actions[step:step + 1]] * 2)
+        _, rew_p, _, info_p = pair.step(both)
+        _, rew_s, _, info_s = single.step(actions[step:step + 1])
+        assert rew_p[0] == rew_p[1] == rew_s[0]
+        assert info_p[0]["stream_version"] == info_s[0]["stream_version"]
+    assert pair._stream.rebases == single._stream.rebases >= 1
+    np.testing.assert_array_equal(
+        pair.base_graph.edge_keys(), single.base_graph.edge_keys()
+    )
+    pair._online.verify()
 
 
 def test_online_window_verifies_inside_the_env():
@@ -118,9 +112,11 @@ def test_online_window_verifies_inside_the_env():
 
 
 # ---------------------------------------------------------------------------
-# Incremental vs dense under churn: the documented 1e-9 class
+# The ignored incremental flag under churn
 # ---------------------------------------------------------------------------
 def test_incremental_vs_dense_rewards_under_churn():
+    """``incremental_reward`` changes nothing: the rewards under churn are
+    bitwise those of the default config."""
     dense = TopologyEnv(
         *make_parts(incremental_reward=False), co_train=False
     )
@@ -135,7 +131,7 @@ def test_incremental_vs_dense_rewards_under_churn():
         action = rng.integers(0, 3, (1, 2 * n))
         _, rew_d, _, info_d = dense.step(action)
         _, rew_i, _, info_i = inc.step(action)
-        assert rew_i[0] == pytest.approx(rew_d[0], rel=1e-9, abs=1e-9)
+        assert rew_i[0] == rew_d[0]  # bitwise
         assert info_d[0]["num_edges"] == info_i[0]["num_edges"]
     np.testing.assert_array_equal(
         dense.base_graph.edge_keys(), inc.base_graph.edge_keys()

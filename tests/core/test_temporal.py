@@ -79,8 +79,7 @@ def test_temporal_rare_end_to_end(snapshots):
 
 def test_snapshots_chain_as_one_delta_against_the_base(snapshots):
     """Later snapshots are base + ONE collapsed GraphDelta — the shape
-    every root-bound cache (incremental evaluator, streaming engine,
-    stacked builder) keys on."""
+    the streaming engine keys on."""
     base = snapshots[0]
     assert base.delta is None
     for snap in snapshots[1:]:
@@ -114,35 +113,6 @@ def test_duplicate_resampled_edges_collapse():
         assert np.unique(keys).size == keys.size
         arr = snap.edge_array()
         assert (arr[:, 0] < arr[:, 1]).all()  # canonical orientation
-
-
-def test_cross_snapshot_evaluator_invalidation(snapshots):
-    """An IncrementalEvaluator bound to the first snapshot scores every
-    later one through its delta (at the documented 1e-9 halo class) and
-    never serves stale activations across a weight update."""
-    from repro.gnn import IncrementalEvaluator, Trainer, build_backbone, evaluate
-
-    base = snapshots[0]
-    split = random_split(base.labels, np.random.default_rng(0))
-    model = build_backbone(
-        "gcn", base.num_features, base.num_classes,
-        hidden=16, rng=np.random.default_rng(0),
-    )
-    evaluator = IncrementalEvaluator(model, base)
-    for snap in snapshots:
-        acc_i, loss_i = evaluator.evaluate(snap, split.train)
-        acc_d, loss_d = evaluate(model, snap, split.train)
-        assert acc_i == pytest.approx(acc_d, abs=1e-9)
-        assert loss_i == pytest.approx(loss_d, abs=1e-9)
-    # A weight update must invalidate the cached base activations.
-    Trainer(model, lr=0.05).fit(base, split, epochs=2, patience=2)
-    evaluator.invalidate()
-    for snap in snapshots:
-        acc_i, loss_i = evaluator.evaluate(snap, split.train)
-        acc_d, loss_d = evaluate(model, snap, split.train)
-        assert acc_i == pytest.approx(acc_d, abs=1e-9)
-        assert loss_i == pytest.approx(loss_d, abs=1e-9)
-    assert dict(evaluator.stats)["invalidations"] == 1
 
 
 def test_temporal_fit_warm_starts_across_snapshots(snapshots):

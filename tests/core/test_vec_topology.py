@@ -2,16 +2,13 @@
 
 The contract under test: with ``num_envs > 1`` every slot replays exactly
 the episode a ``num_envs = 1`` env produces under the same actions — the
-observations bitwise, the rewards bitwise with incremental reward off
-(rtol 1e-9 with it on, the halo class) — and the core batching hooks
+observations and the rewards bitwise — and the core batching hooks
 (clamp, observation template, one-graph stacks) agree with their
 per-episode forms exactly.  At
 ``num_envs = 1`` the env's step stream is bitwise a scalar statement of
 the MDP (the oracle in ``scalar_mdp.py``); whole fits are pinned by
 ``test_golden_fit.py``.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -31,7 +28,6 @@ from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import Trainer, build_backbone
 from repro.graph import Graph, geom_gcn_splits, random_split
 from repro.rl.vector.stacked import StackedGraphBuilder
-from repro.telemetry import Telemetry, use_telemetry
 
 from ..propagation_oracle import assert_untouched
 from .scalar_mdp import assert_matches_oracle
@@ -123,17 +119,13 @@ def test_b1_auc_reward_variant_matches():
 # ---------------------------------------------------------------------------
 def test_stacked_rewards_match_loop_evaluation():
     """The stacked B > 1 forward scores every episode like a per-episode
-    B = 1 env does, for both rewards: exactly with incremental reward off,
-    to rtol 1e-9 with it on (the B = 1 env then scores through halos)."""
+    B = 1 env does, bit for bit, for both rewards."""
     B = 4
-    for reward, incremental in itertools.product(
-        ("acc_loss", "auc"), (False, True)
-    ):
-        parts = dict(reward=reward, incremental_reward=incremental)
-        venv = TopologyEnv(*make_parts(num_envs=B, **parts), co_train=False,
-                           seed=0)
+    for reward in ("acc_loss", "auc"):
+        venv = TopologyEnv(*make_parts(num_envs=B, reward=reward),
+                           co_train=False, seed=0)
         singles = [
-            TopologyEnv(*make_parts(**parts), co_train=False)
+            TopologyEnv(*make_parts(reward=reward), co_train=False)
             for _ in range(B)
         ]
         obs_v = venv.reset()
@@ -146,11 +138,7 @@ def test_stacked_rewards_match_loop_evaluation():
                 obs_s, rew_s, done_s, _ = env.step(actions[b:b + 1])
                 np.testing.assert_array_equal(obs_s[0], obs_v[b])
                 assert done_s[0] == done_v[b]
-                if incremental:
-                    np.testing.assert_allclose(rew_s[0], rew_v[b],
-                                               rtol=1e-9, atol=1e-12)
-                else:
-                    assert rew_s[0] == rew_v[b]
+                assert rew_s[0] == rew_v[b]
 
 
 def test_batched_episodes_match_independent_sequential_envs():
@@ -214,33 +202,6 @@ def test_env_steps_pin_nothing_on_memoised_graphs():
     venv.step(venv.sample_actions())
     for graph in venv.current_graphs:
         assert_untouched(graph)
-
-
-def test_batched_steps_leave_the_evaluator_alone():
-    """At ``num_envs > 1`` the batch goes to one stacked forward: with
-    co-training off, a step that ends no episode never calls the
-    incremental evaluator (it scores only graphs scored alone), nor any
-    other halo evaluation."""
-    tel = Telemetry(enabled=True)
-
-    def halo_counters():
-        return {
-            name: value for name, value in tel.snapshot()["counters"].items()
-            if name.startswith("incremental.")
-        }
-
-    with use_telemetry(tel):
-        venv = TopologyEnv(
-            *make_parts(num_envs=3, incremental_reward=True),
-            co_train=False, seed=0,
-        )
-        before, counters = dict(venv._inc.stats), halo_counters()
-        assert before["base_hits"] == 1  # the reset's base-graph score
-        for _ in range(venv.config.horizon - 1):
-            _, _, dones, _ = venv.step(venv.sample_actions())
-            assert not dones.any()
-            assert dict(venv._inc.stats) == before
-            assert halo_counters() == counters
 
 
 def test_autoreset_and_episode_infos():

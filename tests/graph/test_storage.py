@@ -11,7 +11,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +18,7 @@ from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences, degree_profiles
 from repro.entropy.sequence import _build_screened
 from repro.gnn import GCN, GraphSAGE
-from repro.gnn.incremental import IncrementalEvaluator, PropagationRowSource
 from repro.graph import Graph
-from repro.graph.normalize import gcn_norm, row_norm
 from repro.graph.storage import (
     BUNDLE_META,
     BUNDLE_VERSION,
@@ -366,52 +363,13 @@ def test_screen_state_loader_pickles_and_builds(bundle_dir):
     )
 
 
-# -- PropagationRowSource: bitwise row service -------------------------------
-
-
-@pytest.mark.parametrize("key,builder", [
-    ("adjacency", lambda g: g.adjacency()),
-    ("gcn_norm", lambda g: gcn_norm(g)),
-    ("row_norm", lambda g: row_norm(g)),
-])
-def test_row_source_bitwise_vs_materialised(bundle_dir, key, builder):
-    g, path = bundle_dir
-    mg = load_graph_bundle(path)
-    ref = sp.csr_matrix(builder(g))
-    src = PropagationRowSource(mg, key)
-    assert src.add_self_loops == (key == "gcn_norm")
-    n = g.num_nodes
-    row_sets = [
-        np.arange(n),                     # everything
-        np.array([0]), np.array([n - 1]),  # boundaries
-        np.arange(3, min(9, n)),          # contiguous run
-        np.unique(np.array([1, 4, 5, 6, n - 2]) % n),  # scattered + runs
-    ]
-    for rows in row_sets:
-        got = src[rows]
-        want = ref[rows]
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        # Bitwise: scipy's matmul column ordering must be replicated
-        # exactly (row_norm serves reverse-sorted columns).
-        np.testing.assert_array_equal(got.indices, want.indices)
-        assert got.data.tobytes() == want.data.tobytes()
-    block = src.row_block(2, min(11, n))
-    want = ref[2 : min(11, n)]
-    np.testing.assert_array_equal(block.indices, want.indices)
-    assert block.data.tobytes() == want.data.tobytes()
-
-
-def test_row_source_rejects_unknown_key(bundle_dir):
-    _, path = bundle_dir
-    with pytest.raises(ValueError, match="key"):
-        PropagationRowSource(load_graph_bundle(path), "laplacian")
-
-
-# -- streamed incremental evaluation -----------------------------------------
+# -- dense evaluation of a memmapped graph and its edits -------------------
 
 
 @pytest.mark.parametrize("model_cls", [GCN, GraphSAGE])
 def test_streamed_evaluator_bitwise(tmp_path, model_cls):
+    """A memmapped graph and its single-edge edits score bitwise like the
+    in-RAM graph and its edits."""
     g = small_graph(n=50, seed=7)
     path = str(tmp_path / "bundle")
     save_graph_bundle(g, path)
@@ -419,41 +377,18 @@ def test_streamed_evaluator_bitwise(tmp_path, model_cls):
     rng = np.random.default_rng(11)
     model = model_cls(g.num_features, g.num_classes, hidden=8,
                       rng=np.random.default_rng(5))
-    ref_ev = IncrementalEvaluator(model, g)
-    mm_ev = IncrementalEvaluator(model, mg)
     mask = np.arange(g.num_nodes) % 3 == 0
 
-    assert mm_ev.predict_logits(mg).tobytes() == \
-        ref_ev.predict_logits(g).tobytes()
-    assert mm_ev.stats["stream_states"] == 1
-    assert ref_ev.stats["stream_states"] == 0
+    assert model.predict_logits(mg).tobytes() == \
+        model.predict_logits(g).tobytes()
 
     for _ in range(4):
         u = int(rng.integers(g.num_nodes - 1))
         v = int(rng.integers(u + 1, g.num_nodes))
         edit = (g.remove_edges, mg.remove_edges) if g.has_edge(u, v) else \
             (g.add_edges, mg.add_edges)
-        ref = ref_ev.predict_logits(edit[0]([(u, v)]))
-        got = mm_ev.predict_logits(edit[1]([(u, v)]))
+        ref = model.predict_logits(edit[0]([(u, v)]))
+        got = model.predict_logits(edit[1]([(u, v)]))
         assert got.tobytes() == ref.tobytes()
         assert masked_metrics(got, mg.labels, mask) == \
             masked_metrics(ref, g.labels, mask)
-    assert mm_ev.stats["halo_evals"] == ref_ev.stats["halo_evals"]
-
-
-def test_memmap_dense_fallback_bitwise(tmp_path):
-    """max_halo_frac=0 forces the dense path: memmap graphs route it
-    through the chunked adjacency build, still bitwise."""
-    g = small_graph(n=30, seed=9)
-    path = str(tmp_path / "bundle")
-    save_graph_bundle(g, path)
-    mg = load_graph_bundle(path)
-    model = GCN(g.num_features, g.num_classes, hidden=8,
-                rng=np.random.default_rng(5))
-    ref_ev = IncrementalEvaluator(model, g, max_halo_frac=0.0)
-    mm_ev = IncrementalEvaluator(model, mg, max_halo_frac=0.0)
-    edited_ref = g.add_edges([(0, g.num_nodes - 1)])
-    edited_mm = mg.add_edges([(0, mg.num_nodes - 1)])
-    ref = ref_ev.predict_logits(edited_ref)
-    got = mm_ev.predict_logits(edited_mm)
-    assert got.tobytes() == ref.tobytes()

@@ -281,6 +281,32 @@ MALFORMED = {
         "op": "score", "session": sid, "k": [0] * n, "d": [0] * n,
         "deadline_ms": "soon",
     }),
+    # A session id must be a string before it reaches the session
+    # registry, whose lookup hashes it.
+    "session-list-score": lambda sid, n: _frame({
+        "op": "score", "session": [1], "k": [0] * n, "d": [0] * n,
+    }),
+    "session-object-score": lambda sid, n: _frame({
+        "op": "score", "session": {"a": 1}, "k": [0] * n, "d": [0] * n,
+    }),
+    "session-list-rewire": lambda sid, n: _frame({
+        "op": "rewire", "session": [1], "k": [0] * n, "d": [0] * n,
+    }),
+    "session-object-rewire": lambda sid, n: _frame({
+        "op": "rewire", "session": {"a": 1}, "k": [0] * n, "d": [0] * n,
+    }),
+    "session-list-churn": lambda sid, n: _frame({
+        "op": "churn", "session": [1], "events": [[1, 0, 1]],
+    }),
+    "session-object-churn": lambda sid, n: _frame({
+        "op": "churn", "session": {"a": 1}, "events": [[1, 0, 1]],
+    }),
+    "session-list-close": lambda sid, n: _frame(
+        {"op": "close_session", "session": [1]}
+    ),
+    "session-object-close": lambda sid, n: _frame(
+        {"op": "close_session", "session": {"a": 1}}
+    ),
 }
 
 
@@ -308,3 +334,18 @@ def test_malformed_frames_are_bad_requests(case):
     assert answer["ok"] is False
     assert answer["error"]["code"] == "bad_request", answer
     assert pong == {"id": 7, "ok": True, "result": {"pong": True}}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_wait_ms", float("inf")),
+    ("max_wait_ms", float("nan")),
+    ("default_deadline_ms", float("inf")),
+    ("default_deadline_ms", float("nan")),
+    ("default_deadline_ms", 0.0),
+])
+def test_config_rejects_non_finite_windows(field, value):
+    """An infinite batching window never answers a lone request, a NaN one
+    puts NaN (not JSON) into shed responses, and a non-finite default
+    deadline was blamed on every client: all are rejected up front."""
+    with pytest.raises(ValueError, match=field):
+        ServeConfig(**{field: value})

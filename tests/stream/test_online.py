@@ -3,15 +3,13 @@
 The incremental integer state (edge count, same-label count, degree
 vector) is updated from net keys only; every float metric derived from
 it must be **bitwise equal** to rebuilding each windowed record from a
-brand-new fully-validated Graph.  Dense model metrics join the bitwise
-class; metrics through an IncrementalEvaluator are held to the
-documented 1e-9 halo resolution instead (docs/equivalence-policy.md).
+brand-new fully-validated Graph.  Model metrics join the bitwise class.
 """
 
 import numpy as np
 import pytest
 
-from repro.gnn import GCN, IncrementalEvaluator
+from repro.gnn import GCN
 from repro.graph import Graph
 from repro.stream import (
     OnlineEvaluator,
@@ -141,7 +139,7 @@ def test_structural_metrics_values():
 
 
 # ---------------------------------------------------------------------------
-# Model metrics: dense is bitwise, incremental is 1e-9
+# Model metrics are bitwise
 # ---------------------------------------------------------------------------
 def test_dense_model_metrics_are_bitwise():
     g = make_graph()
@@ -154,23 +152,3 @@ def test_dense_model_metrics_are_bitwise():
     churn_and_observe(online, sg, stream, 8)
     metrics = online.verify()  # acc/loss included in the bitwise check
     assert "acc_mean" in metrics and "loss_last" in metrics
-
-
-def test_incremental_model_metrics_within_halo_resolution():
-    g = make_graph()
-    model = GCN(4, 3, hidden=8, rng=np.random.default_rng(0))
-    mask = np.zeros(N, dtype=bool)
-    mask[: N // 2] = True
-    evaluator = IncrementalEvaluator(model, g)
-    sg = StreamingGraph(g, rebase_threshold=1.0)
-    stream = make_stream(g, StreamConfig(seed=2))
-    online = OnlineEvaluator(
-        g, window=6, model=model, mask=mask, evaluator=evaluator
-    )
-    churn_and_observe(online, sg, stream, 8)
-    metrics = online.verify()  # acc/loss at 1e-9, the rest bitwise
-    assert metrics["events"] == 6.0
-    # The evaluator actually ran: the churned graphs carry deltas
-    # against its base graph, so every observe hit one of its paths.
-    stats = dict(evaluator.stats)
-    assert stats["halo_evals"] + stats["full_evals"] + stats["base_hits"] > 0

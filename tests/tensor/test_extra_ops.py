@@ -103,7 +103,7 @@ def test_where_gradcheck():
 
 
 # ---------------------------------------------------------------------------
-# spmm laziness + the incremental engine's row-subset/patch kernels
+# spmm laziness
 # ---------------------------------------------------------------------------
 def _random_csr(rows=7, cols=5, seed=0):
     import scipy.sparse as sp
@@ -147,65 +147,6 @@ def test_spmm_backward_builds_transpose_once(monkeypatch):
     np.testing.assert_allclose(
         x.grad, (matrix.T @ np.ones((7, 3))), rtol=0, atol=1e-12
     )
-
-
-def test_spmm_rows_forward_matches_full_product():
-    matrix = _random_csr(rows=9, cols=6, seed=1)
-    x = RNG.standard_normal((6, 4))
-    rows = np.array([0, 3, 7])
-    out = ops.spmm_rows(matrix, rows, Tensor(x))
-    np.testing.assert_array_equal(out.data, np.asarray(matrix @ x)[rows])
-
-
-def test_spmm_rows_grad(monkeypatch):
-    matrix = _random_csr(rows=9, cols=6, seed=2)
-    rows = np.array([1, 4, 8])
-    calls = _count_transposes(monkeypatch)
-    x = Tensor(RNG.standard_normal((6, 3)), requires_grad=True)
-    ops.spmm_rows(matrix, rows, x).sum().backward()
-    assert len(calls) == 1  # lazy, built only under backward
-    dense = matrix.toarray()[rows]
-    np.testing.assert_allclose(x.grad, dense.T @ np.ones((3, 3)),
-                               rtol=0, atol=1e-12)
-    assert gradcheck(
-        lambda t: ops.spmm_rows(matrix, rows, t),
-        [RNG.standard_normal((6, 3))],
-    )
-
-
-def test_scatter_patch_rows_forward():
-    base = RNG.standard_normal((6, 3))
-    snapshot = base.copy()
-    patch = RNG.standard_normal((2, 3))
-    rows = np.array([1, 4])
-    out = ops.scatter_patch_rows(Tensor(base), rows, Tensor(patch))
-    expected = snapshot.copy()
-    expected[rows] = patch
-    np.testing.assert_array_equal(out.data, expected)
-    # Out-of-place: the base storage is untouched (the incremental
-    # evaluator relies on its cached activations staying pristine).
-    np.testing.assert_array_equal(base, snapshot)
-    np.testing.assert_array_equal(out.data[rows], patch)
-
-
-def test_scatter_patch_rows_grad_splits_by_row():
-    rows = np.array([0, 2])
-    base = Tensor(RNG.standard_normal((4, 2)), requires_grad=True)
-    patch = Tensor(RNG.standard_normal((2, 2)), requires_grad=True)
-    ops.scatter_patch_rows(base, rows, patch).sum().backward()
-    np.testing.assert_allclose(base.grad, [[0, 0], [1, 1], [0, 0], [1, 1]])
-    np.testing.assert_allclose(patch.grad, np.ones((2, 2)))
-    assert gradcheck(
-        lambda b, p: ops.scatter_patch_rows(b, rows, p),
-        [RNG.standard_normal((4, 2)), RNG.standard_normal((2, 2))],
-    )
-
-
-def test_scatter_patch_rows_shape_mismatch():
-    with pytest.raises(ValueError, match="rows"):
-        ops.scatter_patch_rows(
-            Tensor(np.zeros((4, 2))), np.array([0]), Tensor(np.zeros((2, 2)))
-        )
 
 
 def test_gather_cols_forward_and_grad():

@@ -129,16 +129,6 @@ GRADCHECK_CASES = {
         [rng.normal(size=(3, 5)), rng.normal(size=(5, 2))],
     ),
     "_Spmm": (lambda x: ops.spmm(_SPARSE, x), [rng.normal(size=(5, 3))]),
-    "_SpmmRows": (
-        lambda x: ops.spmm_rows(_SPARSE, np.array([0, 2, 4]), x),
-        [rng.normal(size=(5, 3))],
-    ),
-    "_ScatterPatchRows": (
-        lambda base, patch: ops.scatter_patch_rows(
-            base, np.array([1, 3]), patch
-        ),
-        [rng.normal(size=(5, 3)), rng.normal(size=(2, 3))],
-    ),
     "_GatherRows": (
         lambda x: ops.gather_rows(x, np.array([0, 2, 2, 4])),
         [rng.normal(size=(5, 3))],

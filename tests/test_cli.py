@@ -49,6 +49,18 @@ def test_entropy_engine_flags_parse():
             )
 
 
+def test_run_has_no_incremental_reward_flag(capsys):
+    """Every reward is scored by the dense forward; there is no flag to
+    ask for another scorer."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["run", "--dataset", "texas", "--incremental-reward"]
+        )
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    assert "--incremental-reward" not in capsys.readouterr().out
+
+
 def test_rewire_with_screening_engine(tmp_path, capsys):
     """A bundle-backed rewire streams the screened engine on the
     requested number of threads."""
@@ -206,7 +218,6 @@ def test_run_graph_bundle_streams(tmp_path, capsys):
     code = main([
         "run", "--graph-bundle", path, "--backbone", "gcn",
         "--episodes", "1", "--horizon", "2", "--k-max", "2", "--d-max", "2",
-        "--incremental-reward",
     ])
     assert code == 0
     assert "mean over 1 split" in capsys.readouterr().out
@@ -352,6 +363,8 @@ def test_rewire_num_workers_error_is_one_line(capsys):
     ("--max-sessions", "0", "max_sessions must be >= 1, got 0"),
     ("--memo-entries", "0", "memo_entries must be >= 1, got 0"),
     ("--max-wait-ms", "-1", "max_wait_ms must be >= 0, got -1.0"),
+    ("--max-wait-ms", "inf", "max_wait_ms must be finite, got inf"),
+    ("--max-wait-ms", "nan", "max_wait_ms must be finite, got nan"),
 ])
 def test_serve_config_errors_are_one_line(flag, value, message, capsys):
     """A bad ``serve`` limit used to end in a traceback; it now exits 2

@@ -56,7 +56,8 @@ def check_file(path: Path) -> list:
         elif isinstance(node, ast.ClassDef):
             if node.name.startswith("_"):
                 # Private classes implement an interface documented on
-                # their public base (e.g. the HaloPlan subclasses).
+                # their public base (e.g. the ``Function`` subclasses of
+                # ``repro.tensor.ops``).
                 continue
             if not _has_doc(node):
                 problems.append(f"{path}:{node.lineno}: public class "
