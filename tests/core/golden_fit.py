@@ -50,13 +50,6 @@ CASES: List[Tuple[str, str, str, int, bool, str, bool]] = [
      True),
 ]
 
-#: Fields compared exactly; ``episode_rewards`` is compared at rtol 1e-9.
-EXACT_FIELDS = (
-    "test_acc", "val_acc", "baseline_test_acc",
-    "accuracy_curve", "homophily_curve", "optimized_graph_sha256",
-)
-
-
 def run_case(name: str, backbone: str, rl: str, num_envs: int,
              incremental: bool, reward: str, churn: bool):
     """The ``RareResult`` of one pinned case."""
