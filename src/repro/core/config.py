@@ -106,11 +106,12 @@ class RareConfig:
     the classical static-graph setting.  A
     :class:`~repro.stream.StreamConfig` makes the environment fold
     ``events_per_step`` external add/remove edge events into the base
-    topology at the start of every MDP step, interleaved with the
-    agent's own rewires — both delta sources collapse to one shared
-    root so propagation caches and rewire memos stay valid, with a
-    bitwise-verified rebase above ``rebase_threshold`` dirty nodes.
-    See ``docs/streaming.md``."""
+    topology at the start of every MDP step, before the agents' moves.
+    The events collapse to one delta against a shared root, with a
+    bitwise-verified rebase above ``rebase_threshold`` dirty nodes; the
+    agents' rewires are rebuilt from the live base and never fed back,
+    and the ``(k, d)`` rewire memo is emptied whenever the stream
+    version changes.  See ``docs/streaming.md``."""
 
     seed: int = 0
 

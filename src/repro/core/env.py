@@ -26,10 +26,11 @@ path.  Per batched step:
   ``(B, N, OBS_DIM)`` array.
 * **State clamping** — one broadcasted
   :func:`~repro.core.rewire.clamp_state_batch` over ``(B, N)`` arrays.
-* **Rewiring** — per-episode delta rewires against the base edge keys,
-  memoised in one cross-episode ``(k, d)`` LRU, so any episode revisiting
-  a state gets the exact same :class:`Graph` object (and its cached
-  propagation matrices) free.
+* **Rewiring** — per-episode rewires of the base edge keys, memoised in
+  one cross-episode ``(k, d)`` LRU, so any episode revisiting a state
+  gets the exact same :class:`Graph` object (and its cached propagation
+  matrices) free.  Under churn the memo holds rewires of the live base
+  only: it is emptied whenever the stream version changes.
 * **Reward evaluation** — one scoring path at every width: one GNN
   forward over a block-diagonal stacked graph
   (:class:`~repro.rl.vector.stacked.StackedGraphBuilder`; one graph is
@@ -327,14 +328,11 @@ class TopologyEnv(VecEnv):
         revisits a state (all-keep actions, oscillating policies, another
         episode's state) reuses the exact Graph object, and with it every
         propagation matrix cached on it.  A hit refreshes the entry's
-        recency (true LRU), so hot states survive early insertion.
+        recency (true LRU), so hot states survive early insertion.  Under
+        churn the "original" topology is the live base, and
+        :meth:`_advance_stream` empties the memo when it changes.
         """
         key = k.tobytes() + d.tobytes()
-        if self._stream is not None:
-            # The base graph drifts under churn: the memo key carries the
-            # stream version so an entry built against an older topology
-            # can never be served again (it just ages out of the LRU).
-            key = self._stream.version.to_bytes(8, "little") + key
         graph = self._rewire_cache.get(key)
         if graph is None:
             with self._tel.span("env.rewire", hist="rl.rewire_s"):
@@ -358,15 +356,18 @@ class TopologyEnv(VecEnv):
         Streaming-mode step prologue: draw ``events_per_step`` events from
         the seeded generator (one batch per batched step: all episodes
         share the drifting base), apply them as one collapsed delta and
-        feed the net inserted/deleted keys to the online evaluator.  The
-        rewire memo needs no flush because its keys carry the stream
-        version.  The clamp bounds are refreshed every churn step (degrees
-        moved) and the memoised base metrics are dropped so autoresets
-        re-score the current topology.
+        feed the net inserted/deleted keys to the online evaluator.  When
+        the stream version changes, the rewire memo is emptied: every
+        entry was built against an older topology.  The clamp bounds are
+        refreshed every churn step (degrees moved) and the memoised base
+        metrics are dropped so autoresets re-score the current topology.
         """
+        version = self._stream.version
         report = self._stream.apply(
             self._churn.take(self.config.stream.events_per_step)
         )
+        if report.version != version:
+            self._rewire_cache.clear()
         self._online.observe(
             self._stream.current, report.added_keys, report.removed_keys
         )

@@ -5,13 +5,13 @@ the graph from the *original* topology: for every node ``v`` it connects the
 top-``k_v`` entries of ``v``'s entropy sequence and removes the edges to the
 ``d_v`` lowest-entropy one-hop neighbours.
 
-The rewiring is delta-based: the add/remove pairs implied by ``(k, d)`` are
-gathered with batched numpy from the entropy sequences' CSR layout and
-applied to the base graph's sorted edge-key array with set operations on
-int64 keys — the resulting graph is rebuilt through the trusted fast
-constructor without re-hashing a single edge.  The seed's set-of-tuples loop
-survives as :func:`rewire_graph_reference` for the equivalence property
-tests and the scaling benchmark.
+The rewiring works on edge keys: the add/remove pairs implied by
+``(k, d)`` are gathered with batched numpy from the entropy sequences' CSR
+layout and applied to the base graph's sorted edge-key array as one set
+difference and one merge of int64 keys — the resulting graph is rebuilt
+through the trusted fast constructor without re-hashing a single edge.
+The seed's set-of-tuples loop survives as :func:`rewire_graph_reference`
+for the equivalence property tests and the scaling benchmark.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..entropy import EntropySequences
-from ..graph import Graph, GraphDelta
-from ..graph.graph import _collapsed_delta
+from ..graph import Graph
 
 
 def state_bounds(
@@ -139,11 +138,9 @@ def rewire_graph(
 
     An edge is removed when *either* endpoint selects it for deletion, and
     added when either endpoint selects the pair — consistent with keeping
-    the graph undirected.
-
-    The engine knows exactly which keys it dropped and inserted, so the
-    result carries a :class:`~repro.graph.GraphDelta` against ``graph``
-    (the churn engine's rebase rule reads it).
+    the graph undirected.  ``graph`` may itself be derived (a churned
+    topology): the result depends only on its edge keys, and it carries
+    no :class:`~repro.graph.GraphDelta`, so it keeps no other graph alive.
     """
     k = np.asarray(k, dtype=np.int64)
     d = np.asarray(d, dtype=np.int64)
@@ -154,34 +151,15 @@ def rewire_graph(
         )
 
     nn = np.int64(n)
-    base_keys = graph.edge_keys()
-    keys = base_keys
-    removed = np.empty(0, dtype=np.int64)
+    keys = graph.edge_keys()
     if remove_edges and (d > 0).any():
         gone = _removal_keys(sequences, d, nn)
-        present = np.isin(keys, gone, assume_unique=True)
-        removed = keys[present]
-        keys = keys[~present]
-    added = np.empty(0, dtype=np.int64)
+        keys = keys[~np.isin(keys, gone, assume_unique=True)]
     if add_edges and (k > 0).any():
+        # A candidate may re-insert an edge the removal pass just dropped.
         cand = _addition_keys(sequences, k, nn)
-        # A candidate may re-insert an edge the removal pass just dropped;
-        # the net delta below accounts for that (it is neither added nor
-        # removed relative to the base graph).
         keys = _sorted_unique(np.concatenate([keys, cand]))
-        added = keys[np.isin(keys, base_keys, assume_unique=True, invert=True)]
-        if removed.shape[0]:
-            removed = removed[
-                np.isin(removed, keys, assume_unique=True, invert=True)
-            ]
-    out = Graph._from_keys(n, keys, graph.features, graph.labels)
-    if graph.delta is None:
-        out.delta = GraphDelta(graph, added, removed)
-    else:
-        # Rewiring a graph that is itself derived: collapse the delta to
-        # the root so no chain of intermediates stays pinned.
-        out.delta = _collapsed_delta(graph, keys)
-    return out
+    return Graph._from_keys(n, keys, graph.features, graph.labels)
 
 
 def rewire_graph_reference(

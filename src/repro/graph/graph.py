@@ -24,18 +24,19 @@ Edge = Tuple[int, int]
 class GraphDelta:
     """The edge-level difference between a graph and the base it came from.
 
-    Functional updates (:func:`repro.core.rewire.rewire_graph`,
-    :meth:`Graph.add_edges`, :meth:`Graph.remove_edges`) already know exactly
-    which canonical edge keys they inserted and deleted; recording that
-    knowledge on the derived graph lets downstream consumers (the churn
-    engine's rebase rule, :class:`~repro.stream.StreamingGraph`) read an
-    edit's touched nodes without diffing key sets.
+    The edge edits :meth:`Graph.add_edges` and :meth:`Graph.remove_edges`
+    (and :func:`repro.stream.apply_events`, built on them) already know
+    exactly which canonical edge keys they inserted and deleted; recording
+    that knowledge on the derived graph lets the churn engine's rebase
+    rule (:meth:`repro.stream.StreamingGraph.dirty_fraction`) read the
+    touched nodes without diffing key sets.  Rewires
+    (:func:`repro.core.rewire.rewire_graph`) record none: nothing reads
+    it, and a rewire kept in a memo would keep its base alive.
 
     ``base`` is a live reference: it keeps the root graph (and whatever is
-    memoised in its ``cache``) alive for the derived graph's lifetime.
-    That is exactly what the reward loop wants — every rewire shares one
-    immutable base — but a caller deriving a graph only to discard the
-    original can sever the link with ``derived.delta = None``.
+    memoised in its ``cache``) alive for the derived graph's lifetime.  A
+    caller deriving a graph only to discard the original can sever the
+    link with ``derived.delta = None``.
 
     Attributes
     ----------
@@ -58,27 +59,11 @@ class GraphDelta:
         self.added = np.asarray(added, dtype=np.int64)
         self.removed = np.asarray(removed, dtype=np.int64)
 
-    @property
-    def num_edits(self) -> int:
-        """Total number of inserted plus deleted edges."""
-        return int(self.added.shape[0] + self.removed.shape[0])
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether the delta edits nothing (the graph equals its base)."""
-        return self.num_edits == 0
-
-    def edit_pairs(self) -> np.ndarray:
-        """All edited edges as an ``(num_edits, 2)`` canonical-pair array."""
-        keys = np.concatenate([self.added, self.removed])
-        n = np.int64(self.base.num_nodes)
-        return np.stack([keys // n, keys % n], axis=1)
-
     def touched_nodes(self) -> np.ndarray:
         """Sorted unique endpoints of every inserted or deleted edge."""
-        if self.is_empty:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.edit_pairs().ravel())
+        keys = np.concatenate([self.added, self.removed])
+        n = np.int64(self.base.num_nodes)
+        return np.unique(np.concatenate([keys // n, keys % n]))
 
     def __repr__(self) -> str:
         return (

@@ -12,7 +12,7 @@ The batched-forward kernel behind every reward of
 * The stacked graph is built from the member graphs' edge keys and
   builds its own propagation matrices on the forward (one O(B * E) pass
   each, :mod:`repro.graph.normalize`); nothing is cached on a member
-  graph, so a memoised rewire holds only its keys and delta.
+  graph, so a memoised rewire holds only its edge keys.
 * One graph is its own stack: ``stacked_graph([g])`` is ``g``, so a
   width-1 score is the plain per-graph forward on ``g``'s own
   propagation caches.

@@ -289,6 +289,8 @@ class MicroBatcher:
                 try:
                     memo = req.session.memo
                     artifact = req.session.artifact
+                    # Exact: this batch's churns already ran, and one
+                    # that changed the topology emptied the memo.
                     cached = artifact.memo_key(req.k, req.d) in memo
                     graph = artifact.rewired(req.k, req.d, memo)
                     req.result = {

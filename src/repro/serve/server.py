@@ -248,7 +248,9 @@ class RewiringServer:
         """Fold external edge events into the session's artifact.
 
         Events are ``[kind, u, v]`` (times auto-assigned in list order)
-        or ``[time, kind, u, v]`` with ``kind`` +1 (add) / -1 (remove).
+        or ``[time, kind, u, v]`` with ``kind`` +1 (add) / -1 (remove);
+        every field is a JSON integer within int64 (a float, a string, a
+        boolean or a larger integer is a bad request, never coerced).
         Validation happens here on the loop thread; the application runs
         on the batcher's worker, serialized with scoring — churns within
         a micro-batch apply before any rewire or score in it.
@@ -263,12 +265,12 @@ class RewiringServer:
                 raise BadRequestError(
                     "each event must be [kind, u, v] or [time, kind, u, v]"
                 )
-            try:
-                item = tuple(int(x) for x in item)
-            except (TypeError, ValueError) as exc:
+            if not all(
+                type(x) is int and -(2 ** 63) <= x < 2 ** 63 for x in item
+            ):
                 raise BadRequestError(
-                    f"event fields must be integers: {item!r}"
-                ) from exc
+                    f"event fields must be integers within int64: {item!r}"
+                )
             events.append(
                 EdgeEvent(*item) if len(item) == 4 else EdgeEvent(i, *item)
             )

@@ -12,7 +12,9 @@ what is per-tenant:
   one set of cached propagation matrices).
 * :class:`GraphSession` — a tenant's handle: a reference to its
   artifact plus a private ``(k, d)`` rewire memo
-  (:class:`~repro.core.lru.LRUCache`).  Sessions are cheap; the
+  (:class:`~repro.core.lru.LRUCache`) of rewires of the live topology
+  only: a churn that changes the topology empties it.  Sessions are
+  cheap; the
   :class:`SessionManager` LRU-evicts the stalest when the configured
   bound would be exceeded.  In-flight requests hold strong session
   references, so eviction mid-request only prevents *new* lookups — the
@@ -22,6 +24,7 @@ what is per-tenant:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -134,10 +137,10 @@ class GraphArtifact:
 
     All heavy members are built once in :func:`build_artifact`; after
     construction the artifact mutates only under ``churn`` (live edge
-    events fold into :attr:`graph` and bump :attr:`version`, see
-    ``docs/streaming.md``) and through the stacked builder's per-width
-    feature tiles — both only ever touched from the server's single
-    scoring thread, so no locking is needed.
+    events fold into :attr:`graph`, bump :attr:`version` and empty the
+    rewire memos, see ``docs/streaming.md``) and through the stacked
+    builder's per-width feature tiles — all only ever touched from the
+    server's single scoring thread, so no locking is needed.
     """
 
     def __init__(
@@ -157,11 +160,15 @@ class GraphArtifact:
         self.trainer = trainer
         self.split = split
         self.stack = stack
-        #: Bumps on every effective churn batch and on every rebase; the
-        #: per-session rewire memos key on it, so a cached graph built
+        #: Bumps on every effective churn batch and on every rebase, and
+        #: each bump empties every rewire memo, so a cached graph built
         #: against an older topology can never be served after a churn.
         self.version = 0
         self._stream = None  # lazy StreamingGraph, first churn builds it
+        # Every live memo ``rewired`` has filled, by id.  ``churn`` reads
+        # them through ``valuerefs()``, one atomic snapshot, because a
+        # memo may die on the event-loop thread meanwhile.
+        self._memos = weakref.WeakValueDictionary()
         train = np.asarray(split.train)
         if train.dtype == bool:
             train = np.flatnonzero(train)
@@ -186,13 +193,19 @@ class GraphArtifact:
             k, d, self.graph, self.sequences, self.spec.k_max, self.spec.d_max
         )
 
-    def memo_key(self, k: np.ndarray, d: np.ndarray) -> bytes:
-        """Session-memo key of a clamped ``(k, d)``: the artifact version
-        (invalidates exactly the entries churn made stale) + the state."""
-        return self.version.to_bytes(8, "little") + k.tobytes() + d.tobytes()
+    @staticmethod
+    def memo_key(k: np.ndarray, d: np.ndarray) -> bytes:
+        """Session-memo key of a clamped ``(k, d)``: the state alone, since
+        a memo only ever holds rewires of the live version."""
+        return k.tobytes() + d.tobytes()
 
     def rewired(self, k: np.ndarray, d: np.ndarray, memo: LRUCache) -> Graph:
-        """The (memoised) entropy-guided rewire for clamped ``(k, d)``."""
+        """The (memoised) entropy-guided rewire for clamped ``(k, d)``.
+
+        ``memo`` is registered with the artifact, so the next churn that
+        changes :attr:`version` empties it.
+        """
+        self._memos[id(memo)] = memo
         key = self.memo_key(k, d)
         graph = memo.get(key)
         if graph is None:
@@ -210,9 +223,10 @@ class GraphArtifact:
         promotes a fresh bitwise-verified root.  The stacked builder
         reads only the node count, features and labels, which churn never
         changes, so it survives both.  :attr:`version` tracks the
-        stream's version, which bumps on every *effective* batch: a fully
-        no-op batch leaves the graph, the version and every memoised
-        rewire valid.
+        stream's version, which bumps on every *effective* batch; a bump
+        empties every memo :meth:`rewired` has filled (a clear, not an
+        eviction).  A fully no-op batch leaves the graph, the version and
+        every memoised rewire valid.
         """
         from ..stream import StreamingGraph
 
@@ -220,7 +234,12 @@ class GraphArtifact:
             self._stream = StreamingGraph(self.graph)
         report = self._stream.apply(events)
         self.graph = self._stream.current
-        self.version = self._stream.version
+        if report.version != self.version:
+            self.version = report.version
+            for ref in self._memos.valuerefs():
+                memo = ref()
+                if memo is not None:
+                    memo.clear()
         return {
             "applied": report.applied,
             "added": int(report.added_keys.shape[0]),

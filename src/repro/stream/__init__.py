@@ -4,10 +4,10 @@ The dynamic-graph workload class (the paper's future-work direction, per
 ``ROADMAP.md``): an external stream of timestamped add/remove edge
 events (:mod:`~repro.stream.events`) folds into a live graph as chained
 :class:`~repro.graph.graph.GraphDelta` edits
-(:class:`~repro.stream.engine.StreamingGraph`), interleaved with the
-agent's own rewires — both delta sources collapse to one shared root
-until a dirty-fraction threshold triggers a bitwise-verified fresh
-rebuild.
+(:class:`~repro.stream.engine.StreamingGraph`) that collapse to one
+shared root until a dirty-fraction threshold triggers a
+bitwise-verified fresh rebuild.  Consumers that memoise rewires of the
+live graph drop them whenever its ``version`` changes.
 :class:`~repro.stream.online.OnlineEvaluator` maintains sliding-window
 accuracy/entropy metrics incrementally, byte-identical to full
 recomputation at every window boundary.  See ``docs/streaming.md``.

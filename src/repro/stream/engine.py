@@ -8,16 +8,18 @@ topology:
   collapsed :class:`~repro.graph.graph.GraphDelta`.
 
 External event batches fold in through
-:func:`~repro.stream.events.apply_events`; agent rewires
-(:func:`~repro.core.rewire.rewire_graph` against ``current``) collapse to
-the same root by construction, so one delta measures how far the live
-graph has drifted.  When the accumulated dirty-node fraction
+:func:`~repro.stream.events.apply_events`, whose deltas collapse to the
+same root, so one delta measures how far the live graph has drifted.
+Rewires of ``current`` (:func:`~repro.core.rewire.rewire_graph`) carry
+no delta and are never fed back; their consumers (the env's and the
+server's ``(k, d)`` memos) drop every entry when :attr:`version` changes.
+When the accumulated dirty-node fraction
 crosses ``rebase_threshold`` the chained representation stops paying off:
 :meth:`rebase` rebuilds ``current`` from scratch through the fully
 validated :class:`~repro.graph.Graph` constructor, verifies the rebuild
 is **bitwise identical** to the chained edge keys, and promotes it to the
-new root (bumping :attr:`version` so memo keys derived from the old root
-can never serve stale graphs).
+new root (bumping :attr:`version`, so memos of rewires of the old
+topology are dropped too).
 
 Telemetry: ``stream.events`` / ``stream.rebases`` counters, a
 ``stream.apply`` span per batch (``stream.apply_s`` histogram),
@@ -27,7 +29,7 @@ Telemetry: ``stream.events`` / ``stream.rebases`` counters, a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +57,8 @@ class ChurnReport:
     """Whether the batch tripped the rebase threshold."""
     version: int = 0
     """Engine version after the batch; bumps on every effective apply
-    and on every rebase, so ``(version, k, d)`` memo keys are exact."""
+    and on every rebase, so a ``(k, d)`` memo dropped whenever it
+    changes never serves a rewire of an older topology."""
 
 
 class StreamingGraph:
@@ -89,14 +92,13 @@ class StreamingGraph:
         """Node count of the live graph (fixed across churn)."""
         return self.current.num_nodes
 
-    def dirty_fraction(self, graph: Optional[Graph] = None) -> float:
-        """Touched-node fraction of ``graph`` (default: ``current``)
-        relative to the root — the rebase trigger metric."""
-        graph = self.current if graph is None else graph
-        delta = graph.delta
-        if delta is None or delta.is_empty:
+    def dirty_fraction(self) -> float:
+        """Touched-node fraction of ``current`` relative to the root — the
+        rebase trigger metric."""
+        delta = self.current.delta
+        if delta is None:
             return 0.0
-        return delta.touched_nodes().shape[0] / graph.num_nodes
+        return delta.touched_nodes().shape[0] / self.num_nodes
 
     # ------------------------------------------------------------------
     def apply(self, events: Sequence[EdgeEvent]) -> ChurnReport:
@@ -149,9 +151,8 @@ class StreamingGraph:
         (re-sorting, re-deduplicating, re-validating every edge) and is
         verified **bitwise identical** to the chained edge keys before it
         replaces the root — a silently divergent fast path can never be
-        promoted.  Consumers must re-bind root-addressed caches
-        (evaluators, memo namespaces) after a rebase; :attr:`version`
-        bumps so keyed caches invalidate automatically.
+        promoted.  :attr:`version` bumps, so consumers that drop their
+        memos on a version change drop them here too.
         """
         with self._tel.span("stream.rebase", hist="stream.rebase_s"):
             chained = self.current

@@ -11,7 +11,7 @@ directly.
 import numpy as np
 import pytest
 
-from repro.core import RareConfig, TopologyEnv
+from repro.core import RareConfig, TopologyEnv, rewire_graph
 from repro.datasets import planted_partition_graph
 from repro.entropy import RelativeEntropy, build_entropy_sequences
 from repro.gnn import Trainer, build_backbone
@@ -148,13 +148,19 @@ def test_rewire_memo_is_version_keyed():
     d = np.full(env.base_graph.num_nodes, 1)
     before = env._rewired(k, d)
     assert env._rewired(k, d) is before  # same version: memo hit
+    assert len(env._rewire_cache) == 1
     version = env._stream.version
     while env._stream.version == version:  # drain until effective churn
         env._advance_stream()
+    # New stream version: every entry was built against an older base.
+    assert len(env._rewire_cache) == 0
     after = env._rewired(k, d)
-    # New stream version: the memoised pre-churn graph is never served.
     assert after is not before
-    assert after.delta is None or after.delta.base is env._stream.root
+    assert after.delta is None
+    np.testing.assert_array_equal(
+        after.edge_keys(),
+        rewire_graph(env.base_graph, env.sequences, k, d).edge_keys(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Random JSON-object frames go to one live server over one connection:
 ``op`` is one of the seven request ops or junk, and ``session``, ``k``,
 ``d``, ``spec``, ``events`` and ``deadline_ms`` are drawn from JSON
 values (with well-formed values mixed in, so frames also reach the
-batcher, the rewire and the churn engine).  ``internal`` is reserved for
-server bugs, so no frame may answer it, and the connection must keep
-serving: a ``ping`` after each example answers.
+batcher, the rewire and the churn engine; the fields of a well-formed
+event list are also drawn from unbounded integers, floats, text and
+booleans).  ``internal`` is reserved for server bugs, so no frame may
+answer it, and the connection must keep serving: a ``ping`` after each
+example answers.
 """
 
 import asyncio
@@ -38,6 +40,21 @@ json_values = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+def event_lists(n):
+    """Lists of ``[kind, u, v]`` / ``[time, kind, u, v]`` events whose
+    fields are near-valid integers, unbounded or int64-edge integers,
+    floats, text or booleans."""
+    field = (
+        st.integers(-2, n + 1) | st.integers()
+        | st.integers(2 ** 63 - 2, 2 ** 64) | st.booleans()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=4)
+    )
+    return st.lists(
+        st.lists(field, min_size=3, max_size=4), min_size=1, max_size=4
+    )
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +95,7 @@ def _frame(draw, session, n):
         "k": vector,
         "d": vector,
         "spec": json_values | st.just(SPEC),
-        "events": json_values | st.lists(
-            st.lists(st.integers(-2, n + 1), min_size=3, max_size=4),
-            min_size=1, max_size=4,
-        ),
+        "events": json_values | event_lists(n),
         "deadline_ms": json_values | st.floats(0.0, 1e4),
     }
     frame = {"op": draw(st.sampled_from(OPS) | json_values)}
@@ -106,3 +120,17 @@ def test_random_frames_never_answer_internal(live, data):
     assert ask({"id": -1, "op": "ping"}) == {
         "id": -1, "ok": True, "result": {"pong": True},
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_churn_events_never_answer_internal(live, data):
+    """Churn frames on the open session: every event list either applies
+    or answers ``bad_request``."""
+    ask, session, n = live
+    events = data.draw(event_lists(n))
+    answer = ask({"id": 1, "op": "churn", "session": session,
+                  "events": events})
+    assert answer["id"] == 1
+    if not answer["ok"]:
+        assert answer["error"]["code"] == "bad_request", (events, answer)

@@ -239,35 +239,53 @@ def test_rebase_keeps_the_stack_and_batched_scores_bitwise():
 # Memo invalidation semantics
 # ---------------------------------------------------------------------------
 def test_churn_invalidates_rewire_memo_noop_churn_preserves_it():
+    """An effective churn empties every memo on the artifact, another
+    tenant's included; a no-op churn keeps every entry."""
+
     async def run():
         server, client = await _serving(config())
         info = await client.open_session(SPEC)
         sid, n = info["session"], info["num_nodes"]
+        other = (await client.open_session(SPEC))["session"]
+        memos = [server.sessions.get(s).memo for s in (sid, other)]
         k = d = np.ones(n, dtype=np.int64)
         first = await client.rewire(sid, k, d)
         warm = await client.rewire(sid, k, d)
+        await client.rewire(other, k, d)
+        sizes = [[len(m) for m in memos]]
         # A no-op churn: re-add an edge that is already present.
         u, v = server.sessions.get(sid).artifact.graph.edge_array()[0]
         noop = await client.churn(sid, [[1, int(u), int(v)]])
+        sizes.append([len(m) for m in memos])
         still_warm = await client.rewire(sid, k, d)
         effective = await client.churn(
             sid, _effective_events(server, sid, 4)
         )
+        sizes.append([len(m) for m in memos])
         cold = await client.rewire(sid, k, d)
+        warm_again = await client.rewire(sid, k, d)
+        sizes.append([len(m) for m in memos])
         await client.close()
         await server.stop()
-        return first, warm, noop, still_warm, effective, cold
+        return first, warm, noop, still_warm, effective, cold, warm_again, sizes
 
-    first, warm, noop, still_warm, effective, cold = asyncio.run(run())
+    first, warm, noop, still_warm, effective, cold, warm_again, sizes = (
+        asyncio.run(run())
+    )
     assert first["cached"] is False
     assert warm["cached"] is True
+    assert sizes[0] == [1, 1]
     # No net change: version untouched, memo entries stay valid.
     assert noop["added"] == 0 and noop["removed"] == 0
     assert noop["version"] == 0 and noop["rebased"] is False
+    assert sizes[1] == [1, 1]
     assert still_warm["cached"] is True
-    # Effective churn: version bumped, stale entries unreachable.
+    # Effective churn: version bumped, every memo on the artifact emptied.
     assert effective["version"] >= 1
+    assert sizes[2] == [0, 0]
     assert cold["cached"] is False
+    assert warm_again["cached"] is True
+    assert sizes[3] == [1, 0]
 
 
 def test_bad_churn_events_are_rejected_and_harmless():
@@ -284,6 +302,14 @@ def test_bad_churn_events_are_rejected_and_harmless():
             await client.churn(sid, [[1, 0, n]])
         with pytest.raises(BadRequestError, match="unknown event kind"):
             await client.churn(sid, [[3, 0, 1]])
+        # Every field must be a JSON integer within int64: nothing is
+        # truncated (2.9 -> node 2), parsed ("1") or widened (true -> 1),
+        # and an integer past int64 is a bad request, not an overflow.
+        for bad in ([[1, 2 ** 70, 3]], [[2 ** 63, 1, 2, 3]], [[1.5, 2, 3]],
+                    [[1, 2.9, 3]], [["1", 2, 3]], [[True, 2, 3]],
+                    [[1, 2, None]]):
+            with pytest.raises(BadRequestError, match="within int64"):
+                await client.request("churn", session=sid, events=bad)
         # Rejection is loop-side: nothing reached the graph, and the
         # server still serves.
         edges_after = server.sessions.get(sid).artifact.graph.num_edges
