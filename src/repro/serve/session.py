@@ -14,11 +14,11 @@ what is per-tenant:
   artifact plus a private ``(k, d)`` rewire memo
   (:class:`~repro.core.lru.LRUCache`) of rewires of the live topology
   only: a churn that changes the topology empties it.  Sessions are
-  cheap; the
-  :class:`SessionManager` LRU-evicts the stalest when the configured
-  bound would be exceeded.  In-flight requests hold strong session
-  references, so eviction mid-request only prevents *new* lookups — the
-  running batch completes safely against the evicted object.
+  cheap; the :class:`SessionManager` LRU-evicts the stalest when the
+  configured bound would be exceeded.  In-flight requests hold strong
+  session references, so eviction mid-request only prevents *new*
+  lookups — the running batch completes safely against the evicted
+  object.
 """
 
 from __future__ import annotations

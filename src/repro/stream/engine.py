@@ -13,11 +13,11 @@ same root, so one delta measures how far the live graph has drifted.
 Rewires of ``current`` (:func:`~repro.core.rewire.rewire_graph`) carry
 no delta and are never fed back; their consumers (the env's and the
 server's ``(k, d)`` memos) drop every entry when :attr:`version` changes.
-When the accumulated dirty-node fraction
-crosses ``rebase_threshold`` the chained representation stops paying off:
-:meth:`rebase` rebuilds ``current`` from scratch through the fully
-validated :class:`~repro.graph.Graph` constructor, verifies the rebuild
-is **bitwise identical** to the chained edge keys, and promotes it to the
+When the accumulated dirty-node fraction crosses ``rebase_threshold``
+the chained representation stops paying off: :meth:`rebase` rebuilds
+``current`` from scratch through the fully validated
+:class:`~repro.graph.Graph` constructor, verifies the rebuild is
+**bitwise identical** to the chained edge keys, and promotes it to the
 new root (bumping :attr:`version`, so memos of rewires of the old
 topology are dropped too).
 
@@ -125,8 +125,8 @@ class StreamingGraph:
             self._tel.count("stream.events", len(events))
         if added.shape[0] or removed.shape[0]:
             # Only *effective* batches bump the version: a fully no-op
-            # batch leaves the graph — and every version-keyed memo
-            # entry — exactly as valid as before.
+            # batch leaves the graph — and every memo entry dropped on a
+            # version change — exactly as valid as before.
             self.version += 1
         dirty = self.dirty_fraction()
         self._tel.set_gauge("stream.dirty_frac", dirty)

@@ -122,15 +122,18 @@ def test_random_frames_never_answer_internal(live, data):
     }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_random_churn_events_never_answer_internal(live, data):
-    """Churn frames on the open session: every event list either applies
+    """Churn frames on an open session: every event list either applies
     or answers ``bad_request``."""
-    ask, session, n = live
+    ask, _, n = live
+    # The random frames above may have closed or evicted the fixture's
+    # session; a fresh one reuses the artifact.
+    session = ask({"id": 0, "op": "open_session", "spec": SPEC})
     events = data.draw(event_lists(n))
-    answer = ask({"id": 1, "op": "churn", "session": session,
-                  "events": events})
+    answer = ask({"id": 1, "op": "churn",
+                  "session": session["result"]["session"], "events": events})
     assert answer["id"] == 1
     if not answer["ok"]:
         assert answer["error"]["code"] == "bad_request", (events, answer)

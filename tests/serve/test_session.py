@@ -1,5 +1,11 @@
 """Sessions and artifacts: spec validation, artifact sharing, memo
-reuse, LRU eviction (including eviction with a request in flight)."""
+reuse, LRU eviction (including eviction with a request in flight), memos
+emptied by churn while other threads drop them."""
+
+import sys
+import threading
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from repro.serve.session import (
     SessionSpec,
     build_artifact,
 )
+from repro.stream import ADD, REMOVE, EdgeEvent
 
 from ..propagation_oracle import assert_untouched
 
@@ -159,3 +166,55 @@ def test_artifact_build_is_deterministic():
     two = build_artifact(SPEC, max_batch=2)
     for p1, p2 in zip(one.model.parameters(), two.model.parameters()):
         assert p1.data.tobytes() == p2.data.tobytes()
+
+
+def test_churn_empties_memos_while_other_threads_drop_them():
+    """The server fills memos and churns on its worker thread, while the
+    event-loop thread may drop the last reference to a session's memo at
+    any moment.  Under a short switch interval, with more dropping
+    threads than cores, every effective churn still succeeds and leaves
+    every live memo it served empty."""
+    artifact = build_artifact(SPEC, max_batch=2)
+    n = artifact.graph.num_nodes
+    k, d = artifact.clamp(np.ones(n, dtype=np.int64),
+                          np.ones(n, dtype=np.int64))
+    u, v = next(
+        (0, w) for w in range(1, n) if not artifact.graph.has_edge(0, w)
+    )
+    handed_off: deque = deque()
+    stop = threading.Event()
+
+    def drop():
+        while not stop.is_set():
+            try:
+                handed_off.popleft()  # the last strong reference dies here
+            except IndexError:
+                time.sleep(0)
+
+    droppers = [threading.Thread(target=drop) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in droppers:
+            thread.start()
+        deadline = time.monotonic() + 1.5
+        rounds = 0
+        while time.monotonic() < deadline:
+            kept = [LRUCache(2) for _ in range(2)]
+            for memo in kept + [LRUCache(2) for _ in range(6)]:
+                artifact.rewired(k, d, memo)
+                handed_off.append(memo)
+            del memo
+            kind = ADD if rounds % 2 == 0 else REMOVE
+            version = artifact.version
+            artifact.churn([EdgeEvent(rounds, kind, u, v)])
+            assert artifact.version > version
+            assert [len(memo) for memo in kept] == [0, 0]
+            rounds += 1
+    finally:
+        stop.set()
+        for thread in droppers:
+            thread.join(10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in droppers)
+    assert rounds > 10

@@ -3,8 +3,8 @@
 The serving staleness guarantee under test: any ``score`` acknowledged
 after a ``churn`` acknowledgement reflects the post-churn topology —
 byte-identically equal to scoring a brand-new fully-validated Graph
-built from the live edge set.  Around it: version-keyed memo
-invalidation (effective churn invalidates, no-op churn preserves),
+built from the live edge set.  Around it: memo invalidation (effective
+churn empties every memo on the artifact, no-op churn preserves them),
 malformed-event rejection, clean shedding under churn+score bursts, and
 eviction safety for in-flight batches.
 """

@@ -3,7 +3,8 @@
 ``current`` must always be ``root`` plus ONE collapsed delta — through
 external event batches, interleaved agent-style edits, and across
 bitwise-verified rebases.  Version bumps happen exactly on *effective*
-batches and on rebases, because ``(version, k, d)`` memo keys rely on it.
+batches and on rebases, because the ``(k, d)`` rewire memos are emptied
+exactly when it changes.
 """
 
 import numpy as np

@@ -1,5 +1,4 @@
-"""CI smoke test of the rewiring service: boot, load, churn, verify, shut
-down.
+"""CI smoke test of the rewiring service: load, churn, verify, shut down.
 
 Starts an in-process :class:`~repro.serve.server.RewiringServer` on an
 OS-assigned port and drives it with 16 concurrent pipelining clients in
