@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: test doclint bench-e2e bench-smoke bench-scaling bench-rollout bench-entropy bench-telemetry bench-out-of-core bench-serving bench-streaming bench-compare serve-smoke
+.PHONY: test doclint bench-e2e bench-smoke bench-scaling bench-rollout bench-entropy bench-telemetry bench-serving bench-streaming bench-compare serve-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -9,7 +9,7 @@ test:
 # symbol of the gated packages must carry a docstring.  Mirrored in the
 # tier-1 suite (tests/gnn/test_docstrings.py) and run as a CI step.
 doclint:
-	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl src/repro/core src/repro/entropy src/repro/nn src/repro/graph
+	python tools/doclint.py src/repro/gnn src/repro/tensor src/repro/telemetry src/repro/serve src/repro/stream src/repro/rl src/repro/core src/repro/entropy src/repro/nn src/repro/graph src/repro/datasets src/repro/baselines src/repro/bench
 
 # Fast sanity run (< 90 s): the CSR scaling benchmark at small N (asserts
 # the >= 5x speedup contract) plus a small-N pass of the two entropy
@@ -20,7 +20,6 @@ bench-smoke:
 	$(PY) benchmarks/bench_scaling_rewire.py --sizes 1000 5000 --steps 5
 	$(PY) benchmarks/bench_telemetry_overhead.py --steps 32 --iterations 50000
 	$(PY) benchmarks/bench_entropy_screening.py --sizes 1500
-	$(PY) benchmarks/bench_out_of_core.py --n 3000
 	$(PY) benchmarks/bench_streaming.py --nodes 800 --events 4 --steps 40 --repeats 2
 
 # End-to-end benchmark, one traced run of each fit workload: the
@@ -78,11 +77,3 @@ bench-compare:
 # and a clean shutdown — the CI smoke for the serving layer.
 serve-smoke:
 	$(PY) tools/serve_smoke.py
-
-# Out-of-core pipeline from a memmapped graph bundle vs the in-RAM twin
-# at N = 100k: byte-identical screening/rewire/reward outputs, streamed
-# peak-RSS delta <= 0.5x the materialised graph, wall <= 1.5x in-RAM.
-# Both legs run in fresh subprocesses; JSON into bench_results/.
-# Long on one core (the certified screen is ~N^2): budget ~1-2 h.
-bench-out-of-core:
-	$(PY) benchmarks/bench_out_of_core.py

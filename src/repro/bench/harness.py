@@ -33,6 +33,7 @@ class MethodResult:
     runs: List[float]
 
     def cell(self) -> str:
+        """The Table III cell: mean ± std accuracy in percent."""
         return f"{100 * self.mean:.1f}±{100 * self.std:.1f}"
 
 
@@ -171,7 +172,7 @@ def save_results(name: str, payload: dict, telemetry=None) -> str:
     already-built snapshot dict, so each contract bench ships the metric
     state it ran under next to its numbers.  ``peak_rss_bytes``
     (:func:`peak_rss_bytes`) records how much memory the bench process
-    ever held — the number the out-of-core contract is written against.
+    ever held.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")

@@ -35,6 +35,7 @@ def bench_graph(name: str, seed: int = 0) -> Graph:
 
 
 def bench_splits(graph: Graph, num: int = BENCH_SPLITS, seed: int = 0) -> List[Split]:
+    """``num`` seeded geom-gcn splits of ``graph``."""
     return geom_gcn_splits(graph, num_splits=num, seed=seed)
 
 

@@ -59,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph-bundle", default=None, metavar="DIR",
                            help="run from an on-disk graph bundle "
                                 "(repro.graph.save_graph_bundle) instead "
-                                "of --dataset: arrays stay memory-mapped "
-                                "and the entropy screen streams its state "
-                                "from the bundle's entropy sidecar "
-                                "(written on first use)")
+                                "of --dataset: the graph is read into RAM "
+                                "and its relative entropy comes from the "
+                                "bundle's entropy sidecar (written on "
+                                "first use)")
 
     def add_telemetry_arg(p):
         p.add_argument("--telemetry", nargs="?", const="on", default=None,
@@ -183,8 +183,8 @@ def _finish_telemetry(tel) -> None:
 
 
 def _resolve_graph(args):
-    """The command's graph and its display name: a memmapped bundle when
-    ``--graph-bundle`` is given, the (scaled) named dataset otherwise.
+    """The command's graph and its display name: the bundle read into RAM
+    when ``--graph-bundle`` is given, the (scaled) named dataset otherwise.
     A graph that cannot be loaded prints one ``error:`` line and gives
     ``(None, None)``."""
     bundle = getattr(args, "graph_bundle", None)

@@ -33,7 +33,7 @@ class RareConfig:
     num_workers: int = 1
     """Thread-pool width for the sharded entropy build; every worker count
     returns byte-identical sequences (row-range merge).  The build picks
-    its engine and storage from the graph
+    its engine from the graph, bundle-loaded or not
     (:func:`repro.core.framework.entropy_sequences`)."""
 
     # --- topology optimisation (Sec. IV-B) ----------------------------

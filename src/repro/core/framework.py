@@ -17,9 +17,9 @@ from ..entropy import EntropySequences, RelativeEntropy, build_entropy_sequences
 from ..gnn import GNNBackbone, Trainer, build_backbone, evaluate
 from ..graph import Graph, Split, homophily_ratio
 from ..graph.storage import (
-    ScreenStateLoader,
     entropy_sidecar_meta,
     has_entropy_sidecar,
+    load_entropy_sidecar,
     save_entropy_sidecar,
 )
 from ..nn import bind_dropout_rng
@@ -43,8 +43,21 @@ def relative_entropy(
     graph: Graph, config: RareConfig, rng: Optional[np.random.Generator]
 ) -> RelativeEntropy:
     """The relative-entropy state of ``graph`` built with ``config``'s
-    :data:`ENTROPY_RECIPE` (Algorithm 1, lines 1-4)."""
-    return RelativeEntropy.from_graph(
+    :data:`ENTROPY_RECIPE` (Algorithm 1, lines 1-4).
+
+    GraphRARE computes it once per graph (Sec. IV-A), and a bundle-backed
+    graph (``graph.bundle``, set by :func:`repro.graph.load_graph_bundle`)
+    caches it in the bundle's entropy sidecar: the sidecar is read into
+    RAM when present and written on first use, and checked against the
+    config on every reuse (:func:`check_entropy_sidecar`), so a stale
+    sidecar can never silently change the sequences.
+    """
+    bundle = getattr(graph, "bundle", None)
+    if bundle is not None:
+        check_entropy_sidecar(bundle.path, config)
+        if has_entropy_sidecar(bundle.path):
+            return load_entropy_sidecar(bundle.path)
+    entropy = RelativeEntropy.from_graph(
         graph,
         lam=config.lam,
         embedding=config.embedding,
@@ -52,6 +65,9 @@ def relative_entropy(
         rng=rng,
         structural_mode=config.structural_mode,
     )
+    if bundle is not None:
+        save_entropy_sidecar(bundle.path, entropy, recipe=_recipe(config))
+    return entropy
 
 
 def check_entropy_sidecar(path: str, config: RareConfig) -> None:
@@ -60,7 +76,7 @@ def check_entropy_sidecar(path: str, config: RareConfig) -> None:
 
     A sidecar that does not record every :data:`ENTROPY_RECIPE` field
     (one written before they were all recorded) counts as a mismatch.  No
-    sidecar is no mismatch: :func:`entropy_sequences` writes one.
+    sidecar is no mismatch: :func:`relative_entropy` writes one.
     """
     if not has_entropy_sidecar(path):
         return
@@ -85,34 +101,12 @@ def entropy_sequences(
     lines 1-6): the one path from a :class:`RareConfig` to
     :class:`~repro.entropy.EntropySequences`.
 
-    A bundle-backed graph (``graph.bundle``, set by
-    :func:`repro.graph.load_graph_bundle`) streams the screened engine's
-    state from the bundle's entropy sidecar.  The sidecar is written on
-    first use (one in-RAM :func:`relative_entropy` build, persisted next
-    to the graph arrays with its recipe) and checked against the config
-    on every reuse (:func:`check_entropy_sidecar`), so a stale sidecar can
-    never silently change the sequences.  Every other graph, and the
-    ``shuffle`` ablation (GCN-RA) on any graph, builds its entropy in
-    RAM; :func:`~repro.entropy.build_entropy_sequences` then picks the
-    engine from the graph's size and embedding.
+    The entropy comes from :func:`relative_entropy` (a bundle-backed
+    graph's sidecar, or an in-RAM build), and
+    :func:`~repro.entropy.build_entropy_sequences` picks the engine from
+    the graph's size and embedding, bundle or not.  ``shuffle`` runs the
+    "without relative entropy" ablation (GCN-RA).
     """
-    bundle = getattr(graph, "bundle", None)
-    if bundle is not None and not shuffle:
-        check_entropy_sidecar(bundle.path, config)
-        if not has_entropy_sidecar(bundle.path):
-            save_entropy_sidecar(
-                bundle.path, relative_entropy(graph, config, rng),
-                recipe=_recipe(config),
-            )
-        return build_entropy_sequences(
-            graph,
-            None,
-            max_candidates=config.max_candidates,
-            num_workers=config.num_workers,
-            state_loader=ScreenStateLoader(
-                bundle.path, max_candidates=config.max_candidates
-            ),
-        )
     return build_entropy_sequences(
         graph,
         relative_entropy(graph, config, rng),

@@ -32,11 +32,10 @@ value ties* (a float32 safety margin on the logit threshold absorbs the
 GEMM precision gap; all reported scores come from the float64 rescorer).
 
 The engine executes as row-range shards: an :class:`EntropyShardPlan`
-splits ``[0, N)`` into contiguous node ranges balanced by adjacency volume
-(the same ranges map to contiguous slices of the graph's sorted int64
-edge-key arrays), and :func:`run_sharded` runs one worker per shard on a
-thread pool.  Results are merged by row range, so the output is
-byte-identical for any worker count.
+splits ``[0, N)`` into contiguous node ranges balanced by adjacency volume,
+and :func:`run_sharded` runs one worker per shard on a thread pool.
+Results are merged by row range, so the output is byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -100,20 +99,17 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Shard planning over row ranges / sorted edge-key ranges
+# Shard planning over row ranges
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class EntropyShardPlan:
     """Contiguous node row-ranges balanced by adjacency volume.
 
-    The plan is the unit of work distribution for the entropy builders:
-    shard ``i`` owns rows ``[starts[i], starts[i + 1])``, which map to one
-    contiguous slice of the graph's sorted canonical edge-key array (see
-    :meth:`Graph.edge_key_range` / :meth:`edge_key_ranges`).  Today's
-    in-memory workers index shared CSR state directly; the range/slice
-    contract is what the roadmap's disk-streaming step will hand each
-    worker instead.  Merging shard outputs by range is order-independent,
-    which keeps the parallel build seed-stable.
+    The plan is the screened engine's unit of work distribution: shard
+    ``i`` owns rows ``[starts[i], starts[i + 1])``, and its worker indexes
+    the shared in-RAM CSR and entropy state directly.  Merging shard
+    outputs by range is order-independent, which keeps the parallel build
+    seed-stable.
     """
 
     num_nodes: int
@@ -152,15 +148,6 @@ class EntropyShardPlan:
             (int(self.starts[i]), int(self.starts[i + 1]))
             for i in range(self.num_shards)
         ]
-
-    def edge_key_ranges(self, graph: Graph) -> List[Tuple[int, int]]:
-        """Per-shard index ranges into ``graph.edge_keys()`` (contiguous,
-        disjoint, covering every edge exactly once by smaller endpoint)."""
-        if graph.num_nodes != self.num_nodes:
-            raise ValueError(
-                f"plan built for N={self.num_nodes}, got N={graph.num_nodes}"
-            )
-        return [graph.edge_key_range(r0, r1) for r0, r1 in self.ranges()]
 
 
 class _TracedWorker:
@@ -417,13 +404,6 @@ class ScreenState:
     quantile estimate (part of the state so every shard sees the same
     sample and parallel builds stay byte-identical)."""
 
-    release: Optional[object] = None
-    """Optional page-release policy for memmap-backed state
-    (:class:`repro.graph.storage.MmapReleaser`): ``release.step()`` runs
-    after every screened row block, ``release.flush()`` at shard end, so
-    a streaming worker's resident set stays bounded by one block's
-    gathers.  ``None`` (in-RAM state) skips both calls."""
-
 
 #: Neighbour scores equal to this many decimals rank as ties, which keep
 #: ascending id order.  Mathematically equal pairs (structurally identical
@@ -651,8 +631,6 @@ def screen_shard(args) -> Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np
         ids, scores = _screen_block(state, start, stop, scratch)
         remote[start - r0 : stop - r0] = ids
         remote_scores[start - r0 : stop - r0] = scores
-        if state.release is not None:
-            state.release.step()
 
     lo, hi = int(state.indptr[r0]), int(state.indptr[r1])
     tel = get_telemetry()
@@ -667,37 +645,12 @@ def screen_shard(args) -> Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np
     vals = state.scorer.score(rows_flat, nbr) if nbr.size else np.empty(0)
     perm = neighbor_order(rows_flat, vals)
     nbr, vals = nbr[perm], vals[perm]
-    if state.release is not None:
-        state.release.flush()
     return r0, r1, remote, remote_scores, nbr, vals
-
-
-def default_screen_params(
-    n: int,
-    max_candidates: int,
-    screen_size: Optional[int] = None,
-    block_rows: Optional[int] = None,
-) -> Tuple[int, int]:
-    """Resolve ``(screen_size, block_rows)`` defaults for a screen build.
-
-    One shared formula for :func:`build_screen_state` and the bundle
-    state loader (:class:`repro.graph.storage.ScreenStateLoader`): both
-    paths must agree or the streamed and in-RAM screens would group rows
-    differently and drift at the ULP level (the scorer's batch-quantile
-    width depends on the block grouping).
-    """
-    if screen_size is None:
-        screen_size = max(8 * max_candidates, 64)
-    if block_rows is None:
-        # Cap the (B, N) float32 logit block at ~128 MB.
-        block_rows = int(min(1024, max(64, 32_000_000 // max(n, 1))))
-    return int(screen_size), int(block_rows)
 
 
 def screen_sample(n: int) -> np.ndarray:
     """Stratified column sample for the seed quantile estimate (every
-    n-th node); deterministic, so all shards, worker counts and state
-    construction paths (in-RAM or bundle-loaded) agree."""
+    n-th node); deterministic, so all shards and worker counts agree."""
     return np.unique(np.linspace(0, n - 1, min(n, 1024)).astype(np.int64))
 
 
@@ -708,13 +661,19 @@ def build_screen_state(
     screen_size: Optional[int] = None,
     block_rows: Optional[int] = None,
 ) -> ScreenState:
-    """Assemble the shared screening state for one (graph, entropy) pair."""
+    """Assemble the shared screening state for one (graph, entropy) pair.
+
+    ``screen_size`` defaults to ``max(8 * max_candidates, 64)`` seeds per
+    row and ``block_rows`` to the row count that keeps the ``(B, N)``
+    float32 logit block near 128 MB.
+    """
     indptr, indices = graph.csr_neighbors()
     scorer = PairEntropyScorer.from_entropy(entropy)
     n = graph.num_nodes
-    screen_size, block_rows = default_screen_params(
-        n, max_candidates, screen_size, block_rows
-    )
+    if screen_size is None:
+        screen_size = max(8 * max_candidates, 64)
+    if block_rows is None:
+        block_rows = min(1024, max(64, 32_000_000 // max(n, 1)))
     sample = screen_sample(n)
     # The clamped symmetrised KL can dip a hair below zero (by at most
     # ``log2(1 + M * eps)``), so pad the structural upper bound for "kl".

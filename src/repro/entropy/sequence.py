@@ -34,11 +34,11 @@ the engine from its input:
   comes from :class:`~repro.entropy.feature_entropy.GramBlocks`: a CSR
   product on wide sparse embeddings, the BLAS GEMM otherwise;
 * the *screened* engine (from ``SCREEN_AUTO_MIN`` nodes on embeddings
-  that fail the wide-sparse rule, and for every bundle-backed build)
-  prunes the ``O(N^2 L)`` structural work with the certified bound
-  ``H <= H_f + lam * hs_max`` evaluated in feature-logit space, then
-  rescores only the surviving superset exactly — identical rankings away
-  from exact value ties at a fraction of the cost.
+  that fail the wide-sparse rule) prunes the ``O(N^2 L)`` structural
+  work with the certified bound ``H <= H_f + lam * hs_max`` evaluated
+  in feature-logit space, then rescores only the surviving superset
+  exactly — identical rankings away from exact value ties at a fraction
+  of the cost.
 
 The dense engine and the provided-rows builder make one pass over the
 pairs: each block of entropy rows is ranked by :func:`_rank_block`, which
@@ -578,29 +578,21 @@ def _build_sorted(
 
 def _build_screened(
     graph: Graph,
-    entropy: Optional[RelativeEntropy],
+    entropy: RelativeEntropy,
     max_candidates: int,
     num_workers: int = 1,
     shard_plan: Optional[EntropyShardPlan] = None,
     screen_size: Optional[int] = None,
-    state_loader=None,
 ) -> EntropySequences:
     """Screen-then-rescore path: certified candidate pruning per shard.
 
     See :mod:`repro.entropy.screening` for the engine; rankings are
-    identical to the dense builders away from exact value ties.  With
-    ``state_loader`` (out-of-core builds) the screening state is
-    assembled once from a stored bundle instead of ``entropy``, which may
-    then be ``None`` — the sidecar already holds the same arrays, so the
-    results are byte-identical either way.
+    identical to the dense builders away from exact value ties.
     """
     n = graph.num_nodes
-    if state_loader is None:
-        state = build_screen_state(
-            graph, entropy, max_candidates, screen_size=screen_size
-        )
-    else:
-        state = state_loader()
+    state = build_screen_state(
+        graph, entropy, max_candidates, screen_size=screen_size
+    )
     if shard_plan is None:
         # Fixed over-decomposition: the plan must not depend on num_workers
         # or results would differ across worker counts (see the constant).
@@ -625,7 +617,7 @@ def _build_screened(
         nbr_id_parts.append(nbr_ids)
         nbr_score_parts.append(nbr_scores)
 
-    indptr = np.asarray(state.indptr, dtype=np.int64)
+    indptr = state.indptr
     flat_ids = (
         np.concatenate(nbr_id_parts) if indptr[-1] else np.empty(0, dtype=np.int64)
     )
@@ -642,7 +634,7 @@ def _build_screened(
 # ---------------------------------------------------------------------------
 def build_entropy_sequences(
     graph: Graph,
-    entropy: Optional[RelativeEntropy],
+    entropy: RelativeEntropy,
     max_candidates: int = 16,
     rng: Optional[np.random.Generator] = None,
     shuffle: bool = False,
@@ -650,14 +642,12 @@ def build_entropy_sequences(
     H: Optional[np.ndarray] = None,
     num_workers: int = 1,
     shard_plan: Optional[EntropyShardPlan] = None,
-    state_loader=None,
 ) -> EntropySequences:
     """Rank every node's remote candidates and one-hop neighbours.
 
     The engine follows from the input, and the ``entropy.sequences``
     span records it as ``engine``:
 
-    * ``state_loader`` given (a bundle-backed build) — ``screened-streamed``;
     * ``shuffle=True`` — ``reference``: both rankings randomised, the
       paper's "GraphRARE without relative entropy" ablation (Table V,
       GCN-RA); it keeps the per-node loop so seeded draws match the
@@ -681,35 +671,12 @@ def build_entropy_sequences(
     sequences.  ``shard_plan`` overrides the screened engine's row-range
     plan (the dense engine derives its own block-aligned sorted-order
     ranges).
-
-    ``state_loader`` is a zero-argument callable (usually a
-    :class:`repro.graph.storage.ScreenStateLoader`) that assembles the
-    screening state from a stored bundle.  ``entropy`` may then be
-    ``None`` — the bundle's entropy sidecar holds the byte-exact same
-    arrays, so the sequences are identical to an in-RAM screened build.
     """
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     tel = get_telemetry()
-    if state_loader is not None:
-        if shuffle or H is not None:
-            raise ValueError(
-                "state_loader streams the screened engine; it takes "
-                "neither shuffle nor provided rows"
-            )
-        with tel.span(
-            "entropy.sequences", engine="screened-streamed", workers=num_workers
-        ):
-            return _build_screened(
-                graph,
-                entropy,
-                max_candidates,
-                num_workers=num_workers,
-                shard_plan=shard_plan,
-                state_loader=state_loader,
-            )
     if shuffle:
         with tel.span("entropy.sequences", engine="reference"):
             return build_entropy_sequences_reference(

@@ -19,8 +19,6 @@ from .normalize import adjacency_from_matrix, gcn_norm, row_norm, two_hop_adjace
 from .splits import Split, geom_gcn_splits, random_split
 from .storage import (
     GraphBundle,
-    MemmapGraph,
-    ScreenStateLoader,
     load_graph_bundle,
     save_entropy_sidecar,
     save_graph_bundle,
@@ -31,8 +29,6 @@ __all__ = [
     "Graph",
     "GraphBundle",
     "GraphDelta",
-    "MemmapGraph",
-    "ScreenStateLoader",
     "Split",
     "adjacency_from_matrix",
     "canonical_edge",

@@ -155,6 +155,28 @@ def _edges_to_array(edges: Iterable[Edge]) -> np.ndarray:
     return arr
 
 
+def checked_keys(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``keys`` as int64, if they are what :meth:`Graph.edge_keys` holds:
+    a 1-D, strictly increasing vector of canonical keys ``u * N + v`` with
+    ``0 <= u < v < N``; otherwise one ``ValueError`` line naming what is
+    wrong."""
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise ValueError(f"edge_keys must be integers, got {keys.dtype}")
+    if keys.ndim != 1:
+        raise ValueError(f"edge_keys must be 1-D, got shape {keys.shape}")
+    keys = keys.astype(np.int64, copy=False)
+    if keys.shape[0]:
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("edge_keys must be strictly increasing")
+        u, v = np.divmod(keys, np.int64(num_nodes))
+        if keys[0] < 0 or (u >= v).any():
+            raise ValueError(
+                f"edge_keys must be canonical keys u * N + v with "
+                f"0 <= u < v < N={num_nodes}"
+            )
+    return keys
+
+
 def checked_features(
     features: Optional[np.ndarray], num_nodes: int
 ) -> Optional[np.ndarray]:
@@ -377,49 +399,6 @@ class Graph:
         """
         adj = self.adjacency()
         return adj.indptr.astype(np.int64), adj.indices.astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Row-range shard/slice helpers (the entropy shard planner's substrate)
-    # ------------------------------------------------------------------
-    def edge_key_range(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Index range ``(i0, i1)`` into :meth:`edge_keys` for the edges
-        whose *canonical* (smaller) endpoint lies in ``[lo, hi)``.
-
-        Because keys are ``u * N + v`` with ``u < v`` and sorted, a node
-        row-range maps to one contiguous key slice — the property the
-        entropy shard planner exploits to stream edge ranges per worker.
-        """
-        if not (0 <= lo <= hi <= self.num_nodes):
-            raise ValueError(
-                f"row range [{lo}, {hi}) out of bounds for N={self.num_nodes}"
-            )
-        n = np.int64(self.num_nodes)
-        i0 = int(np.searchsorted(self._edge_keys, np.int64(lo) * n))
-        i1 = int(np.searchsorted(self._edge_keys, np.int64(hi) * n))
-        return i0, i1
-
-    def edge_key_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted canonical edge keys with smaller endpoint in ``[lo, hi)``."""
-        i0, i1 = self.edge_key_range(lo, hi)
-        return self._edge_keys[i0:i1]
-
-    def csr_row_slice(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Adjacency CSR restricted to rows ``[lo, hi)``.
-
-        Returns ``(indptr_local, indices)`` where
-        ``indices[indptr_local[v - lo]:indptr_local[v - lo + 1]]`` are node
-        ``v``'s sorted neighbours.  The in-memory entropy engines index the
-        shared full CSR directly; this zero-based per-range layout is the
-        slicing contract for the roadmap's next sharding step (streaming
-        shards from disk, where no global CSR exists).
-        """
-        if not (0 <= lo <= hi <= self.num_nodes):
-            raise ValueError(
-                f"row range [{lo}, {hi}) out of bounds for N={self.num_nodes}"
-            )
-        indptr, indices = self.csr_neighbors()
-        local = indptr[lo : hi + 1] - indptr[lo]
-        return local, indices[indptr[lo] : indptr[hi]]
 
     def edge_index(self) -> np.ndarray:
         """Directed edge list of shape ``(2, 2|E|)`` with both orientations.

@@ -12,14 +12,11 @@ Format versions
     ``num_nodes``, ``version`` and the sorted canonical ``edge_keys``
     vector (``u * N + v`` with ``u < v``) — the graph's primary state
     written as-is, so :func:`save_graph` no longer materialises the
-    dense pair view at all (``np.savez`` streams the array to the
-    archive in buffered chunks, which keeps memmap-backed key vectors
-    out of RAM).  Files claiming a newer version are rejected with a
-    clear error instead of being misread.
+    dense pair view at all.  Files claiming a newer version are
+    rejected with a clear error instead of being misread.
 
-For the out-of-core directory layout (per-array ``.npy`` files that
-``Graph`` can run on without loading), see
-:mod:`repro.graph.storage`.
+For the directory layout of a graph bundle (per-array ``.npy`` files
+plus a cached entropy sidecar), see :mod:`repro.graph.storage`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, checked_features, checked_labels
+from .graph import Graph, checked_features, checked_keys, checked_labels
 
 #: Newest ``.npz`` layout version this build writes and understands.
 FORMAT_VERSION = 2
@@ -82,37 +79,16 @@ def load_graph(path: str) -> Graph:
         features = data["features"] if "features" in data else None
         labels = data["labels"] if "labels" in data else None
         if version >= 2:
-            keys = _checked_keys(data["edge_keys"], num_nodes, path)
+            keys = data["edge_keys"]
         else:
             keys = _keys_from_pairs(data["edges"], num_nodes, path)
     try:
+        keys = checked_keys(keys, num_nodes)
         features = checked_features(features, num_nodes)
         labels = checked_labels(labels, num_nodes)
     except ValueError as exc:
         raise ValueError(f"graph file {path!r}: {exc}") from None
     return Graph._from_keys(num_nodes, keys, features=features, labels=labels)
-
-
-def _checked_keys(keys: np.ndarray, num_nodes: int, path: str) -> np.ndarray:
-    """The stored ``edge_keys`` as int64, if they are what
-    :meth:`Graph.edge_keys` holds: a 1-D, strictly increasing vector of
-    canonical keys ``u * N + v`` with ``0 <= u < v < N``."""
-    where = f"graph file {path!r}: edge_keys"
-    if not np.issubdtype(keys.dtype, np.integer):
-        raise ValueError(f"{where} must be integers, got {keys.dtype}")
-    if keys.ndim != 1:
-        raise ValueError(f"{where} must be 1-D, got shape {keys.shape}")
-    keys = keys.astype(np.int64, copy=False)
-    if keys.shape[0]:
-        if (np.diff(keys) <= 0).any():
-            raise ValueError(f"{where} must be strictly increasing")
-        u, v = np.divmod(keys, np.int64(num_nodes))
-        if keys[0] < 0 or (u >= v).any():
-            raise ValueError(
-                f"{where} must be canonical keys u * N + v with "
-                f"0 <= u < v < N={num_nodes}"
-            )
-    return keys
 
 
 def _keys_from_pairs(

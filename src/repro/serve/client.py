@@ -23,6 +23,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Sequence
 
+import numpy as np
+
 from .protocol import (
     OverloadedError,
     ServeError,
@@ -198,10 +200,16 @@ class ServeClient:
         graph.  Each event is ``(kind, u, v)`` (times auto-assigned in
         list order) or ``(time, kind, u, v)``; ``kind`` is +1 for add,
         -1 for remove.  Scores acknowledged after this call resolves are
-        guaranteed to reflect the churned topology."""
+        guaranteed to reflect the churned topology.  Fields are sent as
+        given (numpy integers become ``int`` so arrays serialise), so a
+        field the server rejects, such as ``2.9``, ``"1"`` or ``True``,
+        answers ``bad_request`` here too."""
         return await self.request(
             "churn", session=session,
-            events=[[int(x) for x in e] for e in events],
+            events=[
+                [int(x) if isinstance(x, np.integer) else x for x in e]
+                for e in events
+            ],
             **({"deadline_ms": deadline_ms} if deadline_ms is not None else {}),
         )
 

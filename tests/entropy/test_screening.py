@@ -126,11 +126,6 @@ def test_invalid_engine_arguments():
         build_entropy_sequences(graph, entropy, num_workers=0)
     with pytest.raises(ValueError, match="max_candidates"):
         build_entropy_sequences(graph, entropy, max_candidates=0)
-    # A streamed build is always the screened engine.
-    with pytest.raises(ValueError, match="state_loader"):
-        build_entropy_sequences(
-            graph, None, shuffle=True, state_loader=lambda: None
-        )
 
 
 def test_screened_near_complete_graph():
@@ -177,30 +172,12 @@ def test_shard_plan_covers_rows():
     assert plan.num_shards <= 4
 
 
-def test_shard_plan_edge_key_ranges_partition_edges():
-    graph = planted_partition_graph(num_nodes=150, homophily=0.4, seed=3)
-    plan = EntropyShardPlan.build(graph, num_shards=5, min_rows=1)
-    key_ranges = plan.edge_key_ranges(graph)
-    keys = graph.edge_keys()
-    covered = np.concatenate(
-        [keys[i0:i1] for i0, i1 in key_ranges]
-    )
-    np.testing.assert_array_equal(covered, keys)
-    # Each slice's smaller endpoints live inside the shard's row range.
-    for (r0, r1), (i0, i1) in zip(plan.ranges(), key_ranges):
-        if i1 > i0:
-            u = keys[i0:i1] // graph.num_nodes
-            assert u.min() >= r0 and u.max() < r1
-
-
 def test_shard_plan_validation():
     graph = planted_partition_graph(num_nodes=30, homophily=0.5, seed=0)
     with pytest.raises(ValueError, match="num_shards"):
         EntropyShardPlan.build(graph, num_shards=0)
     other = planted_partition_graph(num_nodes=40, homophily=0.5, seed=0)
     plan = EntropyShardPlan.build(graph, num_shards=2)
-    with pytest.raises(ValueError, match="plan built for"):
-        plan.edge_key_ranges(other)
     # A mismatched plan must be rejected by the builder too, not silently
     # produce rows of -1/-inf padding outside the plan's coverage.
     with pytest.raises(ValueError, match="shard_plan built for"):

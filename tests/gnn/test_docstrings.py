@@ -18,7 +18,7 @@ def test_doclint_passes_on_gated_packages():
     on every documentation-gated package (the ``make doclint`` set)."""
     packages = (
         "gnn", "tensor", "telemetry", "serve", "stream", "rl", "core", "entropy",
-        "nn", "graph",
+        "nn", "graph", "datasets", "baselines", "bench",
     )
     proc = subprocess.run(
         [sys.executable, str(REPO / "tools" / "doclint.py"),

@@ -9,7 +9,7 @@ here (``docs/equivalence-policy.md``, "Sparse-feature input"):
   are float64-allclose to the dense path;
 * every exactness contract that compares two evaluations of the *same*
   operand stays bitwise — the env's ``num_envs = 1`` rewards vs direct
-  ``evaluate`` scoring, out-of-core vs in-RAM logits;
+  ``evaluate`` scoring, bundle-loaded vs in-RAM logits;
 * narrow or dense features, and GraphSAGE / MixHop, never see the CSR
   operand; a fit converts its features once.
 """
@@ -239,14 +239,13 @@ def test_vec_env_b1_bitwise_vs_sequential(world):
         prev = (score, loss)
 
 
-def test_stream_base_state_bitwise_vs_in_ram(world, tmp_path):
-    """A memmapped bundle's eval-mode logits are bitwise the in-RAM
+def test_bundle_base_state_bitwise_vs_in_ram(world, tmp_path):
+    """A bundle-loaded graph's eval-mode logits are bitwise the in-RAM
     graph's, on the CSR feature operand."""
     g = world[0]
     path = str(tmp_path / "bundle")
     save_graph_bundle(g, path)
     mg = load_graph_bundle(path)
-    assert mg.is_mmap
     model = make_model("gcn", g, seed=5)
     assert sp.isspmatrix_csr(features_tensor(mg, model))
     assert model.predict_logits(mg).tobytes() == (

@@ -1,9 +1,10 @@
-"""Out-of-core storage: bundles, memmapped graphs, streamed screen state.
+"""Graph bundles: the on-disk format, its load-time checks and the
+entropy sidecar.
 
-The load-bearing invariant throughout is *byte-identity*: a
-:class:`MemmapGraph` over an on-disk bundle must be indistinguishable —
-bit for bit, on every accessor and every downstream pipeline stage —
-from the in-RAM :class:`Graph` it was saved from.
+The load-bearing invariant is *equality*: a graph read from a bundle is
+an in-RAM :class:`Graph` equal, array for array, to the graph it was
+saved from, and a corrupt bundle is rejected with one line naming the
+array.
 """
 
 import json
@@ -11,22 +12,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.datasets import planted_partition_graph
-from repro.entropy import RelativeEntropy, build_entropy_sequences, degree_profiles
-from repro.entropy.sequence import _build_screened
-from repro.gnn import GCN, GraphSAGE
+from repro.entropy import RelativeEntropy
 from repro.graph import Graph
 from repro.graph.storage import (
     BUNDLE_META,
     BUNDLE_VERSION,
     GraphBundle,
-    MemmapGraph,
-    MmapReleaser,
-    ScreenStateLoader,
-    advise_dontneed,
     entropy_sidecar_meta,
     has_entropy_sidecar,
     load_entropy_sidecar,
@@ -34,7 +27,6 @@ from repro.graph.storage import (
     save_entropy_sidecar,
     save_graph_bundle,
 )
-from repro.nn import masked_metrics
 
 
 #: The build parameters of ``RelativeEntropy.from_graph``'s defaults.
@@ -62,16 +54,16 @@ def bundle_dir(tmp_path):
 # -- bundle round-trip and manifest -----------------------------------------
 
 
-def test_bundle_roundtrip_mmap_and_ram(bundle_dir):
+def test_bundle_roundtrip(bundle_dir):
+    """A bundle reads back as a plain in-RAM graph equal to the one
+    saved, carrying its bundle handle."""
     g, path = bundle_dir
-    for mmap_arrays in (True, False):
-        loaded = load_graph_bundle(path, mmap_arrays=mmap_arrays)
-        assert isinstance(loaded, MemmapGraph)
-        assert loaded.is_mmap is mmap_arrays
-        assert loaded.num_nodes == g.num_nodes
-        np.testing.assert_array_equal(loaded.edge_keys(), g.edge_keys())
-        np.testing.assert_array_equal(loaded.features, g.features)
-        np.testing.assert_array_equal(loaded.labels, g.labels)
+    loaded = load_graph_bundle(path)
+    assert type(loaded) is Graph and loaded == g
+    assert loaded.bundle.path == path
+    for arr in (loaded.edge_keys(), loaded.features, loaded.labels):
+        assert type(arr) is np.ndarray  # read into RAM, not memory-mapped
+    assert GraphBundle.open(path).graph() == g
 
 
 def test_bundle_roundtrip_without_attributes(tmp_path):
@@ -86,8 +78,8 @@ def test_bundle_roundtrip_without_attributes(tmp_path):
 def test_bundle_stores_sorted_csr(bundle_dir):
     g, path = bundle_dir
     bundle = GraphBundle.open(path)
-    indptr = bundle.load("indptr", mmap_arrays=False)
-    indices = bundle.load("indices", mmap_arrays=False)
+    indptr = bundle.load("indptr")
+    indices = bundle.load("indices")
     adj = g.adjacency()
     np.testing.assert_array_equal(indptr, adj.indptr)
     np.testing.assert_array_equal(indices, adj.indices)
@@ -138,6 +130,27 @@ def _resave(path, name, edit):
     np.save(array_path, edit(np.load(array_path)))
 
 
+def _flip_last_key(path):
+    """Store the bundle's last edge ``(u, v)`` as ``v * N + u``: still
+    sorted and unique, no longer canonical."""
+    with open(os.path.join(path, BUNDLE_META)) as fh:
+        n = json.load(fh)["num_nodes"]
+
+    def flip(keys):
+        u, v = divmod(int(keys[-1]), n)
+        keys = keys.copy()
+        keys[-1] = v * n + u
+        return keys
+
+    _resave(path, "edge_keys", flip)
+
+
+def _nan_first_entry(features):
+    features = features.copy()
+    features[0, 0] = np.nan
+    return features
+
+
 #: Hand edits that each used to load without error, and the array the
 #: rejection must name.
 BUNDLE_CORRUPTIONS = {
@@ -146,6 +159,10 @@ BUNDLE_CORRUPTIONS = {
         lambda p: _edit_manifest(
             p, lambda m: m.update(num_nodes=m["num_nodes"] + 5)
         ),
+    ),
+    "indptr_unlisted": (
+        "indptr",
+        lambda p: _edit_manifest(p, lambda m: m["arrays"].pop("indptr")),
     ),
     "indptr_10_short": (
         "indptr", lambda p: _resave(p, "indptr", lambda a: a[:-10])
@@ -163,87 +180,42 @@ BUNDLE_CORRUPTIONS = {
     "edge_keys_twice": (
         "edge_keys", lambda p: _resave(p, "edge_keys", lambda a: np.repeat(a, 2))
     ),
+    # The arrays below keep the manifest's dtype and shape; only a check
+    # of their values finds them.
+    "edge_keys_reversed": (
+        "edge_keys", lambda p: _resave(p, "edge_keys", lambda a: a[::-1])
+    ),
+    "edge_keys_duplicate": (
+        "edge_keys",
+        lambda p: _resave(
+            p, "edge_keys", lambda a: np.concatenate([a[:1], a[:-1]])
+        ),
+    ),
+    "edge_keys_non_canonical": ("edge_keys", _flip_last_key),
+    "features_nan": (
+        "features", lambda p: _resave(p, "features", _nan_first_entry)
+    ),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(BUNDLE_CORRUPTIONS))
 def test_bundle_contradicting_its_manifest_is_rejected(tmp_path, corruption):
+    """Every hand edit, whether it contradicts the manifest or only the
+    :class:`Graph` invariants, fails the load with one line."""
     from repro.datasets import load_dataset
 
     array, corrupt = BUNDLE_CORRUPTIONS[corruption]
     path = str(tmp_path / "bundle")
     save_graph_bundle(load_dataset("texas", scale=0.5, seed=0), path)
     corrupt(path)
-    for mmap_arrays in (True, False):
-        with pytest.raises(ValueError, match=f"bundle array '{array}'") as info:
-            load_graph_bundle(path, mmap_arrays=mmap_arrays)
-        assert "\n" not in str(info.value)
-
-
-def test_materialized_nbytes_accounts_derived(bundle_dir):
-    g, path = bundle_dir
-    bundle = GraphBundle.open(path)
-    stored = sum(bundle.nbytes(name) for name in bundle.meta["arrays"])
-    mat = bundle.materialized_nbytes()
-    adj = g.adjacency()
-    derived = (
-        g.edge_array().nbytes
-        + adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes
-        + g.degrees().nbytes
-    )
-    assert mat == stored + derived
-
-
-# -- MemmapGraph accessors: byte-identity vs the in-RAM graph ---------------
-
-
-def test_memmap_accessors_match_in_ram(bundle_dir):
-    g, path = bundle_dir
-    mg = load_graph_bundle(path)
-    np.testing.assert_array_equal(mg.degrees(), g.degrees())
-    for v in range(g.num_nodes):
-        np.testing.assert_array_equal(mg.neighbors(v), g.neighbors(v))
-    adj_ref, adj_mm = g.adjacency(), mg.adjacency()
-    assert adj_mm.indptr.dtype == adj_ref.indptr.dtype
-    assert adj_mm.indices.dtype == adj_ref.indices.dtype
-    np.testing.assert_array_equal(adj_mm.indptr, adj_ref.indptr)
-    np.testing.assert_array_equal(adj_mm.indices, adj_ref.indices)
-    np.testing.assert_array_equal(adj_mm.data, adj_ref.data)
-    np.testing.assert_array_equal(mg.edge_array(), g.edge_array())
-
-
-def test_csr_row_slice_bounds(bundle_dir):
-    _, path = bundle_dir
-    mg = load_graph_bundle(path)
-    with pytest.raises(ValueError, match="out of bounds"):
-        mg.csr_row_slice(0, mg.num_nodes + 1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_row_and_key_slices_match_in_ram(data):
-    seed = data.draw(st.integers(0, 5))
-    g = small_graph(n=data.draw(st.integers(12, 60)), seed=seed)
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "b")
-        save_graph_bundle(g, path)
-        mg = load_graph_bundle(path)
-        lo = data.draw(st.integers(0, g.num_nodes))
-        hi = data.draw(st.integers(lo, g.num_nodes))
-        ref_adj = g.adjacency()
-        local, idx = mg.csr_row_slice(lo, hi)
-        window = ref_adj.indptr[lo : hi + 1]
-        np.testing.assert_array_equal(local, window - window[0])
-        np.testing.assert_array_equal(idx, ref_adj.indices[window[0] : window[-1]])
-        np.testing.assert_array_equal(
-            mg.edge_key_slice(lo, hi), g.edge_key_slice(lo, hi)
-        )
-        np.testing.assert_array_equal(degree_profiles(mg), degree_profiles(g))
+    with pytest.raises(ValueError, match=f"bundle array '{array}'") as info:
+        load_graph_bundle(path)
+    assert "\n" not in str(info.value)
 
 
 def test_functional_edits_return_plain_graphs(bundle_dir):
+    """An edit of a bundle-loaded graph is a new graph that carries no
+    bundle: the sidecar caches the stored graph's entropy only."""
     g, path = bundle_dir
     mg = load_graph_bundle(path)
     u, v = 0, mg.num_nodes - 1
@@ -252,9 +224,10 @@ def test_functional_edits_return_plain_graphs(bundle_dir):
     )
     ref = g.add_edges([(u, v)]) if not g.has_edge(u, v) else g.remove_edges([(u, v)])
     np.testing.assert_array_equal(edited.edge_keys(), ref.edge_keys())
+    assert getattr(edited, "bundle", None) is None
 
 
-def test_resave_memmap_graph_roundtrips(bundle_dir, tmp_path):
+def test_resave_bundle_graph_roundtrips(bundle_dir, tmp_path):
     g, path = bundle_dir
     mg = load_graph_bundle(path)
     path2 = str(tmp_path / "copy")
@@ -264,37 +237,7 @@ def test_resave_memmap_graph_roundtrips(bundle_dir, tmp_path):
     np.testing.assert_array_equal(again.features, g.features)
 
 
-# -- page release helpers ----------------------------------------------------
-
-
-def test_advise_dontneed_counts_only_mmaps(bundle_dir):
-    _, path = bundle_dir
-    mg = load_graph_bundle(path)
-    assert advise_dontneed(mg.edge_keys()) == 1
-    # Non-mmap arrays (and None) are tolerated and not counted.
-    assert advise_dontneed(np.arange(4), None) == 0
-    assert mg.release() >= 3
-    # Released pages refault transparently: data unchanged.
-    np.testing.assert_array_equal(
-        mg.edge_keys(), load_graph_bundle(path, mmap_arrays=False).edge_keys()
-    )
-
-
-def test_mmap_releaser_steps_and_flushes(bundle_dir):
-    _, path = bundle_dir
-    mg = load_graph_bundle(path)
-    gathered, persistent = mg.features, mg.edge_keys()
-    rel = MmapReleaser(gather=[gathered], persistent=[persistent], every=2)
-    rel.step()   # below `every`: no release yet
-    rel.step()
-    rel.flush()  # releases persistent too
-    np.testing.assert_array_equal(
-        np.asarray(gathered),
-        load_graph_bundle(path, mmap_arrays=False).features,
-    )
-
-
-# -- entropy sidecar + streamed screening -----------------------------------
+# -- entropy sidecar ----------------------------------------------------------
 
 
 def test_entropy_sidecar_roundtrip(bundle_dir):
@@ -308,87 +251,29 @@ def test_entropy_sidecar_roundtrip(bundle_dir):
     meta = entropy_sidecar_meta(path)
     assert meta["lam"] == 1.25
     assert {name: meta[name] for name in RECIPE} == RECIPE
-    for mmap_arrays in (True, False):
-        loaded = load_entropy_sidecar(path, mmap_arrays=mmap_arrays)
-        assert loaded.lam == entropy.lam
-        assert loaded.log_denominator == entropy.log_denominator
-        np.testing.assert_array_equal(np.asarray(loaded.Z), entropy.Z)
-        np.testing.assert_array_equal(
-            np.asarray(loaded.profiles), entropy.profiles
-        )
+    assert sorted(meta["arrays"]) == ["Z", "profiles"]
+    loaded = load_entropy_sidecar(path)
+    for name in ("lam", "log_denominator", "feature_scale", "structural_mode"):
+        assert getattr(loaded, name) == getattr(entropy, name)
+    assert loaded.Z.tobytes() == entropy.Z.tobytes()
+    assert loaded.profiles.tobytes() == entropy.profiles.tobytes()
 
 
-@pytest.mark.parametrize("num_workers", [1, 2, 3])
-def test_streamed_screening_byte_identical(tmp_path, num_workers):
-    g = small_graph(n=64, seed=3)
-    path = str(tmp_path / "bundle")
-    save_graph_bundle(g, path)
-    entropy = RelativeEntropy.from_graph(g, lam=1.0)
-    save_entropy_sidecar(path, entropy, RECIPE)
-    ref = _build_screened(g, entropy, 6)
-    mg = load_graph_bundle(path)
-    for mmap_arrays in (True, False):
-        seqs = build_entropy_sequences(
-            mg, None, max_candidates=6, num_workers=num_workers,
-            state_loader=ScreenStateLoader(
-                path, max_candidates=6, mmap_arrays=mmap_arrays
-            ),
-        )
-        np.testing.assert_array_equal(seqs.remote, ref.remote)
-        np.testing.assert_array_equal(seqs.remote_scores, ref.remote_scores)
-        np.testing.assert_array_equal(seqs.flat_neighbors, ref.flat_neighbors)
-        for mine, theirs in zip(seqs.neighbor_scores, ref.neighbor_scores):
-            np.testing.assert_array_equal(mine, theirs)
-
-
-def test_screen_state_loader_pickles_and_builds(bundle_dir):
-    import pickle
-
+def test_sidecar_with_derived_screening_arrays_loads(bundle_dir):
+    """Earlier builds also stored the screen's derived arrays (``Z32``,
+    ``U``, ``lengths``) in the sidecar; the reader reads ``Z`` and
+    ``profiles`` only, so such a sidecar still loads."""
     g, path = bundle_dir
-    save_entropy_sidecar(path, RelativeEntropy.from_graph(g, lam=1.0), RECIPE)
-    loader = ScreenStateLoader(path, max_candidates=4)
-    # The loader holds a path and parameters, not arrays.
-    clone = pickle.loads(pickle.dumps(loader))
-    state = clone()
-    assert state.num_nodes == g.num_nodes
-    assert state.max_candidates == 4
-    assert state.release is not None
-    # The materialised twin: same params, no releaser, plain arrays.
-    twin = ScreenStateLoader(path, max_candidates=4, mmap_arrays=False)()
-    assert twin.release is None
-    assert twin.block_rows == state.block_rows
-    assert twin.screen_size == state.screen_size
-    np.testing.assert_array_equal(
-        np.asarray(twin.Z32), np.asarray(state.Z32)
-    )
-
-
-# -- dense evaluation of a memmapped graph and its edits -------------------
-
-
-@pytest.mark.parametrize("model_cls", [GCN, GraphSAGE])
-def test_streamed_evaluator_bitwise(tmp_path, model_cls):
-    """A memmapped graph and its single-edge edits score bitwise like the
-    in-RAM graph and its edits."""
-    g = small_graph(n=50, seed=7)
-    path = str(tmp_path / "bundle")
-    save_graph_bundle(g, path)
-    mg = load_graph_bundle(path)
-    rng = np.random.default_rng(11)
-    model = model_cls(g.num_features, g.num_classes, hidden=8,
-                      rng=np.random.default_rng(5))
-    mask = np.arange(g.num_nodes) % 3 == 0
-
-    assert model.predict_logits(mg).tobytes() == \
-        model.predict_logits(g).tobytes()
-
-    for _ in range(4):
-        u = int(rng.integers(g.num_nodes - 1))
-        v = int(rng.integers(u + 1, g.num_nodes))
-        edit = (g.remove_edges, mg.remove_edges) if g.has_edge(u, v) else \
-            (g.add_edges, mg.add_edges)
-        ref = model.predict_logits(edit[0]([(u, v)]))
-        got = model.predict_logits(edit[1]([(u, v)]))
-        assert got.tobytes() == ref.tobytes()
-        assert masked_metrics(got, mg.labels, mask) == \
-            masked_metrics(ref, g.labels, mask)
+    entropy = RelativeEntropy.from_graph(g)
+    edir = save_entropy_sidecar(path, entropy, RECIPE)
+    meta_path = os.path.join(edir, "entropy.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    z32 = entropy.Z.astype(np.float32)
+    np.save(os.path.join(edir, "Z32.npy"), z32)
+    meta["arrays"]["Z32"] = {
+        "dtype": "float32", "shape": list(z32.shape), "nbytes": z32.nbytes,
+    }
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    assert load_entropy_sidecar(path).Z.tobytes() == entropy.Z.tobytes()

@@ -324,6 +324,33 @@ def test_bad_churn_events_are_rejected_and_harmless():
     assert 0.0 <= served["acc"] <= 1.0
 
 
+def test_client_churn_sends_fields_as_given():
+    """The bundled client does not coerce event fields: what the server
+    rejects as a raw frame it rejects through ``client.churn`` too, and
+    numpy integers (array rows) still apply."""
+
+    async def run():
+        server, client = await _serving(config())
+        info = await client.open_session(SPEC)
+        sid = info["session"]
+        artifact = server.sessions.get(sid).artifact
+        before = (artifact.version, artifact.graph.num_edges)
+        for bad in ([[1, 2.9, 5]], [["1", 2, 5]], [[True, 2, 5]]):
+            with pytest.raises(BadRequestError, match="within int64"):
+                await client.churn(sid, bad)
+        after = (artifact.version, artifact.graph.num_edges)
+        events = np.asarray(_effective_events(server, sid, 2), dtype=np.int64)
+        report = await client.churn(sid, events)
+        await client.close()
+        await server.stop()
+        return before, after, report
+
+    before, after, report = asyncio.run(run())
+    assert after == before
+    assert report["applied"] == 2
+    assert report["version"] == before[0] + 1
+
+
 # ---------------------------------------------------------------------------
 # Degradation: shedding under bursts, eviction safety
 # ---------------------------------------------------------------------------

@@ -61,12 +61,21 @@ def test_run_has_no_incremental_reward_flag(capsys):
     assert "--incremental-reward" not in capsys.readouterr().out
 
 
-def test_rewire_with_screening_engine(tmp_path, capsys):
-    """A bundle-backed rewire streams the screened engine on the
+def test_rewire_with_screening_engine(tmp_path, capsys, monkeypatch):
+    """A bundle-backed rewire runs the engine the rule picks for its graph
+    (here a narrow-feature graph at the screening threshold) on the
     requested number of threads."""
+    from repro.datasets import planted_partition_graph
+    from repro.entropy import sequence
+    from repro.graph import save_graph_bundle
     from repro.telemetry import validate_lines
 
-    _, path = _make_bundle(tmp_path)
+    graph = planted_partition_graph(
+        num_nodes=120, homophily=0.4, num_features=12, seed=3
+    )
+    path = str(tmp_path / "bundle")
+    save_graph_bundle(graph, path)
+    monkeypatch.setattr(sequence, "SCREEN_AUTO_MIN", graph.num_nodes)
     log = str(tmp_path / "rewire.jsonl")
     code = main([
         "rewire", "--graph-bundle", path, "--k", "1", "--d", "1",
@@ -79,7 +88,7 @@ def test_rewire_with_screening_engine(tmp_path, capsys):
         e for e in events
         if e["type"] == "span" and e["name"] == "entropy.sequences"
     ]
-    assert span["attrs"] == {"engine": "screened-streamed", "workers": 2}
+    assert span["attrs"] == {"engine": "screened", "workers": 2}
 
 
 def test_rewire_saves_graph(tmp_path, capsys):
@@ -202,25 +211,32 @@ def test_rewire_graph_bundle(tmp_path, capsys):
 
 
 def test_rewire_bundle_matches_dataset_rewire(tmp_path, capsys):
-    # Same graph, same flags: the streamed bundle path and the classic
-    # in-RAM dataset path must print the identical rewiring analysis.
+    # Same graph, same flags: the bundle (entropy from its sidecar) and
+    # the dataset must print the identical rewiring analysis.
     _, path = _make_bundle(tmp_path)
     assert main(["rewire", "--graph-bundle", path, "--k", "2", "--d", "1"]) == 0
-    streamed = capsys.readouterr().out
+    from_bundle = capsys.readouterr().out
     assert main(["rewire", "--dataset", "texas", "--scale", "0.5",
                  "--k", "2", "--d", "1"]) == 0
     in_ram = capsys.readouterr().out
-    assert streamed == in_ram
+    assert from_bundle == in_ram
 
 
-def test_run_graph_bundle_streams(tmp_path, capsys):
+def test_run_graph_bundle_matches_dataset_run(tmp_path, capsys):
+    """``run --graph-bundle`` prints what ``run --dataset`` prints for the
+    graph the bundle was saved from, on the first run (which writes the
+    sidecar) and the second (which reads it)."""
     _, path = _make_bundle(tmp_path)
-    code = main([
-        "run", "--graph-bundle", path, "--backbone", "gcn",
-        "--episodes", "1", "--horizon", "2", "--k-max", "2", "--d-max", "2",
-    ])
-    assert code == 0
-    assert "mean over 1 split" in capsys.readouterr().out
+    flags = [
+        "--backbone", "gcn", "--episodes", "1", "--horizon", "2",
+        "--k-max", "2", "--d-max", "2",
+    ]
+    assert main(["run", "--dataset", "texas", "--scale", "0.5", *flags]) == 0
+    in_ram = capsys.readouterr().out
+    assert "mean over 1 split" in in_ram
+    for _ in range(2):
+        assert main(["run", "--graph-bundle", path, *flags]) == 0
+        assert capsys.readouterr().out == in_ram
 
 
 def test_run_rejects_a_bundle_contradicting_its_manifest(tmp_path, capsys):
