@@ -648,45 +648,27 @@ def screen_shard(args) -> Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np
     return r0, r1, remote, remote_scores, nbr, vals
 
 
-def screen_sample(n: int) -> np.ndarray:
-    """Stratified column sample for the seed quantile estimate (every
-    n-th node); deterministic, so all shards and worker counts agree."""
-    return np.unique(np.linspace(0, n - 1, min(n, 1024)).astype(np.int64))
-
-
 def build_screen_state(
-    graph: Graph,
-    entropy: RelativeEntropy,
-    max_candidates: int,
-    screen_size: Optional[int] = None,
-    block_rows: Optional[int] = None,
+    graph: Graph, entropy: RelativeEntropy, max_candidates: int
 ) -> ScreenState:
-    """Assemble the shared screening state for one (graph, entropy) pair.
-
-    ``screen_size`` defaults to ``max(8 * max_candidates, 64)`` seeds per
-    row and ``block_rows`` to the row count that keeps the ``(B, N)``
-    float32 logit block near 128 MB.
-    """
+    """Assemble the shared screening state for one (graph, entropy) pair:
+    ``max(8 * max_candidates, 64)`` seeds per row, row blocks that keep
+    the ``(B, N)`` float32 logit block near 128 MB, and every n-th node
+    as the stratified quantile sample."""
     indptr, indices = graph.csr_neighbors()
-    scorer = PairEntropyScorer.from_entropy(entropy)
     n = graph.num_nodes
-    if screen_size is None:
-        screen_size = max(8 * max_candidates, 64)
-    if block_rows is None:
-        block_rows = min(1024, max(64, 32_000_000 // max(n, 1)))
-    sample = screen_sample(n)
     # The clamped symmetrised KL can dip a hair below zero (by at most
     # ``log2(1 + M * eps)``), so pad the structural upper bound for "kl".
     hs_max = 1.0 if entropy.structural_mode == "js" else 1.0 + 1e-9
     return ScreenState(
         Z32=np.ascontiguousarray(entropy.Z, dtype=np.float32),
-        scorer=scorer,
+        scorer=PairEntropyScorer.from_entropy(entropy),
         indptr=indptr,
         indices=indices,
         num_nodes=n,
         max_candidates=max_candidates,
-        screen_size=int(screen_size),
+        screen_size=int(max(8 * max_candidates, 64)),
         hs_max=hs_max,
-        block_rows=int(block_rows),
-        sample=sample,
+        block_rows=min(1024, max(64, 32_000_000 // max(n, 1))),
+        sample=np.unique(np.linspace(0, n - 1, min(n, 1024)).astype(np.int64)),
     )

@@ -582,7 +582,6 @@ def _build_screened(
     max_candidates: int,
     num_workers: int = 1,
     shard_plan: Optional[EntropyShardPlan] = None,
-    screen_size: Optional[int] = None,
 ) -> EntropySequences:
     """Screen-then-rescore path: certified candidate pruning per shard.
 
@@ -590,9 +589,7 @@ def _build_screened(
     identical to the dense builders away from exact value ties.
     """
     n = graph.num_nodes
-    state = build_screen_state(
-        graph, entropy, max_candidates, screen_size=screen_size
-    )
+    state = build_screen_state(graph, entropy, max_candidates)
     if shard_plan is None:
         # Fixed over-decomposition: the plan must not depend on num_workers
         # or results would differ across worker counts (see the constant).

@@ -166,11 +166,11 @@ def load_graph_bundle(path: str, bundle: Optional[GraphBundle] = None) -> Graph:
     is the :class:`GraphBundle` it came from (edits of it are new graphs
     and carry none).  The arrays are checked as they enter: a required
     array the manifest does not list, a dtype or shape that contradicts
-    the manifest or ``num_nodes``, CSR lengths that
-    disagree with the edge count, edge keys that are not strictly
-    increasing canonical keys ``u * N + v`` (``0 <= u < v < N``), and
-    features or labels that :class:`~repro.graph.Graph` would reject each
-    raise one ``ValueError`` line naming the array.
+    the manifest or ``num_nodes``, CSR lengths that disagree with the
+    edge count, edge keys that are not strictly increasing canonical keys
+    ``u * N + v`` (``0 <= u < v < N``), and features or labels that
+    :class:`~repro.graph.Graph` would reject each raise one
+    ``ValueError`` line naming the array.
     """
     if bundle is None:
         bundle = GraphBundle.open(path)
